@@ -1,32 +1,12 @@
-"""Hot numeric kernels with numba-accelerated and pure-numpy implementations.
+"""Hot numeric kernels, vectorised with numpy across points.
 
-Every public function here dispatches on the environment flag
-``CUSPLAB_DISABLE_NUMBA``: when set to a truthy value (``1``, ``true``), the
-pure-numpy fallbacks run instead of the ``@njit`` kernels.  Both paths compute
-identical results; ``bench/bench_kernels.py`` compares their throughput.
+Each kernel evaluates its per-point rule on whole arrays in the same
+operation order as a scalar loop over the points would, so the results are
+bitwise those of that loop (``tests/test_kernels.py`` keeps the loop as the
+reference).
 """
 
-import os
-
 import numpy as np
-
-_DISABLE = os.environ.get("CUSPLAB_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
-
-if not _DISABLE:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
-
-
-def using_numba():
-    """True when the jit-compiled kernels are active."""
-    return _HAVE_NUMBA
-
 
 # ---------------------------------------------------------------------------
 # Fundamental-domain reduction
@@ -35,96 +15,9 @@ def using_numba():
 _IMPROVE_RTOL = 1e-14
 
 
-def _reduce_points_py(z, moves, max_iter):
-    n = z.shape[0]
-    k = moves.shape[0]
-    zred = z.copy()
-    mats = np.zeros((n, 2, 2))
-    mats[:, 0, 0] = 1.0
-    mats[:, 1, 1] = 1.0
-    niter = np.zeros(n, dtype=np.int64)
-    for p in range(n):
-        w = z[p]
-        g00, g01, g10, g11 = 1.0, 0.0, 0.0, 1.0
-        it = 0
-        while it < max_iter:
-            cur = 1.0 + (w.real * w.real + (w.imag - 1.0) ** 2) / (2.0 * w.imag)
-            best = cur
-            bi = -1
-            for m in range(k):
-                a, b = moves[m, 0, 0], moves[m, 0, 1]
-                c, d = moves[m, 1, 0], moves[m, 1, 1]
-                wn = (a * w + b) / (c * w + d)
-                cn = 1.0 + (wn.real * wn.real + (wn.imag - 1.0) ** 2) / (2.0 * wn.imag)
-                if cn < best:
-                    best = cn
-                    bi = m
-            if bi < 0 or best >= cur * (1.0 - _IMPROVE_RTOL):
-                break
-            a, b = moves[bi, 0, 0], moves[bi, 0, 1]
-            c, d = moves[bi, 1, 0], moves[bi, 1, 1]
-            w = (a * w + b) / (c * w + d)
-            g00, g01, g10, g11 = (
-                a * g00 + b * g10,
-                a * g01 + b * g11,
-                c * g00 + d * g10,
-                c * g01 + d * g11,
-            )
-            it += 1
-        zred[p] = w
-        mats[p, 0, 0] = g00
-        mats[p, 0, 1] = g01
-        mats[p, 1, 0] = g10
-        mats[p, 1, 1] = g11
-        niter[p] = it if it < max_iter else -1
-    return zred, mats, niter
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _reduce_points_jit(z, moves, max_iter):  # pragma: no cover - jit body
-        n = z.shape[0]
-        k = moves.shape[0]
-        zred = z.copy()
-        mats = np.zeros((n, 2, 2))
-        niter = np.zeros(n, dtype=np.int64)
-        for p in range(n):
-            w = z[p]
-            g00, g01, g10, g11 = 1.0, 0.0, 0.0, 1.0
-            it = 0
-            while it < max_iter:
-                cur = 1.0 + (w.real * w.real + (w.imag - 1.0) ** 2) / (2.0 * w.imag)
-                best = cur
-                bi = -1
-                for m in range(k):
-                    a, b = moves[m, 0, 0], moves[m, 0, 1]
-                    c, d = moves[m, 1, 0], moves[m, 1, 1]
-                    wn = (a * w + b) / (c * w + d)
-                    cn = 1.0 + (wn.real * wn.real + (wn.imag - 1.0) ** 2) / (
-                        2.0 * wn.imag
-                    )
-                    if cn < best:
-                        best = cn
-                        bi = m
-                if bi < 0 or best >= cur * (1.0 - _IMPROVE_RTOL):
-                    break
-                a, b = moves[bi, 0, 0], moves[bi, 0, 1]
-                c, d = moves[bi, 1, 0], moves[bi, 1, 1]
-                w = (a * w + b) / (c * w + d)
-                g00n = a * g00 + b * g10
-                g01n = a * g01 + b * g11
-                g10n = c * g00 + d * g10
-                g11n = c * g01 + d * g11
-                g00, g01, g10, g11 = g00n, g01n, g10n, g11n
-                it += 1
-            zred[p] = w
-            mats[p, 0, 0] = g00
-            mats[p, 0, 1] = g01
-            mats[p, 1, 0] = g10
-            mats[p, 1, 1] = g11
-            niter[p] = it if it < max_iter else -1
-        return zred, mats, niter
+def _cosh_dist_to_i(w):
+    # cosh of the hyperbolic distance from w to i
+    return 1.0 + (w.real * w.real + (w.imag - 1.0) ** 2) / (2.0 * w.imag)
 
 
 def reduce_points(z, moves, max_iter=10000):
@@ -132,14 +25,40 @@ def reduce_points(z, moves, max_iter=10000):
     domain centered at i.
 
     Repeatedly applies whichever candidate move decreases the hyperbolic
-    distance to i the most.  Returns (reduced points, accumulated 2x2
-    matrices, iteration counts); a count of -1 flags the iteration cap.
+    distance to i the most (the first one on ties), and stops once the best
+    move improves by less than a relative ``_IMPROVE_RTOL``.  All points
+    still moving are stepped together.  Returns (reduced points, accumulated
+    2x2 matrices, iteration counts); a count of -1 flags the iteration cap.
     """
-    z = np.ascontiguousarray(z, dtype=np.complex128)
-    moves = np.ascontiguousarray(moves, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return _reduce_points_jit(z, moves, max_iter)
-    return _reduce_points_py(z, moves, max_iter)
+    zred = np.array(z, dtype=np.complex128)
+    moves = np.asarray(moves, dtype=np.float64)
+    n = zred.shape[0]
+    a, b = moves[:, 0, 0], moves[:, 0, 1]
+    c, d = moves[:, 1, 0], moves[:, 1, 1]
+    g00, g01 = np.ones(n), np.zeros(n)
+    g10, g11 = np.zeros(n), np.ones(n)
+    niter = np.full(n, -1, dtype=np.int64)
+    live = np.arange(n)
+    for it in range(max_iter):
+        if live.size == 0:
+            break
+        w = zred[live][:, None]
+        cand = (a * w + b) / (c * w + d)
+        cost = _cosh_dist_to_i(cand)
+        best = np.argmin(cost, axis=1)
+        rows = np.arange(live.size)
+        moved = cost[rows, best] < _cosh_dist_to_i(w[:, 0]) * (1.0 - _IMPROVE_RTOL)
+        niter[live[~moved]] = it
+        live, rows, m = live[moved], rows[moved], best[moved]
+        zred[live] = cand[rows, m]
+        am, bm, cm, dm = a[m], b[m], c[m], d[m]
+        h00, h01, h10, h11 = g00[live], g01[live], g10[live], g11[live]
+        g00[live] = am * h00 + bm * h10
+        g01[live] = am * h01 + bm * h11
+        g10[live] = cm * h00 + dm * h10
+        g11[live] = cm * h01 + dm * h11
+    mats = np.stack([g00, g01, g10, g11], axis=-1).reshape(n, 2, 2)
+    return zred, mats, niter
 
 
 # ---------------------------------------------------------------------------
@@ -148,93 +67,15 @@ def reduce_points(z, moves, max_iter=10000):
 
 
 def _lagrange_weights(s):
-    # 6-point stencil at offsets 0..5, local coordinate s in [2, 3]
-    w = np.empty(6)
+    # 6-point stencil at offsets 0..5, local coordinates s in [2, 3]
+    w = []
     for i in range(6):
-        p = 1.0
+        p = np.ones_like(s)
         for j in range(6):
             if j != i:
                 p *= (s - j) / (i - j)
-        w[i] = p
+        w.append(p)
     return w
-
-
-def _interp2d_py(grid, r0, dr, rn, theta_n, pts_r, pts_t):
-    ncomp = grid.shape[0]
-    npts = pts_r.shape[0]
-    out = np.zeros((ncomp, npts))
-    dt = 1.0 / theta_n
-    for p in range(npts):
-        x = (pts_r[p] - r0) / dr
-        if x < -0.5 or x > rn - 0.5:
-            continue
-        i0 = int(np.floor(x)) - 2
-        if i0 < 0:
-            i0 = 0
-        if i0 > rn - 6:
-            i0 = rn - 6
-        sr = x - i0
-        y = (pts_t[p] % 1.0) / dt
-        j0 = int(np.floor(y)) - 2
-        st = y - j0
-        wr = _lagrange_weights(sr)
-        wt = _lagrange_weights(st)
-        for c in range(ncomp):
-            acc = 0.0
-            for i in range(6):
-                row = 0.0
-                gi = i0 + i
-                for j in range(6):
-                    gj = (j0 + j) % theta_n
-                    row += wt[j] * grid[c, gi, gj]
-                acc += wr[i] * row
-            out[c, p] = acc
-    return out
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _interp2d_jit(grid, r0, dr, rn, theta_n, pts_r, pts_t):  # pragma: no cover
-        ncomp = grid.shape[0]
-        npts = pts_r.shape[0]
-        out = np.zeros((ncomp, npts))
-        dt = 1.0 / theta_n
-        wr = np.empty(6)
-        wt = np.empty(6)
-        for p in range(npts):
-            x = (pts_r[p] - r0) / dr
-            if x < -0.5 or x > rn - 0.5:
-                continue
-            i0 = int(np.floor(x)) - 2
-            if i0 < 0:
-                i0 = 0
-            if i0 > rn - 6:
-                i0 = rn - 6
-            sr = x - i0
-            y = (pts_t[p] % 1.0) / dt
-            j0 = int(np.floor(y)) - 2
-            st = y - j0
-            for i in range(6):
-                pr = 1.0
-                pt = 1.0
-                for j in range(6):
-                    if j != i:
-                        pr *= (sr - j) / (i - j)
-                        pt *= (st - j) / (i - j)
-                wr[i] = pr
-                wt[i] = pt
-            for c in range(ncomp):
-                acc = 0.0
-                for i in range(6):
-                    row = 0.0
-                    gi = i0 + i
-                    for j in range(6):
-                        gj = (j0 + j) % theta_n
-                        row += wt[j] * grid[c, gi, gj]
-                    acc += wr[i] * row
-                out[c, p] = acc
-        return out
 
 
 def interp2d(grid, r0, dr, pts_r, pts_t):
@@ -242,17 +83,38 @@ def interp2d(grid, r0, dr, pts_r, pts_t):
     grid, periodic in theta with period 1.  Points outside the r-range
     evaluate to zero (fields are compactly supported inside the chart).
 
-    grid has shape (ncomp, nr, ntheta); returns (ncomp, npts).
+    grid has shape (ncomp, nr, ntheta); returns (ncomp, npts).  Each point's
+    value is the sum over r offsets of the theta-interpolated grid rows.
     """
-    grid = np.ascontiguousarray(grid, dtype=np.float64)
-    pts_r = np.ascontiguousarray(pts_r, dtype=np.float64)
-    pts_t = np.ascontiguousarray(pts_t, dtype=np.float64)
-    rn, tn = grid.shape[1], grid.shape[2]
+    grid = np.asarray(grid, dtype=np.float64)
+    pts_r = np.asarray(pts_r, dtype=np.float64)
+    pts_t = np.asarray(pts_t, dtype=np.float64)
+    ncomp, rn, tn = grid.shape
     if rn < 6:
         raise ValueError("interpolation needs at least 6 radial nodes")
-    if _HAVE_NUMBA:
-        return _interp2d_jit(grid, r0, dr, rn, tn, pts_r, pts_t)
-    return _interp2d_py(grid, r0, dr, rn, tn, pts_r, pts_t)
+    out = np.zeros((ncomp, pts_r.shape[0]))
+    x = (pts_r - r0) / dr
+    if np.isnan(x).any() or not np.isfinite(pts_t).all():
+        raise ValueError("interpolation points need a non-NaN r and a finite theta")
+    inside = np.nonzero((x >= -0.5) & (x <= rn - 0.5))[0]
+    x = x[inside]
+    i0 = np.clip(np.floor(x).astype(np.int64) - 2, 0, rn - 6)
+    dt = 1.0 / tn
+    y = (pts_t[inside] % 1.0) / dt
+    j0 = np.floor(y).astype(np.int64) - 2
+    wr = _lagrange_weights(x - i0)
+    wt = _lagrange_weights(y - j0)
+    cols = [(j0 + j) % tn for j in range(6)]
+    flat = grid.reshape(ncomp, rn * tn)
+    acc = np.zeros((ncomp, inside.size))
+    for i in range(6):
+        base = (i0 + i) * tn
+        row = np.zeros((ncomp, inside.size))
+        for j in range(6):
+            row += wt[j] * flat[:, base + cols[j]]
+        acc += wr[i] * row
+    out[:, inside] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +122,10 @@ def interp2d(grid, r0, dr, pts_r, pts_t):
 # ---------------------------------------------------------------------------
 
 
-def _holder_py(u, dr, s, max_offset):
+def holder_seminorm(u, dr, s, max_offset):
+    """sup over grid pairs within ``max_offset`` steps of
+    |u(r) - u(r')| / |r - r'|^s."""
+    u = np.asarray(u, dtype=np.float64)
     best = 0.0
     n = u.shape[0]
     for k in range(1, max_offset + 1):
@@ -270,27 +135,3 @@ def _holder_py(u, dr, s, max_offset):
         if val > best:
             best = val
     return best
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _holder_jit(u, dr, s, max_offset):  # pragma: no cover - jit body
-        best = 0.0
-        n = u.shape[0]
-        for k in range(1, max_offset + 1):
-            denom = (k * dr) ** s
-            for i in range(n - k):
-                v = abs(u[i + k] - u[i]) / denom
-                if v > best:
-                    best = v
-        return best
-
-
-def holder_seminorm(u, dr, s, max_offset):
-    """sup over grid pairs within ``max_offset`` steps of
-    |u(r) - u(r')| / |r - r'|^s."""
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return _holder_jit(u, dr, s, max_offset)
-    return _holder_py(u, dr, s, max_offset)

@@ -139,7 +139,9 @@ def cmd_mode0_solve(cfg, out, args):
     f = make_field(rhs, r_half=r_half, n=n)
     u, info = invert_on_line(fam, f, rho)
     back = apply_indicial(fam, u)
-    resid = float(np.max(np.abs(back.samples - f.samples)) / np.max(np.abs(f.samples)))
+    # u and back carry weight rho: compare with f's weight-rho representative
+    want = f.with_weight(rho).samples
+    resid = float(np.max(np.abs(back.samples - want)) / np.max(np.abs(want)))
     report = {
         "weight": rho,
         "roundtrip_residual": resid,
@@ -367,26 +369,17 @@ def build_parser():
         p.add_argument("config", nargs="?", default=None, help="INI config path")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = Path(args.out)
     try:
-        if args.threads is not None:
-            try:
-                import numba
-
-                numba.set_num_threads(max(1, args.threads))
-            except ImportError:
-                pass
         cfg = load_config(args.config) if args.config else {}
-        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         manifest = ManifestWriter(args.command, cfg, out, __version__)
-        np.random.seed(args.seed)
         for path in _DISPATCH[args.command](cfg, out, args):
             manifest.track(path)
         manifest.finalize()
@@ -396,6 +389,13 @@ def main(argv=None):
         return 2
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        failure = {
+            "error": type(exc).__name__,
+            "message": str(exc),
+            "diagnostics": exc.diagnostics,
+        }
+        path = write_json(out / "failure.json", failure)
+        print(f"diagnostics written to {path}", file=sys.stderr)
         return 3
 
 

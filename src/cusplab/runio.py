@@ -116,9 +116,18 @@ def build_chart_grid(cfg):
 # ---------------------------------------------------------------------------
 
 
+def _json_value(obj):
+    # complex numbers as [re, im]; numpy arrays and scalars as Python values
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def write_json(path, payload):
     path = Path(path)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=_json_value) + "\n")
     return path
 
 

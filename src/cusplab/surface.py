@@ -7,6 +7,7 @@ whose length comes from the trace of the word matrix.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -109,17 +110,21 @@ class FuchsianSurface:
         extend("")
         return out
 
+    @cached_property
     def reduction_moves(self):
-        """Candidate deck moves for Dirichlet reduction: all reduced words of
-        length <= 2 plus the commutator words (the cusp parabolic and its
-        inverse for a once-punctured torus presentation)."""
-        words = [w for w in self.words(2)]
+        """Candidate deck moves for Dirichlet reduction, stacked as a
+        read-only (moves, 2, 2) array: all reduced words of length <= 2 plus
+        the commutator words (the cusp parabolic and its inverse for a
+        once-punctured torus presentation)."""
+        words = self.words(2)
         letters = sorted(self.generators)
         if len(letters) >= 2:
             a, b = letters[0], letters[1]
             comm = a + b + a.upper() + b.upper()
             words += [comm, invert_word(comm)]
-        return [self.word_matrix(w) for w in words]
+        moves = np.stack([self.word_matrix(w).mat for w in words])
+        moves.flags.writeable = False
+        return moves
 
 
 def punctured_torus(width=1.0):
@@ -226,8 +231,7 @@ def reduce_points(surface, zs, max_iter=10000):
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(zs.imag <= 0):
         raise InvalidInputError("points must lie in the upper half-plane")
-    moves = np.stack([m.mat for m in surface.reduction_moves()])
-    zred, mats, iters = _kernels.reduce_points(zs, moves, max_iter)
+    zred, mats, iters = _kernels.reduce_points(zs, surface.reduction_moves, max_iter)
     if np.any(iters < 0):
         bad = zs[iters < 0]
         raise ReductionError(

@@ -113,37 +113,32 @@ def xray_eval(surface, tensor, geodesic, tol=1e-9, max_level=9, sampler=None, st
     """Normalized X-ray transform of a tensor over one closed geodesic.
 
     Refines the composite quadrature until two consecutive levels differ by
-    at most tol/2; the reported error estimate is that difference.
+    at most tol/2; the reported error estimate is that difference.  Without
+    ``strict``, an unconverged run returns the ``max_level`` value with the
+    difference from the level below as its error estimate.
     """
     if tol <= 0:
         raise InvalidInputError("tolerance must be positive")
+    if max_level < 1:
+        raise InvalidInputError("max_level must be >= 1: the error estimate needs two levels")
     sampler = sampler or ArcSampler(surface, geodesic)
     integrand = _tensor_integrand(tensor)
     prev = None
-    nodes = 0
     for level in range(max_level + 1):
         ts, ws, frame = sampler.quadrature(level)
-        nodes = ts.size
         vals = integrand(*frame)
         total = float(np.dot(ws, vals)) / geodesic.length
         if prev is not None:
             diff = abs(total - prev)
             if diff <= tol / 2.0:
-                return XRayResult(geodesic.word, geodesic.length, total, diff, nodes)
+                return XRayResult(geodesic.word, geodesic.length, total, diff, ts.size)
         prev = total
     if strict:
         raise NumericFailureError(
             f"quadrature did not reach tol={tol} on class {geodesic.word!r}",
-            {"last_value": prev, "nodes": nodes},
+            {"last_value": total, "nodes": ts.size},
         )
-    ts, ws, frame = sampler.quadrature(max_level)
-    vals = integrand(*frame)
-    total = float(np.dot(ws, vals)) / geodesic.length
-    prev_ts, prev_ws, prev_frame = sampler.quadrature(max_level - 1)
-    prev_total = float(np.dot(prev_ws, integrand(*prev_frame))) / geodesic.length
-    return XRayResult(
-        geodesic.word, geodesic.length, total, abs(total - prev_total), ts.size
-    )
+    return XRayResult(geodesic.word, geodesic.length, total, diff, ts.size)
 
 
 def xray_suite(surface, tensor, geodesics, tol=1e-9, strict=True):

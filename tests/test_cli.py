@@ -89,6 +89,54 @@ def test_mode0_solve_subcommand(config, tmp_path):
     assert len(csv) == 4097
 
 
+def test_mode0_solve_off_zero_weight_round_trips(tmp_path):
+    # the residual compares like with like: both sides at weight 0.5
+    cfg = tmp_path / "weighted.ini"
+    cfg.write_text(BASE_CONFIG.replace("weight = 0.0", "weight = 0.5"))
+    code, out = run("mode0-solve", cfg, tmp_path)
+    assert code == 0
+    report = json.loads((out / "mode0_report.json").read_text())
+    assert report["weight"] == 0.5
+    assert report["roundtrip_residual"] <= 1e-10
+
+
+def test_numeric_failure_leaves_diagnostics_on_disk(config, tmp_path, monkeypatch):
+    from cusplab import cli
+    from cusplab.tensorfield import SymTensorField
+    from cusplab.xray import xray_eval
+
+    def one_level_suite(surface, tensor, classes, tol, strict=True):
+        # a theta-modulated metric cannot meet 1e-12 after one refinement
+        _, tt = tensor.grid.mesh
+        wavy = SymTensorField(tensor.grid, 2, tensor.comps * (1.5 + np.cos(2 * np.pi * tt)))
+        return [xray_eval(surface, wavy, classes[0], tol=1e-12, max_level=1, strict=True)]
+
+    monkeypatch.setattr(cli, "xray_suite", one_level_suite)
+    code, out = run("xray", config, tmp_path)
+    assert code == 3
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["error"] == "NumericFailureError"
+    assert "did not reach tol=1e-12" in failure["message"]
+    assert failure["diagnostics"]["nodes"] > 0
+    assert np.isfinite(failure["diagnostics"]["last_value"])
+    assert not (out / "manifest.json").exists()
+
+
+def test_reduction_failure_diagnostics_keep_complex_points(config, tmp_path, monkeypatch):
+    from cusplab import cli
+    from cusplab.surface import reduce_points
+
+    def capped_suite(surface, tensor, classes, tol, strict=True):
+        reduce_points(surface, [0.3 + 1e-4j], max_iter=1)
+
+    monkeypatch.setattr(cli, "xray_suite", capped_suite)
+    code, out = run("xray", config, tmp_path)
+    assert code == 3
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["error"] == "ReductionError"
+    assert failure["diagnostics"] == {"count": 1, "points": [[0.3, 1e-4]]}
+
+
 def test_mode0_kernel_subcommand(config, tmp_path):
     code, out = run("mode0-kernel", config, tmp_path)
     assert code == 0

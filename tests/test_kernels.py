@@ -1,31 +1,163 @@
-"""The jit kernels and their pure-numpy fallbacks compute identical results."""
+"""The vectorised kernels against per-point oracles.
+
+The reduction and interpolation kernels must agree bit for bit with the
+scalar loops below, which step one point at a time in the same operation
+order; the Hoelder kernel is checked against a brute-force pair supremum.
+"""
 
 import numpy as np
+import pytest
 
-from cusplab import _kernels
-from cusplab.surface import punctured_torus
+from cusplab import _kernels, surface
+from cusplab.errors import ReductionError
 
 RNG = np.random.default_rng(99)
-TORUS = punctured_torus()
+TORUS = surface.punctured_torus()
 
 
-def test_reduce_points_paths_agree():
-    moves = np.stack([m.mat for m in TORUS.reduction_moves()])
-    zs = RNG.uniform(-2, 2, 200) + 1j * np.exp(RNG.uniform(np.log(0.05), np.log(3), 200))
-    z_py, m_py, it_py = _kernels._reduce_points_py(zs, moves, 10000)
-    z_pub, m_pub, it_pub = _kernels.reduce_points(zs, moves, 10000)
-    assert np.allclose(z_py, z_pub, atol=1e-14)
-    assert np.allclose(m_py, m_pub, atol=1e-14)
-    assert np.array_equal(it_py, it_pub)
+def reduce_point_loop(z, moves, max_iter):
+    """One point at a time: the greedy rule as a scalar loop."""
+    n = z.shape[0]
+    zred = z.copy()
+    mats = np.zeros((n, 2, 2))
+    niter = np.zeros(n, dtype=np.int64)
+    for p in range(n):
+        w = z[p]
+        g00, g01, g10, g11 = 1.0, 0.0, 0.0, 1.0
+        it = 0
+        while it < max_iter:
+            cur = 1.0 + (w.real * w.real + (w.imag - 1.0) ** 2) / (2.0 * w.imag)
+            best = cur
+            bi = -1
+            for m in range(moves.shape[0]):
+                a, b = moves[m, 0, 0], moves[m, 0, 1]
+                c, d = moves[m, 1, 0], moves[m, 1, 1]
+                wn = (a * w + b) / (c * w + d)
+                cn = 1.0 + (wn.real * wn.real + (wn.imag - 1.0) ** 2) / (2.0 * wn.imag)
+                if cn < best:
+                    best = cn
+                    bi = m
+            if bi < 0 or best >= cur * (1.0 - _kernels._IMPROVE_RTOL):
+                break
+            a, b = moves[bi, 0, 0], moves[bi, 0, 1]
+            c, d = moves[bi, 1, 0], moves[bi, 1, 1]
+            w = (a * w + b) / (c * w + d)
+            g00, g01, g10, g11 = (
+                a * g00 + b * g10,
+                a * g01 + b * g11,
+                c * g00 + d * g10,
+                c * g01 + d * g11,
+            )
+            it += 1
+        zred[p] = w
+        mats[p] = [[g00, g01], [g10, g11]]
+        niter[p] = it if it < max_iter else -1
+    return zred, mats, niter
 
 
-def test_interp2d_paths_agree():
+def interp_point_loop(grid, r0, dr, pts_r, pts_t):
+    """One point at a time: 6x6 Lagrange stencil, theta sums inside r sums."""
+    ncomp, rn, tn = grid.shape
+    out = np.zeros((ncomp, pts_r.shape[0]))
+
+    def weights(s):
+        w = np.empty(6)
+        for i in range(6):
+            p = 1.0
+            for j in range(6):
+                if j != i:
+                    p *= (s - j) / (i - j)
+            w[i] = p
+        return w
+
+    for p in range(pts_r.shape[0]):
+        x = (pts_r[p] - r0) / dr
+        if x < -0.5 or x > rn - 0.5:
+            continue
+        i0 = min(max(int(np.floor(x)) - 2, 0), rn - 6)
+        y = (pts_t[p] % 1.0) / (1.0 / tn)
+        j0 = int(np.floor(y)) - 2
+        wr, wt = weights(x - i0), weights(y - j0)
+        for c in range(ncomp):
+            acc = 0.0
+            for i in range(6):
+                row = 0.0
+                for j in range(6):
+                    row += wt[j] * grid[c, i0 + i, (j0 + j) % tn]
+                acc += wr[i] * row
+            out[c, p] = acc
+    return out
+
+
+def random_upper_points(n):
+    return RNG.uniform(-2, 2, n) + 1j * np.exp(RNG.uniform(np.log(0.05), np.log(3), n))
+
+
+def assert_bitwise(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("max_iter", [10000, 3, 1, 0])
+def test_reduce_points_matches_point_loop(max_iter):
+    zs = random_upper_points(2000)
+    moves = TORUS.reduction_moves
+    got = _kernels.reduce_points(zs, moves, max_iter)
+    assert_bitwise(got, reduce_point_loop(zs, moves, max_iter))
+    if max_iter == 10000:
+        assert np.all(got[2] >= 0) and np.max(got[2]) > 3
+    else:
+        assert np.any(got[2] == -1)
+
+
+def test_reduce_points_cap_on_20k_points_matches_point_loop():
+    rng = np.random.default_rng(0)
+    zs = rng.uniform(-2, 2, 20000) + 1j * np.exp(rng.uniform(np.log(0.05), np.log(3.0), 20000))
+    got = _kernels.reduce_points(zs, TORUS.reduction_moves, 3)
+    assert_bitwise(got, reduce_point_loop(zs, TORUS.reduction_moves, 3))
+    assert int(np.sum(got[2] < 0)) == 1216
+
+
+def test_surface_reduction_cap_raises_with_count():
+    zs = random_upper_points(500)
+    _, _, iters = _kernels.reduce_points(zs, TORUS.reduction_moves, 2)
+    with pytest.raises(ReductionError) as info:
+        surface.reduce_points(TORUS, zs, max_iter=2)
+    assert info.value.diagnostics["count"] == int(np.sum(iters < 0)) > 0
+    assert len(info.value.diagnostics["points"]) == 8
+
+
+def test_reduction_moves_built_once_per_surface():
+    moves = TORUS.reduction_moves
+    assert moves is TORUS.reduction_moves
+    assert moves.shape == (18, 2, 2) and not moves.flags.writeable
+    assert np.allclose(moves[:, 0, 0] * moves[:, 1, 1] - moves[:, 0, 1] * moves[:, 1, 0], 1.0)
+
+
+def test_interp2d_matches_point_loop_inside_and_outside_ranges():
     grid = RNG.normal(size=(3, 64, 48))
-    pts_r = RNG.uniform(0.0, 1.0, 300)
-    pts_t = RNG.uniform(-1.0, 2.0, 300)
-    a = _kernels._interp2d_py(grid, 0.0, 1.0 / 63, 64, 48, pts_r, pts_t)
-    b = _kernels.interp2d(grid, 0.0, 1.0 / 63, pts_r, pts_t)
-    assert np.allclose(a, b, atol=1e-13)
+    dr = 1.0 / 63
+    pts_r = RNG.uniform(-0.1, 1.1, 600)
+    pts_t = RNG.uniform(-2.0, 3.0, 600)
+    pts_t[:6] = [-1e-20, -0.0, 0.0, 1.0, 1.0 - 1e-17, -3.0]
+    pts_r[:2] = [-0.5 * dr, 1.0 + 0.5 * dr]  # both range edges count as inside
+    got = _kernels.interp2d(grid, 0.0, dr, pts_r, pts_t)
+    want = interp_point_loop(grid, 0.0, dr, pts_r, pts_t)
+    assert got.tobytes() == want.tobytes()
+    outside = (pts_r < -0.5 * dr) | (pts_r > 1.0 + 0.5 * dr)
+    assert outside.sum() > 20 and np.all(got[:, outside] == 0.0)
+    assert np.all(got[:, ~outside] != 0.0)
+
+
+def test_interp2d_is_periodic_in_theta():
+    grid = RNG.normal(size=(2, 16, 24))
+    pts_r = RNG.uniform(0.2, 0.8, 50)
+    pts_t = RNG.uniform(0.0, 1.0, 50)
+    base = _kernels.interp2d(grid, 0.0, 1.0 / 15, pts_r, pts_t)
+    for shift in (-2.0, 1.0, 5.0):
+        moved = _kernels.interp2d(grid, 0.0, 1.0 / 15, pts_r, pts_t + shift)
+        assert np.max(np.abs(moved - base)) < 1e-12
 
 
 def test_interp2d_reproduces_quintic_polynomials():
@@ -54,19 +186,19 @@ def test_interp2d_zero_outside_radial_range():
     assert np.all(vals == 0.0)
 
 
-def test_holder_paths_agree_and_match_bruteforce():
+@pytest.mark.parametrize("r, t", [(np.nan, 0.2), (0.5, np.inf), (0.5, np.nan)])
+def test_interp2d_rejects_points_without_a_position(r, t):
+    with pytest.raises(ValueError):
+        _kernels.interp2d(np.ones((1, 16, 8)), 0.0, 0.1, np.array([0.3, r]), np.array([0.1, t]))
+
+
+def test_holder_matches_bruteforce():
     u = RNG.normal(size=257)
     dr, s, cap = 0.05, 0.5, 40
-    a = _kernels._holder_py(u, dr, s, cap)
-    b = _kernels.holder_seminorm(u, dr, s, cap)
+    got = _kernels.holder_seminorm(u, dr, s, cap)
     brute = max(
         abs(u[i + k] - u[i]) / (k * dr) ** s
         for k in range(1, cap + 1)
         for i in range(len(u) - k)
     )
-    assert abs(a - b) <= 1e-13 * max(1.0, brute)
-    assert abs(b - brute) <= 1e-13 * max(1.0, brute)
-
-
-def test_flag_reporting():
-    assert isinstance(_kernels.using_numba(), bool)
+    assert abs(got - brute) <= 1e-13 * max(1.0, brute)

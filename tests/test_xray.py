@@ -67,6 +67,28 @@ def test_invalid_tolerance_rejected():
         xray_eval(TORUS, SymTensorField.metric(GRID), CLASSES[0], tol=0.0)
 
 
+def test_single_level_rejected():
+    # the error estimate compares two levels, so at least one refinement
+    for strict in (True, False):
+        with pytest.raises(InvalidInputError):
+            xray_eval(TORUS, SymTensorField.metric(GRID), CLASSES[0], max_level=0, strict=strict)
+
+
+def test_unconverged_result_is_last_level_against_the_one_below():
+    f = bump_two_tensor()
+    geo = next(g for g in CLASSES if g.word == "abaBAb")  # meets the bump
+    sampler = ArcSampler(TORUS, geo)
+    res = xray_eval(TORUS, f, geo, tol=1e-15, max_level=2, sampler=sampler, strict=False)
+    integrand = _tensor_integrand(f)
+    totals = []
+    for level in (1, 2):
+        ts, ws, frame = sampler.quadrature(level)
+        totals.append(float(np.dot(ws, integrand(*frame))) / geo.length)
+    assert res.value == totals[1]
+    assert res.error_estimate == abs(totals[1] - totals[0]) > 1e-6
+    assert res.nodes_used == ts.size
+
+
 def test_refinement_against_dense_trapezoid_oracle():
     f = bump_two_tensor()
     geo = CLASSES[3]
