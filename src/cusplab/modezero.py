@@ -75,6 +75,24 @@ class ModeZeroField:
         o = other.with_weight(self.weight)
         return replace(self, samples=self.samples - o.samples)
 
+    def frequencies(self):
+        """Angular frequencies of the samples' discrete Fourier transform."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.samples.shape[0], d=self.dr)
+
+    def check_aliasing(self, tol, what):
+        """Raise ResolutionError when more than the fraction ``tol`` of the
+        spectral energy lies within n/10 bins of the Nyquist frequency."""
+        spec = np.fft.fft(self.samples, axis=0)
+        n = spec.shape[0]
+        band = max(n // 10, 1)
+        tail = np.sum(np.abs(spec[n // 2 - band : n // 2 + band]) ** 2)
+        total = np.sum(np.abs(spec) ** 2)
+        if total > 0 and tail > tol * total:
+            raise ResolutionError(
+                f"{what}: spectral tail fraction {tail / total:.2e} exceeds {tol}",
+                diagnostics={"tail_fraction": float(tail / total)},
+            )
+
 
 def line_grid(r_half=48.0, n=4096):
     """Symmetric periodic grid on [-r_half, r_half); includes r = 0."""
@@ -133,24 +151,6 @@ def bump(t):
 # ---------------------------------------------------------------------------
 
 
-def _frequencies(fld):
-    n = fld.samples.shape[0]
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=fld.dr)
-
-
-def _check_aliasing(sam, what):
-    spec = np.fft.fft(sam, axis=0)
-    n = spec.shape[0]
-    band = n // 10
-    tail = np.sum(np.abs(spec[n // 2 - band : n // 2 + band]) ** 2)
-    total = np.sum(np.abs(spec) ** 2)
-    if total > 0 and tail > _ALIAS_TOL * total:
-        raise ResolutionError(
-            f"{what}: spectral tail fraction {tail / total:.2e} exceeds {_ALIAS_TOL}",
-            diagnostics={"tail_fraction": float(tail / total)},
-        )
-
-
 def apply_indicial(fam, fld):
     """Apply the convolution operator along the weight line of the field.
 
@@ -159,8 +159,8 @@ def apply_indicial(fam, fld):
     """
     if fam.shape[1] != fld.ncomp:
         raise InvalidInputError("family/field component mismatch")
-    _check_aliasing(fld.samples, "apply_indicial input")
-    xi = _frequencies(fld)
+    fld.check_aliasing(_ALIAS_TOL, "apply_indicial input")
+    xi = fld.frequencies()
     lam = fld.weight + 1j * xi
     mats = fam(lam)
     what = np.fft.fft(fld.samples, axis=0)
@@ -189,8 +189,8 @@ def invert_on_line(fam, f, rho, near_root_guard=_NEAR_ROOT_GUARD):
             stacklevel=2,
         )
     g = f.with_weight(rho)
-    _check_aliasing(g.samples, "invert_on_line data")
-    xi = _frequencies(g)
+    g.check_aliasing(_ALIAS_TOL, "invert_on_line data")
+    xi = g.frequencies()
     lam = rho + 1j * xi
     mats = fam(lam)
     what = np.fft.fft(g.samples, axis=0)

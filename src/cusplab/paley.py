@@ -12,9 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidInputError, ResolutionError
+from .errors import InvalidInputError
 from .modezero import ModeZeroField, window_profile
 
+# rough fields (finite Hoelder regularity) carry slowly decaying spectra, so
+# the aliasing guard here is looser than the line solver's
 _ALIAS_TOL = 1e-6
 
 
@@ -83,32 +85,13 @@ def max_block_index(fld):
 # ---------------------------------------------------------------------------
 
 
-def _field_frequencies(fld):
-    n = fld.samples.shape[0]
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=fld.dr)
-
-
-def _check_aliasing(fld):
-    # rough fields (finite Hoelder regularity) carry slowly decaying
-    # spectra, so the guard here is looser than the solver's
-    spec = np.fft.fft(fld.samples, axis=0)
-    n = spec.shape[0]
-    band = max(n // 10, 1)
-    tail = np.sum(np.abs(spec[n // 2 - band : n // 2 + band]) ** 2)
-    total = np.sum(np.abs(spec) ** 2)
-    if total > 0 and tail > _ALIAS_TOL * total:
-        raise ResolutionError(
-            f"spectral tail fraction {tail / total:.2e} hits the aliasing limit"
-        )
-
-
 def lp_block(fld, j, psi=DEFAULT_PSI, check_aliasing=True):
     """Apply the j-th dyadic multiplier to a mode-zero field."""
     if j < 0:
         raise InvalidInputError("block index must be nonnegative")
     if check_aliasing:
-        _check_aliasing(fld)
-    mult = DyadicMultiplier(j, psi)(_field_frequencies(fld))
+        fld.check_aliasing(_ALIAS_TOL, "dyadic block input")
+    mult = DyadicMultiplier(j, psi)(fld.frequencies())
     spec = np.fft.fft(fld.samples, axis=0)
     out = np.fft.ifft(spec * mult[:, None], axis=0)
     return ModeZeroField(fld.r0, fld.dr, out, weight=fld.weight)
@@ -117,7 +100,7 @@ def lp_block(fld, j, psi=DEFAULT_PSI, check_aliasing=True):
 def lp_blocks(fld, psi=DEFAULT_PSI, j_max=None):
     if j_max is None:
         j_max = max_block_index(fld)
-    _check_aliasing(fld)
+    fld.check_aliasing(_ALIAS_TOL, "dyadic block input")
     return [lp_block(fld, j, psi, check_aliasing=False) for j in range(j_max + 1)]
 
 

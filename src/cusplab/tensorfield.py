@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from . import _kernels
 from .chart import ChartGrid
@@ -256,41 +256,97 @@ def _dr_matrix(n, dr):
     return m.tocsr()
 
 
-def _mode_derivative(grid, xi):
-    """Sparse per-theta-mode symmetric-derivative matrix acting on stacked
-    radial profiles (a, b) -> (s, t, x)."""
+def _mode_derivative(grid):
+    """Per-theta-mode symmetric derivative (a, b) -> (s, t, x) on stacked
+    radial profiles, as the real pair (M0, M1) with M(xi) = M0 + i xi M1."""
     n = grid.n_r
     dr_m = _dr_matrix(n, grid.dr)
     eye = sp.identity(n, format="csr")
     e_mul = sp.diags(grid.exp_r)
-    zer = sp.csr_matrix((n, n))
-    ik = 1j * xi
-    return sp.bmat(
-        [
-            [dr_m, zer],
-            [-eye, ik * e_mul],
-            [0.5 * ik * e_mul, 0.5 * (dr_m + eye)],
-        ],
-        format="csr",
-        dtype=complex,
-    )
+    m0 = sp.bmat([[dr_m, None], [-eye, None], [None, 0.5 * (dr_m + eye)]], format="csr")
+    m1 = sp.bmat([[None, sp.csr_matrix((n, n))], [None, e_mul], [0.5 * e_mul, None]], format="csr")
+    return m0, m1
 
 
-def _mode_divergence(grid, xi):
+def _mode_divergence(grid):
+    """Per-theta-mode divergence (s, t, x) -> (a, b), as the real pair
+    (M0, M1) with M(xi) = M0 + i xi M1."""
     n = grid.n_r
     dr_m = _dr_matrix(n, grid.dr)
     eye = sp.identity(n, format="csr")
     e_mul = sp.diags(grid.exp_r)
-    zer = sp.csr_matrix((n, n))
-    ik = 1j * xi
-    return sp.bmat(
-        [
-            [dr_m - eye, eye, ik * e_mul],
-            [zer, ik * e_mul, dr_m - 2.0 * eye],
-        ],
-        format="csr",
-        dtype=complex,
-    )
+    m0 = sp.bmat([[dr_m - eye, eye, None], [None, None, dr_m - 2.0 * eye]], format="csr")
+    m1 = sp.bmat([[sp.csr_matrix((n, n)), None, e_mul], [None, e_mul, None]], format="csr")
+    return m0, m1
+
+
+# Half-bandwidth of both per-mode systems once the unknowns are interleaved
+# as (a_i, b_i) pairs: the composed radial stencils reach two nodes, and the
+# Dirichlet rows are identity rows.
+_HALF_BAND = 4
+
+
+def _pairs(n, nodes):
+    """Sparse map from interleaved unknowns (a_i, b_i), i in ``nodes``, to
+    stacked (a, b) radial profiles of length 2n."""
+    m = nodes.size
+    rows = np.stack([nodes, n + nodes], axis=1).ravel()
+    return sp.csr_matrix((np.ones(2 * m), (rows, np.arange(2 * m))), shape=(2 * n, 2 * m))
+
+
+def _band_storage(m):
+    """LAPACK band storage ab[_HALF_BAND + i - j, j] = m[i, j] of a square
+    sparse matrix; raises if an entry lies outside the band."""
+    half = _HALF_BAND
+    m = sp.coo_matrix(m)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    offset = m.row - m.col
+    if offset.size and np.max(np.abs(offset)) > half:
+        raise ValueError(
+            f"matrix has an entry {int(np.max(np.abs(offset)))} diagonals off the "
+            f"main one, outside half-bandwidth {half}"
+        )
+    ab = np.zeros((2 * half + 1, m.shape[1]), dtype=m.dtype)
+    ab[half + offset, m.col] = m.data
+    return ab
+
+
+def _band_matvec(ab, x):
+    """Product of a band-stored square matrix with a vector."""
+    half = _HALF_BAND
+    n = x.size
+    y = np.zeros(n, dtype=np.result_type(ab, x))
+    for k in range(2 * half + 1):
+        d = k - half  # the row index minus the column index
+        lo, hi = max(0, -d), min(n, n - d)
+        y[lo + d : hi + d] += ab[k, lo:hi] * x[lo:hi]
+    return y
+
+
+def _solve_banded_modes(parts, rhs, xis):
+    """Solve (B0 + i xi B1 - xi^2 B2) u = rhs[:, k] for each theta mode k,
+    one banded LAPACK solve per mode; ``parts`` are the band-stored B0, B1,
+    B2.  Returns the solutions (column k for mode k) and the largest
+    relative residual over the modes."""
+    b0, b1, b2 = parts
+    sol = np.empty(rhs.shape, dtype=complex)
+    residual = 0.0
+    for k, xi in enumerate(xis):
+        ab = b0 + (1j * xi) * b1 - (xi * xi) * b2
+        rhs_k = rhs[:, k]
+        try:
+            u = solve_banded((_HALF_BAND, _HALF_BAND), ab, rhs_k)
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise NumericFailureError(
+                f"banded solve failed on theta mode {k}", {"mode": k}
+            ) from exc
+        residual = max(
+            residual,
+            np.linalg.norm(_band_matvec(ab, u) - rhs_k) / max(np.linalg.norm(rhs_k), 1e-300),
+        )
+        sol[:, k] = u
+    return sol, residual
 
 
 def _solve_modes_collocation(f, grid):
@@ -298,30 +354,23 @@ def _solve_modes_collocation(f, grid):
     divergence f, Dirichlet rows replaced; second-order accurate up to the
     boundary."""
     n = grid.n_r
+    d0, d1 = _mode_derivative(grid)
+    v0, v1 = _mode_divergence(grid)
+    pairs = _pairs(n, np.arange(n))
+    # V(xi) D(xi) = P0 + i xi P1 - xi^2 P2, rows and columns interleaved
+    systems = [v0 @ d0, v0 @ d1 + v1 @ d0, v1 @ d1]
+    keep = np.ones(2 * n)
+    keep[[0, 1, -2, -1]] = 0.0  # a and b at both radial ends
+    rows = sp.diags(keep)
+    systems = [rows @ (pairs.T @ m @ pairs) for m in systems]
+    systems[0] = systems[0] + sp.diags(1.0 - keep)
     rhs_hat = np.fft.fft(divergence(f, method="fd").comps, axis=2)
-    sol_hat = np.zeros((2, n, grid.n_theta), dtype=complex)
-    residual = 0.0
-    for k, xi in enumerate(grid.theta_frequencies()):
-        lap = (_mode_divergence(grid, xi) @ _mode_derivative(grid, xi)).tolil()
-        b = np.concatenate([rhs_hat[0, :, k], rhs_hat[1, :, k]])
-        for row in (0, n - 1, n, 2 * n - 1):
-            lap.rows[row] = [row]
-            lap.data[row] = [1.0]
-            b[row] = 0.0
-        lap = lap.tocsc()
-        try:
-            u = spla.spsolve(lap, b)
-        except Exception as exc:  # pragma: no cover - solver failure path
-            raise NumericFailureError(
-                f"banded solve failed on theta mode {k}", {"mode": k}
-            ) from exc
-        residual = max(
-            residual,
-            np.linalg.norm(lap @ u - b) / max(np.linalg.norm(b), 1e-300),
-        )
-        sol_hat[0, :, k] = u[:n]
-        sol_hat[1, :, k] = u[n:]
-    return sol_hat, residual
+    rhs = rhs_hat.transpose(1, 0, 2).reshape(2 * n, grid.n_theta)
+    rhs[keep == 0.0] = 0.0
+    sol, residual = _solve_banded_modes(
+        [_band_storage(m) for m in systems], rhs, grid.theta_frequencies()
+    )
+    return sol.reshape(n, 2, grid.n_theta).transpose(1, 0, 2), residual
 
 
 def _solve_modes_least_squares(f, grid):
@@ -334,36 +383,20 @@ def _solve_modes_least_squares(f, grid):
     wr[-1] *= 0.5
     wvec = wr * np.exp(-grid.r)
     weight = sp.diags(np.concatenate([wvec, wvec, 2.0 * wvec]))
-    interior = np.arange(1, n - 1)
-    inject = sp.csr_matrix(
-        (
-            np.ones(2 * (n - 2)),
-            (np.concatenate([interior, n + interior]), np.arange(2 * (n - 2))),
-        ),
-        shape=(2 * n, 2 * (n - 2)),
-    )
-    f_hat = np.fft.fft(f.comps, axis=2)
+    inject = _pairs(n, np.arange(1, n - 1))
+    d0, d1 = (m @ inject for m in _mode_derivative(grid))
+    # D(xi)^H W D(xi) = N0 + i xi N1 - xi^2 N2 with D(xi) = D0 + i xi D1
+    a0, a1 = d0.T @ weight, d1.T @ weight
+    systems = [a0 @ d0, a0 @ d1 - a1 @ d0, -(a1 @ d1)]
+    # every mode's right-hand side D(xi)^H W f_hat from one sparse product
+    f_hat = np.fft.fft(f.comps, axis=2).reshape(3 * n, grid.n_theta)
+    xis = grid.theta_frequencies()
+    m = 2 * (n - 2)
+    both = sp.vstack([a0, a1]) @ f_hat
+    rhs = both[:m] - 1j * xis * both[m:]
+    sol, residual = _solve_banded_modes([_band_storage(s) for s in systems], rhs, xis)
     sol_hat = np.zeros((2, n, grid.n_theta), dtype=complex)
-    residual = 0.0
-    for k, xi in enumerate(grid.theta_frequencies()):
-        d_m = _mode_derivative(grid, xi) @ inject
-        lap = (d_m.conj().T @ weight @ d_m).tocsc()
-        rhs = d_m.conj().T @ (
-            weight
-            @ np.concatenate([f_hat[0, :, k], f_hat[1, :, k], f_hat[2, :, k]])
-        )
-        try:
-            u = spla.spsolve(lap, rhs)
-        except Exception as exc:  # pragma: no cover - solver failure path
-            raise NumericFailureError(
-                f"banded solve failed on theta mode {k}", {"mode": k}
-            ) from exc
-        residual = max(
-            residual,
-            np.linalg.norm(lap @ u - rhs) / max(np.linalg.norm(rhs), 1e-300),
-        )
-        sol_hat[0, 1:-1, k] = u[: n - 2]
-        sol_hat[1, 1:-1, k] = u[n - 2 :]
+    sol_hat[:, 1:-1, :] = sol.reshape(n - 2, 2, grid.n_theta).transpose(1, 0, 2)
     return sol_hat, residual
 
 
@@ -371,7 +404,12 @@ def solenoidal_project(f, support_margin=5, verify_method="fd4", adjoint="fd"):
     """Splitting f = f_s + D u with D* f_s small.
 
     Theta modes decouple and each radial problem is a banded solve with
-    Dirichlet conditions at the truncation.  ``adjoint="fd"`` (default)
+    Dirichlet conditions at the truncation.  The mode frequency xi enters
+    only through i xi e^r, so every mode's system is B0 + i xi B1 - xi^2 B2
+    with real, mode-independent parts, assembled once per call with the
+    unknowns interleaved as (a_i, b_i) pairs (half-bandwidth 4) and stored
+    in LAPACK band form; each mode then takes one ``solve_banded`` call and
+    a band mat-vec for its residual.  ``adjoint="fd"`` (default)
     solves the composed collocation system (divergence o derivative) u =
     divergence f: the potential is second-order accurate up to the boundary
     and re-projection returns exactly zero.  ``adjoint="exact"`` solves the

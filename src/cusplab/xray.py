@@ -67,46 +67,47 @@ class ArcSampler:
         return self._cache[level]
 
 
-def _tensor_integrand(tensor):
-    """Callable (r, theta, p_hat, q_hat) -> pullback samples."""
-    if isinstance(tensor, SymTensorField):
-        grid = tensor.grid
+class _Integrand:
+    """Pullback samples (r, theta, p_hat, q_hat) -> values of one tensor.
 
-        def column_activity(side):
-            edge = tensor.comps[:, :6, :] if side == 0 else tensor.comps[:, -6:, :]
-            return float(np.max(np.abs(edge)))
+    Built once per tensor and shared across classes: for a grid field the
+    coverage guard's edge activity comes from a single radial profile.
+    """
 
-        lo_active = column_activity(0) > 1e-8 * max(tensor.sup_norm(), 1e-300)
-        hi_active = column_activity(1) > 1e-8 * max(tensor.sup_norm(), 1e-300)
+    def __init__(self, tensor):
+        if isinstance(tensor, SymTensorField):
+            prof = np.max(np.abs(tensor.comps), axis=(0, 2))
+            floor = 1e-8 * max(prof.max(), 1e-300)
+            self._lo_active = prof[:6].max() > floor
+            self._hi_active = prof[-6:].max() > floor
+        elif not isinstance(tensor, (AnalyticSymTensor, AnalyticOneForm)):
+            raise InvalidInputError(f"unsupported tensor type {type(tensor).__name__}")
+        self.tensor = tensor
 
-        def f(r, th, p, q):
-            if lo_active and np.any(r < grid.r_min):
-                raise CoverageError(
-                    "geodesic exits the chart below the base height inside the "
-                    "tensor support"
-                )
-            if hi_active and np.any(r > grid.r_max):
-                raise CoverageError(
-                    "geodesic exits the chart above the truncation inside the "
-                    "tensor support"
-                )
-            vals = tensor.interpolate(r, th)
-            if tensor.order == 0:
-                return vals[0]
-            if tensor.order == 1:
-                return vals[0] * p + vals[1] * q
-            return vals[0] * p**2 + vals[1] * q**2 + 2.0 * vals[2] * p * q
-
-        return f
-    if isinstance(tensor, AnalyticSymTensor):
-        return lambda r, th, p, q: tensor.pullback(r, th, p, q)
-    if isinstance(tensor, AnalyticOneForm):
-        def f(r, th, p, q):
+    def __call__(self, r, th, p, q):
+        tensor = self.tensor
+        if isinstance(tensor, AnalyticSymTensor):
+            return tensor.pullback(r, th, p, q)
+        if isinstance(tensor, AnalyticOneForm):
             comps = tensor.components(r, th)
             return comps[0] * p + comps[1] * q
-
-        return f
-    raise InvalidInputError(f"unsupported tensor type {type(tensor).__name__}")
+        grid = tensor.grid
+        if self._lo_active and np.any(r < grid.r_min):
+            raise CoverageError(
+                "geodesic exits the chart below the base height inside the "
+                "tensor support"
+            )
+        if self._hi_active and np.any(r > grid.r_max):
+            raise CoverageError(
+                "geodesic exits the chart above the truncation inside the "
+                "tensor support"
+            )
+        vals = tensor.interpolate(r, th)
+        if tensor.order == 0:
+            return vals[0]
+        if tensor.order == 1:
+            return vals[0] * p + vals[1] * q
+        return vals[0] * p**2 + vals[1] * q**2 + 2.0 * vals[2] * p * q
 
 
 def xray_eval(surface, tensor, geodesic, tol=1e-9, max_level=9, sampler=None, strict=True):
@@ -115,14 +116,15 @@ def xray_eval(surface, tensor, geodesic, tol=1e-9, max_level=9, sampler=None, st
     Refines the composite quadrature until two consecutive levels differ by
     at most tol/2; the reported error estimate is that difference.  Without
     ``strict``, an unconverged run returns the ``max_level`` value with the
-    difference from the level below as its error estimate.
+    difference from the level below as its error estimate.  ``tensor`` may
+    also be an integrand already built from one, as the suites pass it.
     """
     if tol <= 0:
         raise InvalidInputError("tolerance must be positive")
     if max_level < 1:
         raise InvalidInputError("max_level must be >= 1: the error estimate needs two levels")
     sampler = sampler or ArcSampler(surface, geodesic)
-    integrand = _tensor_integrand(tensor)
+    integrand = tensor if isinstance(tensor, _Integrand) else _Integrand(tensor)
     prev = None
     for level in range(max_level + 1):
         ts, ws, frame = sampler.quadrature(level)
@@ -143,10 +145,8 @@ def xray_eval(surface, tensor, geodesic, tol=1e-9, max_level=9, sampler=None, st
 
 def xray_suite(surface, tensor, geodesics, tol=1e-9, strict=True):
     """Evaluate one tensor across many classes (deterministic order)."""
-    out = []
-    for geo in geodesics:
-        out.append(xray_eval(surface, tensor, geo, tol=tol, strict=strict))
-    return out
+    integrand = _Integrand(tensor)
+    return [xray_eval(surface, integrand, geo, tol=tol, strict=strict) for geo in geodesics]
 
 
 def potential_annihilation_suite(
@@ -178,12 +178,11 @@ def potential_annihilation_suite(
         else:
             raise InvalidInputError("path must be 'symbolic' or 'grid'")
         sup_p = _sup_norm_estimate(p, grid)
-        values = []
-        for geo in geodesics:
-            res = xray_eval(
-                surface, dp, geo, tol=tol, sampler=samplers[geo.word], strict=True
-            )
-            values.append(res)
+        integrand = _Integrand(dp)
+        values = [
+            xray_eval(surface, integrand, geo, tol=tol, sampler=samplers[geo.word], strict=True)
+            for geo in geodesics
+        ]
         m = max(abs(r.value) for r in values) / sup_p
         worst = max(worst, m)
         per_form.append(

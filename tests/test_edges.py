@@ -60,8 +60,24 @@ def test_lp_block_aliasing_guard():
     nyq = np.pi / dr
     u = np.cos(0.97 * nyq * r)
     fld = ModeZeroField(r0, dr, u[:, None])
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ResolutionError) as err:
         lp_block(fld, 2)
+    assert err.value.diagnostics["tail_fraction"] > 1e-6
+
+
+def test_aliasing_guard_keeps_each_callers_tolerance():
+    # tail fraction 2e-8: above the line solver's 1e-10, below the dyadic
+    # blocks' 1e-6
+    r0, dr = line_grid(12.0, 256)
+    r = r0 + dr * np.arange(256)
+    nyq = np.pi / dr
+    u = np.exp(-((r / 2.0) ** 2)) + 1e-4 * np.cos(0.97 * nyq * r) * np.exp(-((r / 8.0) ** 2))
+    fld = ModeZeroField(r0, dr, u[:, None])
+    fam = indicial_family(OperatorSpec(terms=((1, np.eye(1)),)))
+    with pytest.raises(ResolutionError) as err:
+        apply_indicial(fam, fld)
+    assert 1e-10 < err.value.diagnostics["tail_fraction"] < 1e-6
+    lp_block(fld, 2)
 
 
 def test_invert_rejects_non_square_family():

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cusplab.chart import ChartGrid, CuspChart
-from cusplab.errors import InvalidInputError
+from cusplab.errors import InvalidInputError, NumericFailureError
 from cusplab.fields import AnalyticOneForm, Scalar2D, random_bump_one_form
 from cusplab.halfplane import BoundaryGeodesic
 from cusplab.tensorfield import (
     SymTensorField,
+    _band_matvec,
+    _band_storage,
+    _dr_matrix,
+    _solve_modes_collocation,
+    _solve_modes_least_squares,
     divergence,
     l2_inner,
     l2_norm,
@@ -220,6 +227,126 @@ def test_projection_requires_support_margin():
     f = SymTensorField.metric(g)
     with pytest.raises(InvalidInputError):
         solenoidal_project(f)
+
+
+# Reference: the per-mode sparse assembly and SuperLU solve, one system
+# assembled anew for every theta mode, in the stacked (a, b) ordering.
+
+
+def _sparse_mode_derivative(grid, xi):
+    n = grid.n_r
+    dr_m = _dr_matrix(n, grid.dr)
+    eye = sp.identity(n, format="csr")
+    e_mul = sp.diags(grid.exp_r)
+    zer = sp.csr_matrix((n, n))
+    ik = 1j * xi
+    return sp.bmat(
+        [[dr_m, zer], [-eye, ik * e_mul], [0.5 * ik * e_mul, 0.5 * (dr_m + eye)]],
+        format="csr",
+        dtype=complex,
+    )
+
+
+def _sparse_mode_divergence(grid, xi):
+    n = grid.n_r
+    dr_m = _dr_matrix(n, grid.dr)
+    eye = sp.identity(n, format="csr")
+    e_mul = sp.diags(grid.exp_r)
+    zer = sp.csr_matrix((n, n))
+    ik = 1j * xi
+    return sp.bmat(
+        [[dr_m - eye, eye, ik * e_mul], [zer, ik * e_mul, dr_m - 2.0 * eye]],
+        format="csr",
+        dtype=complex,
+    )
+
+
+def _sparse_collocation(f, grid):
+    n = grid.n_r
+    rhs_hat = np.fft.fft(divergence(f, method="fd").comps, axis=2)
+    sol_hat = np.zeros((2, n, grid.n_theta), dtype=complex)
+    for k, xi in enumerate(grid.theta_frequencies()):
+        lap = (_sparse_mode_divergence(grid, xi) @ _sparse_mode_derivative(grid, xi)).tolil()
+        b = np.concatenate([rhs_hat[0, :, k], rhs_hat[1, :, k]])
+        for row in (0, n - 1, n, 2 * n - 1):
+            lap.rows[row] = [row]
+            lap.data[row] = [1.0]
+            b[row] = 0.0
+        u = spla.spsolve(lap.tocsc(), b)
+        sol_hat[0, :, k] = u[:n]
+        sol_hat[1, :, k] = u[n:]
+    return sol_hat
+
+
+def _sparse_least_squares(f, grid):
+    n = grid.n_r
+    wr = np.full(n, grid.dr)
+    wr[0] *= 0.5
+    wr[-1] *= 0.5
+    wvec = wr * np.exp(-grid.r)
+    weight = sp.diags(np.concatenate([wvec, wvec, 2.0 * wvec]))
+    interior = np.arange(1, n - 1)
+    inject = sp.csr_matrix(
+        (
+            np.ones(2 * (n - 2)),
+            (np.concatenate([interior, n + interior]), np.arange(2 * (n - 2))),
+        ),
+        shape=(2 * n, 2 * (n - 2)),
+    )
+    f_hat = np.fft.fft(f.comps, axis=2)
+    sol_hat = np.zeros((2, n, grid.n_theta), dtype=complex)
+    for k, xi in enumerate(grid.theta_frequencies()):
+        d_m = _sparse_mode_derivative(grid, xi) @ inject
+        lap = (d_m.conj().T @ weight @ d_m).tocsc()
+        rhs = d_m.conj().T @ (
+            weight @ np.concatenate([f_hat[0, :, k], f_hat[1, :, k], f_hat[2, :, k]])
+        )
+        u = spla.spsolve(lap, rhs)
+        sol_hat[0, 1:-1, k] = u[: n - 2]
+        sol_hat[1, 1:-1, k] = u[n - 2 :]
+    return sol_hat
+
+
+@pytest.mark.parametrize("shape", [(129, 64), (257, 128)])
+@pytest.mark.parametrize(
+    "banded,sparse",
+    [
+        (_solve_modes_collocation, _sparse_collocation),
+        (_solve_modes_least_squares, _sparse_least_squares),
+    ],
+    ids=["collocation", "least_squares"],
+)
+def test_banded_mode_solves_match_sparse_reference(shape, banded, sparse):
+    grid = ChartGrid(0.0, 3.0, *shape)
+    _, f = _bump_pair(grid, 11)
+    sol_hat, residual = banded(f, grid)
+    want = sparse(f, grid)
+    assert residual <= 1e-12
+    assert np.linalg.norm(sol_hat - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_band_storage_round_trip_and_width_check():
+    rng = np.random.default_rng(4)
+    offsets = range(-4, 5)
+    m = sp.diags([rng.normal(size=40 - abs(d)) for d in offsets], list(offsets))
+    x = rng.normal(size=40) + 1j * rng.normal(size=40)
+    assert np.allclose(_band_matvec(_band_storage(m), x), m @ x, rtol=0, atol=1e-13)
+    wide = m + sp.coo_matrix(([1.0], ([0], [5])), shape=(40, 40))
+    with pytest.raises(ValueError, match="outside half-bandwidth"):
+        _band_storage(wide)
+    with pytest.raises(ValueError, match="outside half-bandwidth"):
+        _band_storage(wide.T)
+
+
+@pytest.mark.parametrize("adjoint", ["fd", "exact"])
+def test_projection_of_non_finite_field_fails_with_mode(adjoint):
+    grid = ChartGrid(0.0, 3.0, 65, 16)
+    _, f = _bump_pair(grid, 11)
+    comps = f.comps.copy()
+    comps[0, 30, 3] = np.nan
+    with pytest.raises(NumericFailureError) as err:
+        solenoidal_project(SymTensorField(grid, 2, comps), adjoint=adjoint)
+    assert err.value.diagnostics == {"mode": 0}
 
 
 # ---------------------------------------------------------------------------

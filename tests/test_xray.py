@@ -19,7 +19,7 @@ from cusplab.tensorfield import (
 from cusplab.xray import (
     ArcSampler,
     XRayResult,
-    _tensor_integrand,
+    _Integrand,
     potential_annihilation_suite,
     solenoidal_probe,
     xray_eval,
@@ -79,7 +79,7 @@ def test_unconverged_result_is_last_level_against_the_one_below():
     geo = next(g for g in CLASSES if g.word == "abaBAb")  # meets the bump
     sampler = ArcSampler(TORUS, geo)
     res = xray_eval(TORUS, f, geo, tol=1e-15, max_level=2, sampler=sampler, strict=False)
-    integrand = _tensor_integrand(f)
+    integrand = _Integrand(f)
     totals = []
     for level in (1, 2):
         ts, ws, frame = sampler.quadrature(level)
@@ -101,7 +101,7 @@ def test_refinement_against_dense_trapezoid_oracle():
     zred, mats = reduce_points(TORUS, z)
     vred = v / (mats[:, 1, 0] * z + mats[:, 1, 1]) ** 2
     u = vred / zred.imag
-    integrand = _tensor_integrand(f)
+    integrand = _Integrand(f)
     vals = integrand(np.log(zred.imag), zred.real % 1.0, u.imag, u.real)
     oracle = np.sum(vals) * (geo.length / n) / geo.length
     assert abs(res.value - oracle) <= 1e-8
@@ -119,9 +119,9 @@ def test_linearity_at_fixed_quadrature_nodes():
     combo = 2.0 * f + 3.0 * g
     sampler = ArcSampler(TORUS, CLASSES[2])
     ts, ws, frame = sampler.quadrature(3)
-    vf = np.dot(ws, _tensor_integrand(f)(*frame))
-    vg = np.dot(ws, _tensor_integrand(g)(*frame))
-    vc = np.dot(ws, _tensor_integrand(combo)(*frame))
+    vf = np.dot(ws, _Integrand(f)(*frame))
+    vg = np.dot(ws, _Integrand(g)(*frame))
+    vc = np.dot(ws, _Integrand(combo)(*frame))
     assert abs(vc - (2.0 * vf + 3.0 * vg)) <= 1e-12 * max(1.0, abs(vc))
 
 
@@ -219,10 +219,17 @@ def test_coverage_error_when_support_reaches_exit():
     tall = [geo for geo in CLASSES if geo.word == "aabAB"][0]
     with pytest.raises(CoverageError):
         xray_eval(TORUS, g, tall, tol=1e-8)
+    with pytest.raises(CoverageError):
+        xray_suite(TORUS, g, [CLASSES[0], tall], tol=1e-8)
 
 
 def test_suite_returns_results_in_input_order():
+    # a permuted mix of classes the bump meets (abABB, abaBAb, aabAB) and
+    # classes it misses, so a reordering changes the values
     f = bump_two_tensor()
-    res = xray_suite(TORUS, f, CLASSES[:6], tol=1e-8)
-    assert [r.class_word for r in res] == [g.word for g in CLASSES[:6]]
-    assert all(isinstance(r, XRayResult) for r in res)
+    by_word = {g.word: g for g in CLASSES}
+    geos = [by_word[w] for w in ("abABB", "a", "abaBAb", "ab", "aabAB", "b")]
+    res = xray_suite(TORUS, f, geos, tol=1e-8)
+    assert [r.class_word for r in res] == [g.word for g in geos]
+    assert sum(r.value != 0.0 for r in res) >= 2
+    assert res == [xray_eval(TORUS, f, g, tol=1e-8) for g in geos]
