@@ -1,40 +1,11 @@
-"""Truncated cusp chart and its discretization grid (surface case)."""
+"""(r, theta) chart grid of a truncated cusp and its quadrature weights
+(surface case)."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-
-
-@dataclass(frozen=True)
-class CuspChart:
-    """Model end [a, inf) x (R^d / Lambda) with the hyperbolic product
-    metric; the slice lattice is normalized to covolume 1."""
-
-    dim_d: int = 1
-    height_a: float = 1.0
-    lattice: np.ndarray = None
-
-    def __post_init__(self):
-        if self.dim_d < 1:
-            raise InvalidInputError("slice dimension must be positive")
-        if self.height_a <= 0:
-            raise InvalidInputError("base height must be positive")
-        lat = self.lattice if self.lattice is not None else np.eye(self.dim_d)
-        lat = np.asarray(lat, dtype=float)
-        if lat.shape != (self.dim_d, self.dim_d):
-            raise InvalidInputError("lattice must be d x d")
-        if abs(abs(np.linalg.det(lat)) - 1.0) > 1e-12:
-            raise InvalidInputError("lattice covolume must be 1")
-        object.__setattr__(self, "lattice", lat)
-
-    @property
-    def r_base(self):
-        return float(np.log(self.height_a))
-
-    def default_r_max(self):
-        return float(np.log(20.0 * self.height_a))
 
 
 @dataclass(frozen=True)
@@ -55,13 +26,6 @@ class ChartGrid:
             raise InvalidInputError("empty radial range")
         if self.n_r < 8 or self.n_theta < 4:
             raise InvalidInputError("grid too coarse")
-
-    @classmethod
-    def for_chart(cls, chart, n_r=257, n_theta=128, r_max=None):
-        if chart.dim_d != 1:
-            raise InvalidInputError("grids are built for the surface case d=1")
-        rmax = chart.default_r_max() if r_max is None else r_max
-        return cls(chart.r_base, rmax, n_r, n_theta)
 
     @property
     def dr(self):
@@ -90,13 +54,17 @@ class ChartGrid:
     def theta_frequencies(self):
         return 2.0 * np.pi * np.fft.fftfreq(self.n_theta, d=self.dtheta)
 
-    def quadrature_weights(self):
-        """Weights for the hyperbolic area element e^{-r} dr dtheta,
-        trapezoidal in r and exact (uniform) in theta."""
+    def radial_weights(self):
+        """Trapezoidal weights in r times the area density e^{-r}."""
         wr = np.full(self.n_r, self.dr)
         wr[0] *= 0.5
         wr[-1] *= 0.5
-        return np.outer(wr * np.exp(-self.r), np.full(self.n_theta, self.dtheta))
+        return wr * np.exp(-self.r)
+
+    def quadrature_weights(self):
+        """Weights for the hyperbolic area element e^{-r} dr dtheta,
+        trapezoidal in r and exact (uniform) in theta."""
+        return np.outer(self.radial_weights(), np.full(self.n_theta, self.dtheta))
 
     def refine(self, factor=2):
         return ChartGrid(

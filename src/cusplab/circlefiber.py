@@ -36,10 +36,10 @@ def _spectral_dphi(vals):
     return np.fft.ifft(np.fft.fft(vals, axis=-1) * (1j * k), axis=-1)
 
 
-def default_fiber_tests(phi, seed=0):
+def default_fiber_tests(phi):
     """Circle-spectral test functions: constant, low harmonics, one random
-    band-limited combination."""
-    rng = np.random.default_rng(seed)
+    (seed 0) band-limited combination."""
+    rng = np.random.default_rng(0)
     funcs = [np.ones_like(phi), np.cos(phi), np.sin(2 * phi)]
     coeffs = rng.normal(size=5) + 1j * rng.normal(size=5)
     rand = sum(
@@ -73,9 +73,9 @@ def left_inverse_apply(lam, triple):
     return triple[1] / lam
 
 
-def sphere_fibered_inverse_check(lam, n_grid=256, perturbation=0.0, seed=0):
+def sphere_fibered_inverse_check(lam, perturbation=0.0):
     """Residual of (left inverse) o (family) = identity on circle-spectral
-    test functions.
+    test functions, sampled at 256 fiber angles.
 
     ``perturbation`` adds a fixed-size deterministic disturbance to the
     family output before inverting, probing the conditioning of the left
@@ -84,10 +84,10 @@ def sphere_fibered_inverse_check(lam, n_grid=256, perturbation=0.0, seed=0):
     """
     if lam == 0:
         raise InvalidInputError("0 is the indicial root; no left inverse there")
-    phi = circle_grid(n_grid)
+    phi = circle_grid()
     worst = 0.0
     noise = perturbation * np.cos(3.0 * phi + 0.7)
-    for f in default_fiber_tests(phi, seed=seed):
+    for f in default_fiber_tests(phi):
         triple = gradient_family_apply(lam, f, phi)
         triple = triple + noise[None, :]
         back = left_inverse_apply(lam, triple)
@@ -95,16 +95,12 @@ def sphere_fibered_inverse_check(lam, n_grid=256, perturbation=0.0, seed=0):
     return worst
 
 
-def inverse_conditioning_exponent(lams=None, perturbation=1e-12, n_grid=256):
+def inverse_conditioning_exponent(perturbation=1e-12):
     """Fitted slope of log residual against log |lam| under a fixed
-    perturbation; the canonical left inverse carries a 1/lam factor, so the
-    slope is -1."""
-    if lams is None:
-        lams = 10.0 ** np.arange(-1.0, -6.0, -1.0)
-    res = [
-        sphere_fibered_inverse_check(lam, n_grid=n_grid, perturbation=perturbation)
-        for lam in lams
-    ]
+    perturbation, over lam = 1e-1 .. 1e-5; the canonical left inverse
+    carries a 1/lam factor, so the slope is -1."""
+    lams = 10.0 ** np.arange(-1.0, -6.0, -1.0)
+    res = [sphere_fibered_inverse_check(lam, perturbation=perturbation) for lam in lams]
     slope = np.polyfit(np.log10(np.abs(lams)), np.log10(res), 1)[0]
     return float(slope), list(zip([float(x) for x in lams], res))
 

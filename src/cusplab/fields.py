@@ -10,16 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .modezero import bump as _bump
 from .tensorfield import SymTensorField
-
-
-def _bump(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    x = t[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - x * x))
-    return out
 
 
 def _bump_prime(t):
@@ -146,6 +138,10 @@ class AnalyticOneForm:
 
     def components(self, r, t):
         return np.stack([self.a(r, t), self.b(r, t)])
+
+    def pullback(self, r, t, p_hat, q_hat):
+        comps = self.components(r, t)
+        return comps[0] * p_hat + comps[1] * q_hat
 
     def sup_norm_estimate(self, grid):
         rr, tt = grid.mesh

@@ -44,10 +44,6 @@ class MobiusMap:
     def identity(cls):
         return cls(np.eye(2))
 
-    @classmethod
-    def translation(cls, t):
-        return cls(np.array([[1.0, t], [0.0, 1.0]]))
-
     def apply(self, z):
         a, b = self.mat[0]
         c, d = self.mat[1]

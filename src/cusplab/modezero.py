@@ -16,10 +16,22 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidWeightError, ResolutionError
 from .polymat import indicial_roots
-from .residues import meromorphic_inverse, pole_order, residue_range_profiles
+from .residues import (
+    _contour,
+    _contour_moments,
+    meromorphic_inverse,
+    pole_order,
+    residue_range_profiles,
+)
 
 _ALIAS_TOL = 1e-10
 _NEAR_ROOT_GUARD = 1e-3
+# smooth cutoff window: 1 on |r| <= 0.8 r_half, 0 beyond 0.9 r_half
+_WINDOW_FLAT = 0.8
+_WINDOW_ZERO = 0.9
+# tail fits keep to the window's flat region and to nodes whose norm lies
+# in this band relative to the peak
+_TAIL_BAND = (1e-11, 1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -109,21 +121,21 @@ def smooth_step(t):
     return fa / (fa + fb)
 
 
-def window_profile(grid, r_half=None, flat=0.8, zero=0.9):
-    """Smooth bump: 1 on |r| <= flat * r_half, 0 beyond zero * r_half."""
-    if r_half is None:
-        r_half = max(abs(grid[0]), abs(grid[-1]))
-    a, b = flat * r_half, zero * r_half
+def window_profile(grid):
+    """Smooth bump on the grid: 1 on |r| <= 0.8 r_half, 0 beyond
+    0.9 r_half, with r_half the grid's largest |r|."""
+    r_half = max(abs(grid[0]), abs(grid[-1]))
+    a, b = _WINDOW_FLAT * r_half, _WINDOW_ZERO * r_half
     return smooth_step((b - np.abs(grid)) / (b - a))
 
 
-def windowed(fld, flat=0.8, zero=0.9):
-    w = window_profile(fld.grid, flat=flat, zero=zero)
+def windowed(fld):
+    w = window_profile(fld.grid)
     return replace(fld, samples=fld.samples * w[:, None])
 
 
-def make_field(fun, r_half=48.0, n=4096, weight=0.0, ncomp=None):
-    """Sample a callable (vectorized over r) into a ModeZeroField."""
+def make_field(fun, r_half=48.0, n=4096):
+    """Sample a callable (vectorized over r) into a weight-0 ModeZeroField."""
     r0, dr = line_grid(r_half, n)
     r = r0 + dr * np.arange(n)
     vals = np.asarray(fun(r), dtype=complex)
@@ -131,9 +143,7 @@ def make_field(fun, r_half=48.0, n=4096, weight=0.0, ncomp=None):
         vals = vals[:, None]
     if vals.shape[0] != n:
         vals = vals.T
-    if ncomp is not None and vals.shape[1] != ncomp:
-        raise InvalidInputError("component count mismatch")
-    return ModeZeroField(r0, dr, vals, weight=weight)
+    return ModeZeroField(r0, dr, vals)
 
 
 def bump(t):
@@ -169,7 +179,7 @@ def apply_indicial(fam, fld):
     return ModeZeroField(fld.r0, fld.dr, out, weight=fld.weight)
 
 
-def invert_on_line(fam, f, rho, near_root_guard=_NEAR_ROOT_GUARD):
+def invert_on_line(fam, f, rho):
     """Solve (convolution operator) u = f on the weight line Re(lambda)=rho.
 
     Returns (u, info); u carries weight rho, info reports per-node condition
@@ -182,7 +192,7 @@ def invert_on_line(fam, f, rho, near_root_guard=_NEAR_ROOT_GUARD):
     gaps = [abs(r.lam.real - rho) for r in roots]
     if gaps and min(gaps) < 1e-12:
         raise InvalidWeightError(f"weight {rho} lies on a root line")
-    if gaps and min(gaps) < near_root_guard:
+    if gaps and min(gaps) < _NEAR_ROOT_GUARD:
         warnings.warn(
             f"weight {rho} is within {min(gaps):.2e} of a root line; "
             "inversion is ill-conditioned",
@@ -276,7 +286,7 @@ def _finite_transform(f, lam_values):
     return out
 
 
-def cross_root_correction(fam, f, rho_from, rho_to, nodes=64):
+def cross_root_correction(fam, f, rho_from, rho_to):
     """Difference of line inverses across intervening roots.
 
     Returns (difference field, residue contributions); the difference of
@@ -295,20 +305,9 @@ def cross_root_correction(fam, f, rho_from, rho_to, nodes=64):
         if not (lo < root.lam.real < hi):
             continue
         p = pole_order(fam, root.lam)
-        others = [
-            abs(r2.lam - root.lam)
-            for r2 in indicial_roots(fam)
-            if abs(r2.lam - root.lam) > 1e-8
-        ]
-        rad = min(1e-2, (min(others) / 3.0) if others else 1e-2)
-        phi = 2.0 * np.pi * np.arange(nodes) / nodes
-        lam = root.lam + rad * np.exp(1j * phi)
-        fhat = _finite_transform(f, lam)
-        mats = minv(lam)
-        g = np.einsum("kij,kj->ki", mats, fhat)
-        for k in range(1, p + 1):
-            w = np.exp(1j * k * phi) * (rad**k) / nodes
-            gk = np.tensordot(w, g, axes=(0, 0))
+        rad, phi, lam = _contour(fam, root.lam, None)
+        g = np.einsum("kij,kj->ki", minv(lam), _finite_transform(f, lam))
+        for k, gk in _contour_moments(g, rad, phi, p).items():
             coeff = sign * gk / math.factorial(k - 1)
             if np.linalg.norm(coeff) < 1e-14 * max(1.0, np.linalg.norm(g)):
                 continue
@@ -321,24 +320,25 @@ def cross_root_correction(fam, f, rho_from, rho_to, nodes=64):
 # ---------------------------------------------------------------------------
 
 
-def fit_decay_rate(fld, side="+", flat=0.8, band=(1e-11, 1e-2)):
+def fit_decay_rate(fld, side="+"):
     """Least-squares slope of log ||u(r)|| over the tail on the requested
     side.
 
     The fit window is selected by magnitude: nodes whose norm lies in
-    ``band`` relative to the global maximum, keeping the regression inside
-    the true exponential regime and above the transform's roundoff floor.
+    [1e-11, 1e-2] relative to the global maximum, keeping the regression
+    inside the true exponential regime and above the transform's roundoff
+    floor.
     """
     r = fld.grid
     mags = np.linalg.norm(fld.values(), axis=1)
     r_half = max(abs(r[0]), abs(r[-1]))
-    edge = flat * r_half
+    edge = _WINDOW_FLAT * r_half
     peak = np.max(mags)
     if side == "+":
         region = (r > 0) & (r < edge)
     else:
         region = (r < 0) & (r > -edge)
-    region &= (mags > band[0] * peak) & (mags < band[1] * peak)
+    region &= (mags > _TAIL_BAND[0] * peak) & (mags < _TAIL_BAND[1] * peak)
     if np.sum(region) < 16 or np.ptp(r[region]) < 2.0:
         raise InvalidInputError("not enough tail samples above the noise floor")
     coef = np.polyfit(r[region], np.log(mags[region]), 1)

@@ -18,6 +18,8 @@ from .modezero import ModeZeroField, window_profile
 # rough fields (finite Hoelder regularity) carry slowly decaying spectra, so
 # the aliasing guard here is looser than the line solver's
 _ALIAS_TOL = 1e-6
+# largest zero-mode distance |r - r'| of the pairs in the Hoelder seminorm
+_HOLDER_DISTANCE_CAP = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +72,6 @@ class DyadicMultiplier:
         br = bracket(xi)
         return self.psi(br * 2.0 ** (-self.j)) - self.psi(br * 2.0 ** (-self.j + 1))
 
-    def support_bounds(self):
-        return 2.0 ** (self.j - 1), 2.0 ** (self.j + 1)
-
 
 def max_block_index(fld):
     """Largest j whose dyadic ring meets the grid's frequency range."""
@@ -119,9 +118,9 @@ def zygmund_norm(fld, s, psi=DEFAULT_PSI, return_blocks=False):
     return value
 
 
-def holder_norm(fld, s, distance_cap=2.0):
-    """sup norm plus the discrete Hoelder seminorm over grid pairs within
-    the distance cap (zero-mode distance |r - r'|)."""
+def holder_norm(fld, s):
+    """sup norm plus the discrete Hoelder seminorm over grid pairs at
+    zero-mode distance |r - r'| <= 2."""
     if not (0.0 < s < 1.0):
         raise InvalidInputError("holder_norm needs 0 < s < 1")
     sam = fld.samples
@@ -130,7 +129,7 @@ def holder_norm(fld, s, distance_cap=2.0):
     if sam.shape[1] != 1:
         raise InvalidInputError("holder_norm expects a scalar field")
     u = np.ascontiguousarray(sam[:, 0].real)
-    max_offset = max(1, min(int(distance_cap / fld.dr), u.shape[0] - 1))
+    max_offset = max(1, min(int(_HOLDER_DISTANCE_CAP / fld.dr), u.shape[0] - 1))
     semi = _kernels.holder_seminorm(u, fld.dr, s, max_offset)
     return float(np.max(np.abs(u)) + semi)
 

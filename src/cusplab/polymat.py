@@ -245,11 +245,6 @@ class IndicialFamily:
         c[: other.coeffs.shape[0]] += other.coeffs
         return IndicialFamily(c, gram_in=self.gram_in, gram_out=self.gram_out)
 
-    def scale(self, a):
-        return IndicialFamily(
-            self.coeffs * a, gram_in=self.gram_in, gram_out=self.gram_out
-        )
-
     # -- determinant machinery ------------------------------------------------
 
     def _entry_table(self):
@@ -388,13 +383,6 @@ def indicial_roots(fam, window=None):
             raise InvalidInputError("root search window must be finite")
         roots = [r for r in roots if lo <= r.lam.real <= hi]
     return sorted(roots, key=lambda r: (r.lam.real, r.lam.imag))
-
-
-def weight_singular_set(fam):
-    """Sorted distinct real parts of indicial roots (the weights where the
-    operator stops being Fredholm)."""
-    reals = sorted({round(r.lam.real, 12) for r in indicial_roots(fam)})
-    return [float(x) for x in reals]
 
 
 def adjoint_family(fam, d):

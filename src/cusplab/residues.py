@@ -60,49 +60,48 @@ def _contour_radius(fam, lam0, radius):
     return min(_DEFAULT_RADIUS, gap / 3.0)
 
 
-def laurent_coefficients(fam, lam0, kmax, radius=None, nodes=_DEFAULT_NODES, with_floor=False):
+def _contour(fam, lam0, radius):
+    """Quadrature circle around lam0: (radius, angles, points), with
+    _DEFAULT_NODES equispaced nodes; a radius of None picks the largest one
+    up to _DEFAULT_RADIUS that keeps the other poles well outside."""
+    rad = _contour_radius(fam, lam0, radius)
+    phi = 2.0 * np.pi * np.arange(_DEFAULT_NODES) / _DEFAULT_NODES
+    return rad, phi, lam0 + rad * np.exp(1j * phi)
+
+
+def _contour_moments(values, rad, phi, kmax):
+    """Trapezoidal (1/2 pi i) \\oint (lam - lam0)^(k-1) g(lam) dlam for
+    k = 1..kmax from samples g on the circle (sample axis first)."""
+    n = phi.size
+    return {
+        k: np.tensordot(np.exp(1j * k * phi) * (rad**k) / n, values, axes=(0, 0))
+        for k in range(1, kmax + 1)
+    }
+
+
+def laurent_coefficients(fam, lam0, kmax, radius=None):
     """Principal-part Laurent coefficients A_{-1}..A_{-kmax} of the
     (left-)inverse of the family at lam0, by contour quadrature.
 
-    With ``with_floor`` also returns the roundoff floor of the quadrature
-    (coefficients below it are numerically zero)."""
-    rad = _contour_radius(fam, lam0, radius)
-    phi = 2.0 * np.pi * np.arange(nodes) / nodes
-    lam = lam0 + rad * np.exp(1j * phi)
+    Returns (coefficients, floor): the floor is the roundoff level of the
+    quadrature (coefficients below it are numerically zero)."""
+    rad, phi, lam = _contour(fam, lam0, radius)
     minv = meromorphic_inverse(fam)(lam)  # (nodes, m, n)
-    out = {}
-    for k in range(1, kmax + 1):
-        w = np.exp(1j * k * phi) * (rad**k) / nodes
-        out[k] = np.tensordot(w, minv, axes=(0, 0))
-    if with_floor:
-        floor = 1e-9 * rad * np.max(np.linalg.norm(minv, axis=(-2, -1)))
-        return out, floor
-    return out
+    floor = 1e-9 * rad * np.max(np.linalg.norm(minv, axis=(-2, -1)))
+    return _contour_moments(minv, rad, phi, kmax), floor
 
 
 def pole_order(fam, lam0):
     """Order of lam0 as a pole of the inverse family, from the vanishing
     orders of the determinant and of the adjugate (symbolic route)."""
-    if fam.is_square:
-        det = fam.determinant()
-        m_det = vanishing_order(det, lam0)
-        if m_det == 0:
-            return 0
-        adj = fam.adjugate()
-        m_adj = min(
-            vanishing_order(adj.entry(i, j), lam0)
-            if np.max(np.abs(adj.entry(i, j))) > 0
-            else m_det
-            for i in range(adj.shape[0])
-            for j in range(adj.shape[1])
-        )
-        return m_det - m_adj
-    famN = transpose_family(fam).compose(fam)
-    det = famN.determinant()
-    m_det = vanishing_order(det, lam0)
+    m_det = vanishing_order(_denominator(fam), lam0)
     if m_det == 0:
         return 0
-    num = famN.adjugate().compose(transpose_family(fam))
+    if fam.is_square:
+        num = fam.adjugate()
+    else:
+        famN = transpose_family(fam).compose(fam)
+        num = famN.adjugate().compose(transpose_family(fam))
     m_num = min(
         vanishing_order(num.entry(i, j), lam0)
         if np.max(np.abs(num.entry(i, j))) > 0
@@ -123,20 +122,18 @@ def _check_is_root(fam, lam0):
         )
 
 
-def residue_rank(fam, lam0, radius=None, nodes=_DEFAULT_NODES):
+def residue_rank(fam, lam0):
     """(rank of the residue matrix, pole order) at an indicial root."""
     _check_is_root(fam, lam0)
     p = pole_order(fam, lam0)
-    laurent, floor = laurent_coefficients(
-        fam, lam0, 1, radius=radius, nodes=nodes, with_floor=True
-    )
+    laurent, floor = laurent_coefficients(fam, lam0, 1)
     sv = np.linalg.svd(laurent[1], compute_uv=False)
     cutoff = max(_RANK_RTOL * sv[0], floor)
     rank = int(np.sum(sv > cutoff))
     return rank, p
 
 
-def _hankel_block(fam, lam0, radius, nodes):
+def _hankel_block(fam, lam0):
     """Block-Hankel matrix H[k, i] = A_{-(k+i+1)} (k+i < pole order).
 
     Writing the residue convolution kernel as
@@ -148,9 +145,7 @@ def _hankel_block(fam, lam0, radius, nodes):
     p = pole_order(fam, lam0)
     if p == 0:
         return 0, None, None, 0.0
-    laurent, floor = laurent_coefficients(
-        fam, lam0, p, radius=radius, nodes=nodes, with_floor=True
-    )
+    laurent, floor = laurent_coefficients(fam, lam0, p)
     m, n = laurent[1].shape
     h = np.zeros((p * m, p * n), dtype=complex)
     for k in range(p):
@@ -159,7 +154,7 @@ def _hankel_block(fam, lam0, radius, nodes):
     return p, h, (m, n), floor
 
 
-def residue_range_profiles(fam, lam0, radius=None, nodes=_DEFAULT_NODES):
+def residue_range_profiles(fam, lam0):
     """Basis of the range of the residue projector as exponential-polynomial
     profiles.
 
@@ -168,7 +163,7 @@ def residue_range_profiles(fam, lam0, radius=None, nodes=_DEFAULT_NODES):
     tail lists (k', vector') pairs with k' < k.  The basis is graded by top
     power, so simple poles and diagonal families give pure-power profiles.
     """
-    p, h, shape, floor = _hankel_block(fam, lam0, radius=radius, nodes=nodes)
+    p, h, shape, floor = _hankel_block(fam, lam0)
     if p == 0:
         return []
     m = shape[0]
@@ -211,10 +206,10 @@ def residue_range_profiles(fam, lam0, radius=None, nodes=_DEFAULT_NODES):
     return profiles
 
 
-def projector_rank(fam, lam0, radius=None, nodes=_DEFAULT_NODES):
+def projector_rank(fam, lam0):
     """Rank of the residue projector as a convolution operator (counts the
     polynomial-in-r profiles as independent directions)."""
-    p, h, _, floor = _hankel_block(fam, lam0, radius=radius, nodes=nodes)
+    p, h, _, floor = _hankel_block(fam, lam0)
     if p == 0:
         return 0
     sv = np.linalg.svd(h, compute_uv=False)

@@ -165,14 +165,13 @@ def save_tensor(path_base, field):
 
 
 def load_tensor(path_base):
-    from .tensorfield import SymTensorField
+    from .tensorfield import _NCOMP, SymTensorField
 
     base = Path(path_base)
     header = json.loads(base.with_suffix(".json").read_text())
     grid = ChartGrid(header["r_min"], header["r_max"], header["n_r"], header["n_theta"])
-    ncomp = {0: 1, 1: 2, 2: 3}[header["order"]]
     comps = np.fromfile(base.with_suffix(".bin"), dtype="<f8").reshape(
-        ncomp, grid.n_r, grid.n_theta
+        _NCOMP[header["order"]], grid.n_r, grid.n_theta
     )
     return SymTensorField(grid, header["order"], comps)
 

@@ -186,10 +186,10 @@ class ClosedGeodesic:
             _axis=axis,
         )
 
-    def arc(self, t, allow_outside=False):
+    def arc(self, t):
         """Position and unit tangent at arc-length parameter t in [0, length]."""
         t = np.asarray(t, dtype=float)
-        if not allow_outside and (np.any(t < -1e-12) or np.any(t > self.length + 1e-12)):
+        if np.any(t < -1e-12) or np.any(t > self.length + 1e-12):
             raise InvalidInputError("arc parameter outside [0, length]")
         return self._axis.point_and_tangent(t)
 
@@ -239,20 +239,3 @@ def reduce_points(surface, zs, max_iter=10000):
             diagnostics={"points": bad[:8].tolist(), "count": int(np.sum(iters < 0))},
         )
     return zred, mats
-
-
-def reduce_to_fundamental_domain(surface, z, max_iter=10000):
-    """Single-point reduction: (reduced point, deck map carrying z to it)."""
-    zred, mats = reduce_points(surface, [complex(z)], max_iter=max_iter)
-    return complex(zred[0]), MobiusMap(mats[0])
-
-
-def dirichlet_cell_height(surface, probes=512, seed=0):
-    """Empirical lowest imaginary part of the Dirichlet cell, from reducing
-    a spray of random points; used to size charts that must contain it."""
-    rng = np.random.default_rng(seed)
-    zs = rng.uniform(-0.5, 0.5, probes) + 1j * np.exp(
-        rng.uniform(np.log(0.02), np.log(2.0), probes)
-    )
-    zred, _ = reduce_points(surface, zs)
-    return float(np.min(zred.imag))

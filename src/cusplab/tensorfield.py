@@ -89,12 +89,14 @@ class SymTensorField:
     def sup_norm(self):
         return float(np.max(np.abs(self.comps)))
 
-    def support_margin(self, rel_floor=1e-12):
+    def support_margin(self):
         """Number of radial boundary cells on each side where the field is
-        numerically zero."""
+        numerically zero (below 1e-12 of its largest finite value); a cell
+        holding a non-finite value counts as support."""
         prof = np.max(np.abs(self.comps), axis=(0, 2))
-        floor = rel_floor * max(prof.max(), 1e-300)
-        nz = np.nonzero(prof > floor)[0]
+        finite = prof[np.isfinite(prof)]
+        floor = 1e-12 * max(finite.max(initial=0.0), 1e-300)
+        nz = np.nonzero(~(prof <= floor))[0]
         if nz.size == 0:
             return self.grid.n_r
         return int(min(nz[0], self.grid.n_r - 1 - nz[-1]))
@@ -105,6 +107,17 @@ class SymTensorField:
         return _kernels.interp2d(
             self.comps, self.grid.r_min, self.grid.dr, r_pts, t_pts
         )
+
+    def pullback(self, r, t, p_hat, q_hat):
+        """pi_m^* of the field at chart points (r, t) along unit directions
+        with orthonormal-frame components (vertical p_hat, slice q_hat): the
+        order-m tensor evaluated on the m-fold direction."""
+        vals = self.interpolate(r, t)
+        if self.order == 0:
+            return vals[0]
+        if self.order == 1:
+            return vals[0] * p_hat + vals[1] * q_hat
+        return vals[0] * p_hat**2 + vals[1] * q_hat**2 + 2.0 * vals[2] * p_hat * q_hat
 
 
 def l2_inner(f, g):
@@ -378,10 +391,7 @@ def _solve_modes_least_squares(f, grid):
     derivative: the residual is orthogonal to potentials at solver
     precision (at the cost of first-order accuracy in a boundary layer)."""
     n = grid.n_r
-    wr = np.full(n, grid.dr)
-    wr[0] *= 0.5
-    wr[-1] *= 0.5
-    wvec = wr * np.exp(-grid.r)
+    wvec = grid.radial_weights()
     weight = sp.diags(np.concatenate([wvec, wvec, 2.0 * wvec]))
     inject = _pairs(n, np.arange(1, n - 1))
     d0, d1 = (m @ inject for m in _mode_derivative(grid))
@@ -400,7 +410,7 @@ def _solve_modes_least_squares(f, grid):
     return sol_hat, residual
 
 
-def solenoidal_project(f, support_margin=5, verify_method="fd4", adjoint="fd"):
+def solenoidal_project(f, support_margin=5, adjoint="fd"):
     """Splitting f = f_s + D u with D* f_s small.
 
     Theta modes decouple and each radial problem is a banded solve with
@@ -418,9 +428,9 @@ def solenoidal_project(f, support_margin=5, verify_method="fd4", adjoint="fd"):
     accuracy in a boundary layer).
 
     Returns (f_s, u, info); info reports the solve residual, the divergence
-    of f_s measured with an independently discretized operator
-    (``verify_method``), and the orthogonality defect under the hyperbolic
-    pairing.
+    of f_s measured with an independently discretized operator (the
+    fourth-order "fd4" r-derivative), and the orthogonality defect under the
+    hyperbolic pairing.
     """
     if f.order != 2:
         raise InvalidInputError("solenoidal projection acts on 2-tensors")
@@ -440,7 +450,7 @@ def solenoidal_project(f, support_margin=5, verify_method="fd4", adjoint="fd"):
     du = sym_derivative(u_field, method="fd")
     f_s = f - du
     norm_f = l2_norm(f)
-    div_check = divergence(f_s, method=verify_method)
+    div_check = divergence(f_s, method="fd4")
     denom = max(l2_norm(f_s) * l2_norm(du), 1e-300)
     info = {
         "solve_residual": float(residual),
@@ -451,27 +461,3 @@ def solenoidal_project(f, support_margin=5, verify_method="fd4", adjoint="fd"):
     if info["solve_residual"] > 1e-8:
         raise NumericFailureError("mode solves did not converge", info)
     return f_s, u_field, info
-
-
-# ---------------------------------------------------------------------------
-# pullback to the sphere bundle
-# ---------------------------------------------------------------------------
-
-
-def pullback(field, r_pts, t_pts, frame_dirs):
-    """Evaluate pi_m^* field at chart points with unit directions given by
-    orthonormal-frame components (vertical, slice).
-
-    Directions must be unit length; the order-m tensor is evaluated on the
-    m-fold direction.
-    """
-    p_hat = np.asarray(frame_dirs[0], dtype=float)
-    q_hat = np.asarray(frame_dirs[1], dtype=float)
-    if np.any(np.abs(p_hat**2 + q_hat**2 - 1.0) > 1e-10):
-        raise InvalidInputError("directions must be unit length in the metric")
-    vals = field.interpolate(np.asarray(r_pts, float), np.asarray(t_pts, float))
-    if field.order == 0:
-        return vals[0]
-    if field.order == 1:
-        return vals[0] * p_hat + vals[1] * q_hat
-    return vals[0] * p_hat**2 + vals[1] * q_hat**2 + 2.0 * vals[2] * p_hat * q_hat

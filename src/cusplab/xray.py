@@ -2,9 +2,10 @@
 
 Closed geodesics are integrated by adaptive composite Gauss-Legendre
 quadrature; each node is reduced to the Dirichlet fundamental domain, its
-unit tangent pushed along the reducing deck map, and the tensor evaluated
-there (grid fields by quintic interpolation, analytic fields in closed
-form).  Values are normalized by the class length.
+unit tangent pushed along the reducing deck map, and the tensor's pullback
+evaluated there.  Each tensor type supplies ``pullback(r, theta, p_hat,
+q_hat)``: grid fields by quintic interpolation, analytic fields in closed
+form.  Values are normalized by the class length.
 """
 
 from dataclasses import dataclass
@@ -37,10 +38,10 @@ class ArcSampler:
     length, halved L times, with 8-point Gauss-Legendre nodes per panel.
     """
 
-    def __init__(self, surface, geodesic, base_panels=None):
+    def __init__(self, surface, geodesic):
         self.surface = surface
         self.geodesic = geodesic
-        self.base_panels = base_panels or max(4, int(np.ceil(geodesic.length / 0.75)))
+        self.base_panels = max(4, int(np.ceil(geodesic.length / 0.75)))
         self._cache = {}
 
     def quadrature(self, level):
@@ -86,28 +87,19 @@ class _Integrand:
 
     def __call__(self, r, th, p, q):
         tensor = self.tensor
-        if isinstance(tensor, AnalyticSymTensor):
-            return tensor.pullback(r, th, p, q)
-        if isinstance(tensor, AnalyticOneForm):
-            comps = tensor.components(r, th)
-            return comps[0] * p + comps[1] * q
-        grid = tensor.grid
-        if self._lo_active and np.any(r < grid.r_min):
-            raise CoverageError(
-                "geodesic exits the chart below the base height inside the "
-                "tensor support"
-            )
-        if self._hi_active and np.any(r > grid.r_max):
-            raise CoverageError(
-                "geodesic exits the chart above the truncation inside the "
-                "tensor support"
-            )
-        vals = tensor.interpolate(r, th)
-        if tensor.order == 0:
-            return vals[0]
-        if tensor.order == 1:
-            return vals[0] * p + vals[1] * q
-        return vals[0] * p**2 + vals[1] * q**2 + 2.0 * vals[2] * p * q
+        if isinstance(tensor, SymTensorField):
+            grid = tensor.grid
+            if self._lo_active and np.any(r < grid.r_min):
+                raise CoverageError(
+                    "geodesic exits the chart below the base height inside the "
+                    "tensor support"
+                )
+            if self._hi_active and np.any(r > grid.r_max):
+                raise CoverageError(
+                    "geodesic exits the chart above the truncation inside the "
+                    "tensor support"
+                )
+        return tensor.pullback(r, th, p, q)
 
 
 def xray_eval(surface, tensor, geodesic, tol=1e-9, max_level=9, sampler=None, strict=True):

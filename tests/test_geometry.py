@@ -6,12 +6,10 @@ from cusplab.halfplane import MobiusMap, classify, hyperbolic_distance
 from cusplab.surface import (
     ClosedGeodesic,
     canonical_class_word,
-    dirichlet_cell_height,
     enumerate_hyperbolic_classes,
     invert_word,
     punctured_torus,
     reduce_points,
-    reduce_to_fundamental_domain,
 )
 
 RNG = np.random.default_rng(42)
@@ -215,28 +213,28 @@ def test_reduction_round_trip():
 
 
 def test_reduction_idempotent():
-    z, m = reduce_to_fundamental_domain(TORUS, 0.37 + 0.21j)
-    z2, m2 = reduce_to_fundamental_domain(TORUS, z)
-    assert abs(z2 - z) < 1e-13
-    assert m2.is_identity()
+    z, _ = reduce_points(TORUS, 0.37 + 0.21j)
+    z2, m2 = reduce_points(TORUS, z)
+    assert abs(z2[0] - z[0]) < 1e-13
+    assert MobiusMap(m2[0]).is_identity()
 
 
 def test_reduction_invariant_under_deck_words():
     words = [w for w in TORUS.words(4)][:100]
     z = -0.23 + 0.61j
-    zstar, _ = reduce_to_fundamental_domain(TORUS, z)
+    zstar, _ = reduce_points(TORUS, z)
     for w in words:
         moved = TORUS.word_matrix(w).apply(z)
-        zred, _ = reduce_to_fundamental_domain(TORUS, complex(moved))
-        assert abs(zred - zstar) < 1e-10
+        zred, _ = reduce_points(TORUS, moved)
+        assert abs(zred[0] - zstar[0]) < 1e-10
 
 
 def test_reduction_by_cusp_parabolic():
     z = 0.2 + 0.9j
-    zstar, _ = reduce_to_fundamental_domain(TORUS, z)
+    zstar, _ = reduce_points(TORUS, z)
     moved = TORUS.word_matrix("abAB").apply(z)
-    zred, _ = reduce_to_fundamental_domain(TORUS, complex(moved))
-    assert abs(zred - zstar) < 1e-12
+    zred, _ = reduce_points(TORUS, moved)
+    assert abs(zred[0] - zstar[0]) < 1e-12
 
 
 def test_reduction_decreases_distance_to_center():
@@ -245,11 +243,6 @@ def test_reduction_decreases_distance_to_center():
     assert np.all(
         hyperbolic_distance(zred, 1j) <= hyperbolic_distance(zs, 1j) + 1e-12
     )
-
-
-def test_cell_height_estimate_positive():
-    h = dirichlet_cell_height(TORUS)
-    assert 0.05 < h < 0.5
 
 
 def test_empty_generitems_rejected():

@@ -14,8 +14,8 @@ from cusplab.polymat import (
     adjoint_family,
     indicial_roots,
     polished_roots,
-    weight_singular_set,
 )
+from cusplab.residues import root_report
 
 RNG = np.random.default_rng(20240811)
 
@@ -77,7 +77,7 @@ def test_derivative_sole_root_minus_one_with_multiplicity_d(d):
 
 def test_singular_weight_set_sorted():
     fam = indicial_family(sym_laplacian_spec(1))
-    s = weight_singular_set(fam)
+    s = root_report(fam, (-50.0, 50.0))["singular_weights"]
     assert s == sorted(s)
     assert np.allclose(s, laplacian_root_set(1), atol=1e-10)
 

@@ -38,7 +38,7 @@ def test_simple_scalar_pole():
     fam = scalar_family(-0.7, 1.0)  # lam - 0.7
     rank, p = residue_rank(fam, 0.7)
     assert (rank, p) == (1, 1)
-    res = laurent_coefficients(fam, 0.7, 1)[1]
+    res = laurent_coefficients(fam, 0.7, 1)[0][1]
     assert abs(res[0, 0] - 1.0) < 1e-12
 
 
@@ -57,8 +57,8 @@ def test_jordan_block_pole_versus_contour_oracle():
     fam = jordan_family(0.3)
     # contour oracle: Laurent coefficients computed at two radii agree and
     # reveal a second-order pole with vanishing third coefficient
-    l_small = laurent_coefficients(fam, 0.3, 3, radius=5e-3)
-    l_large = laurent_coefficients(fam, 0.3, 3, radius=2e-2)
+    l_small, _ = laurent_coefficients(fam, 0.3, 3, radius=5e-3)
+    l_large, _ = laurent_coefficients(fam, 0.3, 3, radius=2e-2)
     for k in (1, 2, 3):
         assert np.allclose(l_small[k], l_large[k], atol=1e-10)
     assert np.linalg.norm(l_small[3]) < 1e-10
@@ -77,7 +77,7 @@ def test_laplacian_residues_d1():
     # at -1 only the dtheta block degenerates; analytic residue -2/3 there
     rank, p = residue_rank(fam, -1.0)
     assert (rank, p) == (1, 1)
-    res = laurent_coefficients(fam, -1.0, 1)[1]
+    res = laurent_coefficients(fam, -1.0, 1)[0][1]
     assert abs(res[0, 0]) < 1e-10
     assert abs(res[1, 1] - (-2.0 / 3.0)) < 1e-10
     for lam in (2.0, LAM_PLUS_1, LAM_MINUS_1):

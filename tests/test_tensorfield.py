@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from cusplab.chart import ChartGrid, CuspChart
+from cusplab.chart import ChartGrid
 from cusplab.errors import InvalidInputError, NumericFailureError
 from cusplab.fields import AnalyticOneForm, Scalar2D, random_bump_one_form
 from cusplab.halfplane import BoundaryGeodesic
@@ -20,7 +20,6 @@ from cusplab.tensorfield import (
     model_derivative_image,
     model_laplacian_image,
     model_one_form,
-    pullback,
     solenoidal_project,
     sym_derivative,
     sym_laplacian,
@@ -32,27 +31,6 @@ INTERIOR = slice(2, -2)  # composed stencils are one-sided within 2 cells
 
 def interior_sup(field_a, field_b):
     return float(np.max(np.abs(field_a.comps[:, INTERIOR, :] - field_b.comps[:, INTERIOR, :])))
-
-
-# ---------------------------------------------------------------------------
-# chart plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_chart_invariants():
-    c = CuspChart(dim_d=1, height_a=1.0)
-    assert c.r_base == 0.0
-    assert abs(c.default_r_max() - np.log(20.0)) < 1e-14
-    with pytest.raises(InvalidInputError):
-        CuspChart(dim_d=1, height_a=-1.0)
-    with pytest.raises(InvalidInputError):
-        CuspChart(dim_d=1, lattice=[[2.0]])
-
-
-def test_grid_from_chart_defaults():
-    g = ChartGrid.for_chart(CuspChart())
-    assert g.r_min == 0.0
-    assert abs(g.r_max - np.log(20.0)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +327,26 @@ def test_projection_of_non_finite_field_fails_with_mode(adjoint):
     assert err.value.diagnostics == {"mode": 0}
 
 
+@pytest.mark.parametrize("cell, margin", [(0, 0), (30, 12), (62, 2)])
+def test_support_margin_counts_non_finite_cells_as_support(cell, margin):
+    grid = ChartGrid(0.0, 3.0, 65, 16)
+    _, f = _bump_pair(grid, 11)
+    assert f.support_margin() == 12
+    comps = f.comps.copy()
+    comps[0, cell, 3] = np.nan
+    assert SymTensorField(grid, 2, comps).support_margin() == margin
+
+
+@pytest.mark.parametrize("cell", [0, 62])
+def test_projection_rejects_non_finite_value_near_the_boundary(cell):
+    grid = ChartGrid(0.0, 3.0, 65, 16)
+    _, f = _bump_pair(grid, 11)
+    comps = f.comps.copy()
+    comps[0, cell, 3] = np.nan
+    with pytest.raises(InvalidInputError):
+        solenoidal_project(SymTensorField(grid, 2, comps))
+
+
 # ---------------------------------------------------------------------------
 # pullback
 # ---------------------------------------------------------------------------
@@ -360,7 +358,7 @@ def test_pullback_of_metric_is_one():
     r = rng.uniform(0.5, 2.5, 50)
     t = rng.uniform(0, 1, 50)
     ang = rng.uniform(0, 2 * np.pi, 50)
-    vals = pullback(g, r, t, (np.cos(ang), np.sin(ang)))
+    vals = g.pullback(r, t, np.cos(ang), np.sin(ang))
     assert np.max(np.abs(vals - 1.0)) < 1e-9
 
 
@@ -368,14 +366,8 @@ def test_pullback_vertical_square_on_horizontal_vanishes():
     c = np.zeros((3, GRID.n_r, GRID.n_theta))
     c[0] = 1.0  # the vertical-coframe square
     f = SymTensorField(GRID, 2, c)
-    vals = pullback(f, np.array([1.5]), np.array([0.3]), (np.array([0.0]), np.array([1.0])))
+    vals = f.pullback(np.array([1.5]), np.array([0.3]), np.array([0.0]), np.array([1.0]))
     assert abs(vals[0]) < 1e-12
-
-
-def test_pullback_rejects_non_unit_direction():
-    g = SymTensorField.metric(GRID)
-    with pytest.raises(InvalidInputError):
-        pullback(g, np.array([1.0]), np.array([0.0]), (np.array([0.5]), np.array([0.5])))
 
 
 def test_flow_derivative_identity_pullback():
@@ -391,8 +383,7 @@ def test_flow_derivative_identity_pullback():
         z = axis.point(t)
         v = axis.tangent(t)
         u = v / z.imag
-        comps = p.components(np.log(z.imag), z.real % 1.0)
-        return comps[0] * u.imag + comps[1] * u.real
+        return p.pullback(np.log(z.imag), z.real % 1.0, u.imag, u.real)
 
     for t in ts:
         z = axis.point(t)

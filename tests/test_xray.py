@@ -135,16 +135,31 @@ def test_reparametrization_invariance_under_word_rotation():
 
 
 def test_orientation_parity():
-    geo = ClosedGeodesic.from_word(TORUS, "ab")
-    rev = ClosedGeodesic.from_word(TORUS, invert_word("ab"))
+    # abaBAb meets both supports, so the parities compare nonzero values
+    geo = ClosedGeodesic.from_word(TORUS, "abaBAb")
+    rev = ClosedGeodesic.from_word(TORUS, invert_word("abaBAb"))
     one_form = random_bump_one_form(2, center=BUMP_CENTER, r_width=0.45, t_width=0.14)
     f2 = bump_two_tensor()
     v1 = xray_eval(TORUS, one_form, geo, tol=1e-11)
     v1r = xray_eval(TORUS, one_form, rev, tol=1e-11)
+    assert v1.value != 0.0
     assert abs(v1.value + v1r.value) <= 1e-9
     v2 = xray_eval(TORUS, f2, geo, tol=1e-11)
     v2r = xray_eval(TORUS, f2, rev, tol=1e-11)
+    assert v2.value != 0.0
     assert abs(v2.value - v2r.value) <= 1e-9
+
+
+@pytest.mark.parametrize("word", ["abaBAb", "abABB", "aabAB"])
+def test_grid_one_form_matches_analytic_one_form(word):
+    # the order-1 grid pullback (interpolated components) against the
+    # closed-form one on a class that meets the form's support
+    one_form = random_bump_one_form(2, center=BUMP_CENTER, r_width=0.45, t_width=0.14)
+    geo = next(g for g in CLASSES if g.word == word)
+    exact = xray_eval(TORUS, one_form, geo, tol=1e-9)
+    grid = xray_eval(TORUS, one_form.sample(GRID), geo, tol=1e-9)
+    assert exact.value != 0.0
+    assert abs(grid.value - exact.value) <= 1e-8 * one_form.sup_norm_estimate(GRID)
 
 
 # ---------------------------------------------------------------------------
