@@ -53,20 +53,6 @@ from .tensorfield import (
 )
 from .xray import potential_annihilation_suite, solenoidal_probe, xray_suite
 
-SUBCOMMANDS = (
-    "indicial",
-    "roots",
-    "index-jump",
-    "mode0-solve",
-    "mode0-kernel",
-    "lp-norm",
-    "geodesics",
-    "xray",
-    "decompose",
-    "suite",
-)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 64
         self.print_usage(sys.stderr)
@@ -80,7 +66,7 @@ def _tolerances(cfg):
 
 def _window(cfg):
     tol = _tolerances(cfg)
-    return (float(tol.get("window_lo", -10.0)), float(tol.get("window_hi", 10.0)))
+    return (tol.get("window_lo", -10.0), tol.get("window_hi", 10.0))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +98,7 @@ def cmd_index_jump(cfg, out, args):
     if "weight_from" not in tol or "weight_to" not in tol:
         raise InvalidInputError("index-jump needs weight_from and weight_to")
     fam = indicial_family(build_operator(cfg))
-    a, b = float(tol["weight_from"]), float(tol["weight_to"])
+    a, b = tol["weight_from"], tol["weight_to"]
     jump = index_jump(fam, a, b)
     crossed = [
         {"lambda": [r.lam.real, r.lam.imag], "multiplicity": r.multiplicity}
@@ -129,7 +115,7 @@ def cmd_mode0_solve(cfg, out, args):
         raise InvalidInputError("mode0-solve needs a square operator")
     r_half, n = build_line_grid(cfg)
     tol = _tolerances(cfg)
-    rho = float(tol.get("weight", 0.0))
+    rho = tol.get("weight", 0.0)
     ncomp = fam.shape[0]
 
     def rhs(r):
@@ -172,7 +158,7 @@ def cmd_mode0_kernel(cfg, out, args):
     tol = _tolerances(cfg)
     if "root" not in tol:
         raise InvalidInputError("mode0-kernel needs a root in [tolerances]")
-    lam0 = complex(float(tol["root"]), 0.0)
+    lam0 = complex(tol["root"], 0.0)
     els = kernel_elements(fam, lam0)
     rows = []
     for i, el in enumerate(els):
@@ -195,7 +181,7 @@ def cmd_mode0_kernel(cfg, out, args):
 
 def cmd_lp_norm(cfg, out, args):
     tol = _tolerances(cfg)
-    s = float(tol.get("s", 0.5))
+    s = tol.get("s", 0.5)
     r_half, n = build_line_grid(cfg)
     fam = random_band_limited_family(16, seed=args.seed, r_half=r_half, n=n)
     fld = fam[0]
@@ -224,10 +210,13 @@ def cmd_lp_norm(cfg, out, args):
     ]
 
 
+def _classes(cfg, surface):
+    max_len = cfg.get("surface", {}).get("max_word_len", 6)
+    return enumerate_hyperbolic_classes(surface, max_len)
+
+
 def cmd_geodesics(cfg, out, args):
-    surface = build_surface(cfg)
-    max_len = int(cfg.get("surface", {}).get("max_word_len", 6))
-    geos = enumerate_hyperbolic_classes(surface, max_len)
+    geos = _classes(cfg, build_surface(cfg))
     rows = [
         [
             g.word,
@@ -247,20 +236,13 @@ def cmd_geodesics(cfg, out, args):
     ]
 
 
-def _xray_classes(cfg, surface):
-    sec = cfg.get("xray", {})
-    cap = int(sec.get("class_cap", 50))
-    max_len = int(cfg.get("surface", {}).get("max_word_len", 6))
-    return enumerate_hyperbolic_classes(surface, max_len)[:cap]
-
-
 def cmd_xray(cfg, out, args):
     surface = build_surface(cfg)
     grid = build_chart_grid(cfg)
     sec = cfg.get("xray", {})
     mode = sec.get("mode", "metric")
-    tol = float(_tolerances(cfg).get("xray", 1e-9))
-    classes = _xray_classes(cfg, surface)
+    tol = _tolerances(cfg).get("xray", 1e-9)
+    classes = _classes(cfg, surface)[: sec.get("class_cap", 50)]
     summary = {"mode": mode, "n_classes": len(classes)}
     if mode == "metric":
         tensor = SymTensorField.metric(grid)
@@ -269,7 +251,7 @@ def cmd_xray(cfg, out, args):
         tensor = load_tensor(Path(sec["tensor_file"]))
         results = xray_suite(surface, tensor, classes, tol=tol, strict=False)
     elif mode == "potential":
-        n_forms = int(sec.get("forms", 3))
+        n_forms = sec.get("forms", 3)
         forms = [
             random_bump_one_form(
                 args.seed + i, center=(-0.916, 0.0), r_width=0.45, t_width=0.14
@@ -364,7 +346,7 @@ def build_parser():
     parser = _Parser(prog="cusplab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("config", nargs="?", default=None, help="INI config path")
         p.add_argument("--out", default="out", help="output directory")

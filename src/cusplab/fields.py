@@ -160,7 +160,7 @@ class AnalyticOneForm:
         def x_val(r, t):
             return 0.5 * (b.d_r(r, t) + np.exp(r) * a.d_t(r, t) + b(r, t))
 
-        return AnalyticSymTensor.from_callables(s_val, t_val, x_val)
+        return AnalyticSymTensor(s_val, t_val, x_val)
 
     def sample(self, grid):
         return SymTensorField.sample(grid, 1, self.a, self.b)
@@ -173,10 +173,6 @@ class AnalyticSymTensor:
     s: callable
     t: callable
     x: callable
-
-    @classmethod
-    def from_callables(cls, s, t, x):
-        return cls(s, t, x)
 
     def components(self, r, t):
         return np.stack([self.s(r, t), self.t(r, t), self.x(r, t)])

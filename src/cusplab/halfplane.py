@@ -117,12 +117,6 @@ def hyperbolic_distance(z, w):
     return np.arccosh(q)
 
 
-def classify(mat_or_map):
-    """Classification of a matrix (or map) by its trace."""
-    m = mat_or_map if isinstance(mat_or_map, MobiusMap) else MobiusMap(mat_or_map)
-    return m.classify()
-
-
 @dataclass(frozen=True)
 class BoundaryGeodesic:
     """Unit-speed geodesic running from boundary point ``u`` to ``v``.

@@ -96,11 +96,10 @@ def lp_block(fld, j, psi=DEFAULT_PSI, check_aliasing=True):
     return ModeZeroField(fld.r0, fld.dr, out, weight=fld.weight)
 
 
-def lp_blocks(fld, psi=DEFAULT_PSI, j_max=None):
-    if j_max is None:
-        j_max = max_block_index(fld)
+def lp_blocks(fld, psi=DEFAULT_PSI):
+    """Dyadic blocks 0..max_block_index(fld) of the field."""
     fld.check_aliasing(_ALIAS_TOL, "dyadic block input")
-    return [lp_block(fld, j, psi, check_aliasing=False) for j in range(j_max + 1)]
+    return [lp_block(fld, j, psi, check_aliasing=False) for j in range(max_block_index(fld) + 1)]
 
 
 def sup_norm(fld):

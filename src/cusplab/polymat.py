@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateOperatorError, InvalidInputError
+from .errors import DegenerateOperatorError, InvalidInputError, NumericFailureError
 
 _TRIM_RTOL = 1e-12
 _CLUSTER_RADIUS = 1e-4
@@ -53,7 +53,8 @@ def pdivexact(a, b):
     """Divide polynomial a by b, assuming the division is exact.
 
     Used inside Bareiss elimination where divisibility is guaranteed
-    algebraically; the remainder is checked against roundoff noise.
+    algebraically; a remainder above roundoff noise raises
+    NumericFailureError with the remainder ratio in its diagnostics.
     """
     a = ptrim(a)
     b = ptrim(b)
@@ -62,9 +63,11 @@ def pdivexact(a, b):
             raise ZeroDivisionError("polynomial division by zero")
         return a / b[0]
     q, r = np.polydiv(a[::-1], b[::-1])
-    scale = max(np.max(np.abs(a)), 1.0)
-    if np.max(np.abs(r)) > 1e-9 * scale:
-        raise ArithmeticError("inexact polynomial division in Bareiss step")
+    ratio = float(np.max(np.abs(r)) / max(np.max(np.abs(a)), 1.0))
+    if ratio > 1e-9:
+        raise NumericFailureError(
+            "inexact polynomial division in Bareiss step", {"remainder_ratio": ratio}
+        )
     return np.atleast_1d(q[::-1]).astype(complex)
 
 
@@ -210,19 +213,6 @@ class IndicialFamily:
     def identity(n):
         return IndicialFamily(np.eye(n)[None, :, :])
 
-    @staticmethod
-    def from_entries(entries, **kw):
-        """Build from a nested list of ascending coefficient sequences."""
-        n = len(entries)
-        m = len(entries[0])
-        deg = max(len(np.atleast_1d(entries[i][j])) for i in range(n) for j in range(m))
-        c = np.zeros((deg, n, m), dtype=complex)
-        for i in range(n):
-            for j in range(m):
-                e = np.atleast_1d(np.asarray(entries[i][j], dtype=complex))
-                c[: len(e), i, j] = e
-        return IndicialFamily(c, **kw)
-
     def compose(self, other):
         """Matrix product of families: (self @ other)(lam) = self(lam) other(lam)."""
         if self.shape[1] != other.shape[0]:
@@ -271,7 +261,11 @@ class IndicialFamily:
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
                     num = padd(pmul(a[k][k], a[i][j]), -pmul(a[i][k], a[k][j]))
-                    a[i][j] = pdivexact(num, prev)
+                    try:
+                        a[i][j] = pdivexact(num, prev)
+                    except NumericFailureError as exc:
+                        exc.diagnostics["step"] = k
+                        raise
                 a[i][k] = np.zeros(1, dtype=complex)
             prev = ptrim(a[k][k])
         return ptrim(sign * a[n - 1][n - 1])
@@ -288,21 +282,6 @@ class IndicialFamily:
             out.append(sub.determinant())
         return out
 
-    def adjugate(self):
-        """Adjugate family (cofactor transpose), via minors."""
-        if not self.is_square:
-            raise InvalidInputError("adjugate requires a square family")
-        n = self.shape[0]
-        adj = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                rows = [r for r in range(n) if r != i]
-                cols = [c for c in range(n) if c != j]
-                sub = IndicialFamily(self.coeffs[:, rows, :][:, :, cols])
-                minor = sub.determinant() if n > 1 else np.ones(1, dtype=complex)
-                adj[j][i] = ((-1) ** (i + j)) * minor
-        return IndicialFamily.from_entries(adj)
-
 
 @dataclass(frozen=True)
 class IndicialRoot:
@@ -310,8 +289,6 @@ class IndicialRoot:
 
     lam: complex
     multiplicity: int
-    residue_rank: int = None
-    pole_order: int = None
 
 
 def _family_newton_polish(fam, lam0, mult):

@@ -6,11 +6,20 @@ quadrature on a small circle, which is exact up to aliasing at the level of
 machine precision.  Overdetermined (tall) families use the analytic left
 inverse (A^T A)^{-1} A^T built with the plain transpose, so meromorphy in
 the spectral parameter is preserved.
+
+Every residue quantity at a root comes from one contour.  The vanishing
+order m of the determinant of A (of A^T A for tall families) bounds the
+pole order, so the contour returns A_{-1}..A_{-m} with its roundoff floor.
+The pole order p is the largest k whose A_{-k} lies above the floor scaled
+by radius^(k-1), the factor by which the quadrature's roundoff in A_{-k}
+shrinks with k: the order of a pole of the inverse is its largest partial
+multiplicity, the index of the last nonzero principal-part coefficient
+(Gohberg, Lancaster and Rodman, Matrix Polynomials, 1982).
 """
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericFailureError
 from .polymat import (
     IndicialFamily,
     indicial_roots,
@@ -51,20 +60,19 @@ def _denominator(fam):
     return famN.determinant()
 
 
-def _contour_radius(fam, lam0, radius):
-    if radius is not None:
-        return radius
-    poles = [lam for lam, _ in polished_roots(_denominator(fam))]
-    others = [abs(lam - lam0) for lam in poles if abs(lam - lam0) > 1e-6]
+def _contour_radius(den, lam0):
+    """Largest radius up to _DEFAULT_RADIUS that keeps the other zeros of
+    the denominator polynomial den at least three radii from lam0."""
+    others = [abs(lam - lam0) for lam, _ in polished_roots(den) if abs(lam - lam0) > 1e-6]
     gap = min(others) if others else 1.0
     return min(_DEFAULT_RADIUS, gap / 3.0)
 
 
 def _contour(fam, lam0, radius):
     """Quadrature circle around lam0: (radius, angles, points), with
-    _DEFAULT_NODES equispaced nodes; a radius of None picks the largest one
-    up to _DEFAULT_RADIUS that keeps the other poles well outside."""
-    rad = _contour_radius(fam, lam0, radius)
+    _DEFAULT_NODES equispaced nodes; a radius of None picks
+    _contour_radius."""
+    rad = _contour_radius(_denominator(fam), lam0) if radius is None else radius
     phi = 2.0 * np.pi * np.arange(_DEFAULT_NODES) / _DEFAULT_NODES
     return rad, phi, lam0 + rad * np.exp(1j * phi)
 
@@ -91,25 +99,38 @@ def laurent_coefficients(fam, lam0, kmax, radius=None):
     return _contour_moments(minv, rad, phi, kmax), floor
 
 
-def pole_order(fam, lam0):
-    """Order of lam0 as a pole of the inverse family, from the vanishing
-    orders of the determinant and of the adjugate (symbolic route)."""
-    m_det = vanishing_order(_denominator(fam), lam0)
-    if m_det == 0:
-        return 0
-    if fam.is_square:
-        num = fam.adjugate()
-    else:
-        famN = transpose_family(fam).compose(fam)
-        num = famN.adjugate().compose(transpose_family(fam))
-    m_num = min(
-        vanishing_order(num.entry(i, j), lam0)
-        if np.max(np.abs(num.entry(i, j))) > 0
-        else m_det
-        for i in range(num.shape[0])
-        for j in range(num.shape[1])
+def _principal_part(fam, lam0):
+    """(p, {k: A_-k for k = 1..max(m, 1)}, floor) at lam0 from one contour,
+    where m is the vanishing order of the denominator and p the pole order
+    (see the module docstring)."""
+    den = _denominator(fam)
+    m = vanishing_order(den, lam0)
+    rad = _contour_radius(den, lam0)
+    laurent, floor = laurent_coefficients(fam, lam0, max(m, 1), radius=rad)
+    p = max(
+        (k for k in range(1, m + 1) if np.linalg.norm(laurent[k], 2) > floor * rad ** (k - 1)),
+        default=0,
     )
-    return m_det - m_num
+    if m and not p:
+        # a zero of the denominator is always a pole of the (left-)inverse
+        raise NumericFailureError(
+            "no principal-part coefficient above the contour's roundoff floor",
+            {"lambda": complex(lam0), "vanishing_order": m, "radius": rad, "floor": floor},
+        )
+    return p, laurent, floor
+
+
+def pole_order(fam, lam0):
+    """Order of lam0 as a pole of the inverse family (0 off the roots)."""
+    return _principal_part(fam, lam0)[0]
+
+
+def _rank(sv, floor):
+    """Numerical rank from singular values sv (descending): the count above
+    max(_RANK_RTOL * sv[0], floor)."""
+    if sv.size == 0 or sv[0] <= floor:
+        return 0
+    return int(np.sum(sv > max(_RANK_RTOL * sv[0], floor)))
 
 
 def _check_is_root(fam, lam0):
@@ -125,16 +146,12 @@ def _check_is_root(fam, lam0):
 def residue_rank(fam, lam0):
     """(rank of the residue matrix, pole order) at an indicial root."""
     _check_is_root(fam, lam0)
-    p = pole_order(fam, lam0)
-    laurent, floor = laurent_coefficients(fam, lam0, 1)
-    sv = np.linalg.svd(laurent[1], compute_uv=False)
-    cutoff = max(_RANK_RTOL * sv[0], floor)
-    rank = int(np.sum(sv > cutoff))
-    return rank, p
+    p, laurent, floor = _principal_part(fam, lam0)
+    return _rank(np.linalg.svd(laurent[1], compute_uv=False), floor), p
 
 
-def _hankel_block(fam, lam0):
-    """Block-Hankel matrix H[k, i] = A_{-(k+i+1)} (k+i < pole order).
+def _hankel_block(p, laurent):
+    """Block-Hankel matrix H[k, i] = A_{-(k+i+1)} (k+i < pole order p).
 
     Writing the residue convolution kernel as
     e^{lam0 (r-r')} sum_j A_{-j} (r-r')^{j-1}/(j-1)! and separating powers of
@@ -142,16 +159,12 @@ def _hankel_block(fam, lam0):
     of coefficient tuples (c_0, ..., c_{p-1}) in the column space of H; its
     dimension is the operator rank.
     """
-    p = pole_order(fam, lam0)
-    if p == 0:
-        return 0, None, None, 0.0
-    laurent, floor = laurent_coefficients(fam, lam0, p)
     m, n = laurent[1].shape
     h = np.zeros((p * m, p * n), dtype=complex)
     for k in range(p):
         for i in range(p - k):
             h[k * m : (k + 1) * m, i * n : (i + 1) * n] = laurent[k + i + 1]
-    return p, h, (m, n), floor
+    return h
 
 
 def residue_range_profiles(fam, lam0):
@@ -163,14 +176,14 @@ def residue_range_profiles(fam, lam0):
     tail lists (k', vector') pairs with k' < k.  The basis is graded by top
     power, so simple poles and diagonal families give pure-power profiles.
     """
-    p, h, shape, floor = _hankel_block(fam, lam0)
+    p, laurent, floor = _principal_part(fam, lam0)
     if p == 0:
         return []
-    m = shape[0]
-    u, sv, _ = np.linalg.svd(h)
-    if sv.size == 0 or sv[0] <= floor:
+    m = laurent[1].shape[0]
+    u, sv, _ = np.linalg.svd(_hankel_block(p, laurent))
+    dim = _rank(sv, floor)
+    if dim == 0:
         return []
-    dim = int(np.sum(sv > max(_RANK_RTOL * sv[0], floor)))
     q = u[:, :dim]  # orthonormal basis of the coefficient-tuple space
     profiles = []
     prev = np.zeros((q.shape[0], 0), dtype=complex)
@@ -206,16 +219,16 @@ def residue_range_profiles(fam, lam0):
     return profiles
 
 
+def _projector_rank(p, laurent, floor):
+    if p == 0:
+        return 0
+    return _rank(np.linalg.svd(_hankel_block(p, laurent), compute_uv=False), floor)
+
+
 def projector_rank(fam, lam0):
     """Rank of the residue projector as a convolution operator (counts the
     polynomial-in-r profiles as independent directions)."""
-    p, h, _, floor = _hankel_block(fam, lam0)
-    if p == 0:
-        return 0
-    sv = np.linalg.svd(h, compute_uv=False)
-    if sv.size == 0 or sv[0] <= floor:
-        return 0
-    return int(np.sum(sv > max(_RANK_RTOL * sv[0], floor)))
+    return _projector_rank(*_principal_part(fam, lam0))
 
 
 def index_jump(fam, rho_from, rho_to, root_guard=1e-9):
@@ -252,14 +265,15 @@ def root_report(fam, window):
     roots = indicial_roots(fam, window=window)
     entries = []
     for r in roots:
-        rank, p = residue_rank(fam, r.lam)
+        _check_is_root(fam, r.lam)
+        p, laurent, floor = _principal_part(fam, r.lam)
         entries.append(
             {
                 "lambda": [r.lam.real, r.lam.imag],
                 "multiplicity": r.multiplicity,
-                "residue_rank": rank,
+                "residue_rank": _rank(np.linalg.svd(laurent[1], compute_uv=False), floor),
                 "pole_order": p,
-                "projector_rank": projector_rank(fam, r.lam),
+                "projector_rank": _projector_rank(p, laurent, floor),
             }
         )
     sset = sorted({round(r.lam.real, 12) for r in roots})

@@ -2,14 +2,16 @@
 
 Configs are INI files with sections [surface], [operator], [grid],
 [tolerances] (plus the optional [xray]); unknown sections or keys are
-rejected so a config never silently drifts.  Tensor fields are dumped as a
-flat float64 binary alongside a JSON header carrying the order, grid spec
-and frame convention.
+rejected so a config never silently drifts, and every value is converted
+to its type on load.  Tensor fields are dumped as a flat float64 binary
+alongside a JSON header carrying the order, grid spec and frame
+convention.
 """
 
 import configparser
 import hashlib
 import json
+import math
 import time
 from pathlib import Path
 
@@ -20,41 +22,61 @@ from .errors import InvalidInputError
 from .operators import builtin_spec, spec_from_terms
 from .surface import FuchsianSurface, punctured_torus
 
-_ALLOWED = {
-    "surface": {"preset", "generators", "cusp_width", "max_word_len"},
-    "operator": {"name", "d", "n_out", "n_in"},  # plus term<N> keys
-    "grid": {"r_half", "n", "r_min", "r_max", "n_r", "n_theta"},
-    "tolerances": {
-        "xray",
-        "solver",
-        "weight",
-        "weight_from",
-        "weight_to",
-        "root",
-        "s",
-        "window_lo",
-        "window_hi",
+
+def _reals(text):
+    return [float(x) for x in text.split()]
+
+
+def _rows(text):
+    return [_reals(row) for row in text.split(";") if row.strip()]
+
+
+# every accepted key with the conversion of its value; [operator] also takes
+# term<N> rows (converted by _reals)
+_KEYS = {
+    "surface": {"preset": str, "generators": _rows, "cusp_width": float, "max_word_len": int},
+    "operator": {"name": str, "d": int, "n_out": int, "n_in": int},
+    "grid": {
+        "r_half": float,
+        "n": int,
+        "r_min": float,
+        "r_max": float,
+        "n_r": int,
+        "n_theta": int,
     },
-    "xray": {"mode", "seed", "class_cap", "tensor_file", "forms"},
+    "tolerances": dict.fromkeys(
+        ("xray", "weight", "weight_from", "weight_to", "root", "s", "window_lo", "window_hi"),
+        float,
+    ),
+    "xray": {"mode": str, "class_cap": int, "tensor_file": str, "forms": int},
 }
 
 
 def load_config(path):
+    """Parsed config: {section: {key: value}} with every value converted to
+    its type, so malformed numbers fail here as invalid input."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise InvalidInputError(f"malformed config {path}: {exc}") from None
     if not read:
         raise InvalidInputError(f"config file {path} not found or unreadable")
     cfg = {}
     for section in parser.sections():
-        if section not in _ALLOWED:
+        if section not in _KEYS:
             raise InvalidInputError(f"unknown config section [{section}]")
         cfg[section] = {}
         for key, value in parser.items(section):
-            if key not in _ALLOWED[section] and not (
-                section == "operator" and key.startswith("term")
-            ):
+            convert = _KEYS[section].get(key)
+            if convert is None and section == "operator" and key.startswith("term"):
+                convert = _reals
+            if convert is None:
                 raise InvalidInputError(f"unknown key {key!r} in section [{section}]")
-            cfg[section][key] = value.strip()
+            try:
+                cfg[section][key] = convert(value.strip())
+            except ValueError as exc:
+                raise InvalidInputError(f"[{section}] {key}: {exc}") from None
     return cfg
 
 
@@ -67,12 +89,10 @@ def config_digest(cfg):
 def build_surface(cfg):
     sec = cfg.get("surface", {})
     preset = sec.get("preset", "punctured-torus")
-    width = float(sec.get("cusp_width", 1.0))
+    width = sec.get("cusp_width", 1.0)
     if "generators" in sec:
-        rows = [r for r in sec["generators"].split(";") if r.strip()]
         gens = {}
-        for i, row in enumerate(rows):
-            vals = [float(x) for x in row.split()]
+        for i, vals in enumerate(sec["generators"]):
             if len(vals) != 4:
                 raise InvalidInputError("each generator row needs four reals")
             gens[chr(ord("a") + i)] = np.array(vals).reshape(2, 2)
@@ -85,29 +105,26 @@ def build_surface(cfg):
 def build_operator(cfg):
     sec = cfg.get("operator", {})
     name = sec.get("name", "sym-laplacian")
-    d = int(sec.get("d", 1))
+    d = sec.get("d", 1)
     if name != "custom":
         return builtin_spec(name, d)
-    n_out = int(sec["n_out"])
-    n_in = int(sec["n_in"])
-    rows = [v.split() for k, v in sorted(sec.items()) if k.startswith("term")]
+    if "n_out" not in sec or "n_in" not in sec:
+        raise InvalidInputError("custom operator needs n_out and n_in")
+    rows = [v for k, v in sorted(sec.items()) if k.startswith("term")]
     if not rows:
         raise InvalidInputError("custom operator needs term rows")
-    return spec_from_terms(rows, n_out, n_in)
+    return spec_from_terms(rows, sec["n_out"], sec["n_in"])
 
 
 def build_line_grid(cfg):
     sec = cfg.get("grid", {})
-    return float(sec.get("r_half", 48.0)), int(sec.get("n", 4096))
+    return sec.get("r_half", 48.0), sec.get("n", 4096)
 
 
 def build_chart_grid(cfg):
     sec = cfg.get("grid", {})
     return ChartGrid(
-        float(sec.get("r_min", -2.8)),
-        float(sec.get("r_max", 0.5)),
-        int(sec.get("n_r", 529)),
-        int(sec.get("n_theta", 256)),
+        sec.get("r_min", -2.8), sec.get("r_max", 0.5), sec.get("n_r", 529), sec.get("n_theta", 256)
     )
 
 
@@ -165,15 +182,28 @@ def save_tensor(path_base, field):
 
 
 def load_tensor(path_base):
+    """Read a tensor written by save_tensor; a header that does not match
+    the package's orders or the binary's size is invalid input."""
     from .tensorfield import _NCOMP, SymTensorField
 
     base = Path(path_base)
-    header = json.loads(base.with_suffix(".json").read_text())
-    grid = ChartGrid(header["r_min"], header["r_max"], header["n_r"], header["n_theta"])
-    comps = np.fromfile(base.with_suffix(".bin"), dtype="<f8").reshape(
-        _NCOMP[header["order"]], grid.n_r, grid.n_theta
-    )
-    return SymTensorField(grid, header["order"], comps)
+    try:
+        header = json.loads(base.with_suffix(".json").read_text())
+        data = np.fromfile(base.with_suffix(".bin"), dtype="<f8")
+        order = header["order"]
+        spec = [header[k] for k in ("r_min", "r_max", "n_r", "n_theta")]
+    except (OSError, ValueError, KeyError) as exc:  # missing file, bad JSON, missing key
+        raise InvalidInputError(f"cannot read tensor file {base}: {exc!r}") from None
+    if order not in _NCOMP:
+        raise InvalidInputError(f"tensor order {order!r} is not one of {sorted(_NCOMP)}")
+    grid = ChartGrid(*spec)
+    shape = (_NCOMP[order], grid.n_r, grid.n_theta)
+    if data.size != math.prod(shape):
+        raise InvalidInputError(
+            f"{base.with_suffix('.bin')} holds {data.size} values; "
+            f"order {order} on a {grid.n_r} x {grid.n_theta} grid needs {math.prod(shape)}"
+        )
+    return SymTensorField(grid, order, data.reshape(shape))
 
 
 class ManifestWriter:

@@ -1,3 +1,4 @@
+import configparser
 import json
 from pathlib import Path
 
@@ -235,3 +236,108 @@ def test_determinism_of_data_outputs(config, tmp_path):
     main(["lp-norm", str(config), "--out", str(lp2), "--seed", "3"])
     assert (lp1 / "lp_report.json").read_bytes() == (lp2 / "lp_report.json").read_bytes()
     assert (lp1 / "lp_blocks.csv").read_bytes() == (lp2 / "lp_blocks.csv").read_bytes()
+
+
+def _config_with(tmp_path, section, key, value):
+    """BASE_CONFIG with one key set, written to tmp_path."""
+    parser = configparser.ConfigParser()
+    parser.read_string(BASE_CONFIG)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, value)
+    path = tmp_path / f"{section}_{key}.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    return path
+
+
+@pytest.mark.parametrize("section, key", [("tolerances", "solver"), ("xray", "seed")])
+def test_keys_nothing_reads_are_rejected(tmp_path, section, key):
+    path = _config_with(tmp_path, section, key, "3")
+    assert main(["roots", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("grid", "n_r", "abc"),
+        ("operator", "d", "two"),
+        ("surface", "max_word_len", "six"),
+        ("surface", "generators", "2 1 1 x ; 2 -1 -1 1"),
+        ("tolerances", "weight_to", "1.7.0"),
+        ("xray", "class_cap", "many"),
+    ],
+)
+def test_malformed_number_is_invalid_input_naming_its_key(tmp_path, capsys, section, key, value):
+    path = _config_with(tmp_path, section, key, value)
+    assert main(["roots", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"[{section}] {key}:" in capsys.readouterr().err
+
+
+def test_malformed_custom_term_row_is_invalid_input(tmp_path):
+    path = tmp_path / "custom.ini"
+    path.write_text("[operator]\nname = custom\nn_out = 1\nn_in = 1\nterm0 = 0 one\n")
+    assert main(["roots", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_custom_operator_without_shape_is_invalid_input(tmp_path):
+    path = tmp_path / "custom.ini"
+    path.write_text("[operator]\nname = custom\nterm0 = 0 1.0\n")
+    assert main(["roots", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_duplicate_section_is_invalid_input(tmp_path):
+    path = tmp_path / "dup.ini"
+    path.write_text(BASE_CONFIG + "\n[grid]\nn = 1024\n")
+    assert main(["roots", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_bareiss_division_failure_exits_3_with_diagnostics(tmp_path):
+    # 3x3 quadratic family whose exact Bareiss division fails in floating point
+    rng = np.random.default_rng(3)
+    rng.normal(size=(3, 3, 3))
+    coeffs = rng.normal(size=(3, 3, 3))
+    rows = "".join(
+        f"term{k} = {k} " + " ".join(repr(float(x)) for x in coeffs[k].ravel()) + "\n"
+        for k in range(3)
+    )
+    path = tmp_path / "custom.ini"
+    path.write_text("[operator]\nname = custom\nn_out = 3\nn_in = 3\n" + rows)
+    out = tmp_path / "o"
+    assert main(["roots", str(path), "--out", str(out)]) == 3
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["error"] == "NumericFailureError"
+    assert "Bareiss" in failure["message"]
+    assert failure["diagnostics"]["step"] == 1
+    assert failure["diagnostics"]["remainder_ratio"] > 1e-9
+
+
+@pytest.mark.parametrize(
+    "edit", [{"order": 3}, {"n_r": 256}, {"r_min": None}], ids=["order-3", "n_r-256", "no-r_min"]
+)
+def test_tensor_header_mismatch_is_invalid_input(tmp_path, edit):
+    from cusplab.chart import ChartGrid
+    from cusplab.errors import InvalidInputError
+    from cusplab.runio import save_tensor
+    from cusplab.tensorfield import SymTensorField
+
+    save_tensor(tmp_path / "t", SymTensorField.zeros(ChartGrid(-2.8, 0.5, 257, 128), 2))
+    header = json.loads((tmp_path / "t.json").read_text())
+    # None drops the key
+    edited = {k: v for k, v in {**header, **edit}.items() if v is not None}
+    (tmp_path / "t.json").write_text(json.dumps(edited))
+    with pytest.raises(InvalidInputError):
+        load_tensor(tmp_path / "t")
+    cfg = tmp_path / "t.ini"
+    cfg.write_text(
+        BASE_CONFIG + f"\n[xray]\nmode = tensor-file\ntensor_file = {tmp_path / 't'}\nclass_cap = 2\n"
+    )
+    assert main(["xray", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_missing_tensor_file_is_invalid_input(tmp_path):
+    cfg = tmp_path / "t.ini"
+    cfg.write_text(
+        BASE_CONFIG + f"\n[xray]\nmode = tensor-file\ntensor_file = {tmp_path / 'nope'}\n"
+    )
+    assert main(["xray", str(cfg), "--out", str(tmp_path / "o")]) == 2

@@ -25,7 +25,7 @@ from cusplab.operators import (
 )
 from cusplab.paley import lp_block
 from cusplab.polymat import indicial_roots
-from cusplab.runio import build_surface
+from cusplab.runio import build_surface, load_config
 from cusplab.surface import punctured_torus, reduce_points
 from cusplab.halfplane import BoundaryGeodesic
 
@@ -104,12 +104,13 @@ def test_custom_operator_rejects_bad_rows():
         spec_from_terms([["-1", "1.0"]], 1, 1)
 
 
-def test_surface_from_explicit_generator_rows():
+def test_surface_from_explicit_generator_rows(tmp_path):
     a = TORUS.generators["a"].mat
     b = TORUS.generators["b"].mat
     rows = "; ".join(" ".join(format(x, ".17g") for x in m.ravel()) for m in (a, b))
-    cfg = {"surface": {"generators": rows, "cusp_width": "1.0"}}
-    surf = build_surface(cfg)
+    path = tmp_path / "surface.ini"
+    path.write_text(f"[surface]\ngenerators = {rows}\ncusp_width = 1.0\n")
+    surf = build_surface(load_config(path))
     comm = surf.word_matrix("abAB")
     assert abs(abs(comm.trace) - 2.0) < 1e-9
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cusplab.errors import InvalidInputError
-from cusplab.halfplane import MobiusMap, classify, hyperbolic_distance
+from cusplab.halfplane import MobiusMap, hyperbolic_distance
 from cusplab.surface import (
     ClosedGeodesic,
     canonical_class_word,
@@ -22,10 +22,10 @@ TORUS = punctured_torus()
 
 
 def test_classification_examples():
-    assert classify([[1, 1], [0, 1]]) == "parabolic"
-    assert classify([[2, 1], [1, 1]]) == "hyperbolic"
-    assert classify([[0, -1], [1, 0]]) == "elliptic"
-    assert classify([[1, 0], [0, 1]]) == "identity"
+    assert MobiusMap([[1, 1], [0, 1]]).classify() == "parabolic"
+    assert MobiusMap([[2, 1], [1, 1]]).classify() == "hyperbolic"
+    assert MobiusMap([[0, -1], [1, 0]]).classify() == "elliptic"
+    assert MobiusMap([[1, 0], [0, 1]]).classify() == "identity"
 
 
 def test_non_positive_determinant_rejected():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cusplab.errors import DegenerateOperatorError, InvalidInputError
+from cusplab.errors import DegenerateOperatorError, InvalidInputError, NumericFailureError
 from cusplab.operators import (
     divergence_spec,
     identity_spec,
@@ -44,8 +44,18 @@ def test_bareiss_determinant_matches_numeric_det():
         assert abs(direct - via_poly) <= 1e-9 * max(1.0, abs(direct))
 
 
+def test_inexact_bareiss_division_is_numeric_failure():
+    rng = np.random.default_rng(3)
+    rng.normal(size=(3, 3, 3))
+    fam = IndicialFamily(rng.normal(size=(3, 3, 3)))
+    with pytest.raises(NumericFailureError) as info:
+        fam.determinant()
+    assert info.value.diagnostics["step"] == 1
+    assert info.value.diagnostics["remainder_ratio"] > 1e-9
+
+
 def test_identically_singular_family_raises():
-    fam = IndicialFamily.from_entries([[[1.0], [1.0]], [[1.0], [1.0]]])
+    fam = IndicialFamily(np.ones((1, 2, 2)))
     with pytest.raises(DegenerateOperatorError):
         indicial_roots(fam)
 

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from cusplab.errors import InvalidInputError
+from cusplab.errors import InvalidInputError, NumericFailureError
 from cusplab.operators import (
     divergence_spec,
     indicial_family,
     sym_derivative_spec,
     sym_laplacian_spec,
 )
-from cusplab.polymat import IndicialFamily
+from cusplab import residues
+from cusplab.polymat import IndicialFamily, vanishing_order
 from cusplab.residues import (
+    _denominator,
     index_jump,
     laurent_coefficients,
     pole_order,
@@ -32,6 +34,20 @@ def jordan_family(c):
     c0 = np.array([[-c, 1.0], [0.0, -c]])
     c1 = np.eye(2)
     return IndicialFamily(np.stack([c0, c1]).astype(complex))
+
+
+def jordan3_family(c):
+    # lam - c on the diagonal, ones on the superdiagonal
+    return IndicialFamily(np.stack([-c * np.eye(3) + np.eye(3, k=1), np.eye(3)]))
+
+
+def s_diag_t_family():
+    # S diag(lam - 1/2, (lam - 1/2)(lam + 1)) T with fixed non-orthogonal S, T:
+    # a double zero of the determinant at 1/2 carrying a simple pole
+    s = np.array([[1.0, 0.4], [-0.3, 1.2]])
+    t = np.array([[0.8, 0.5], [0.2, 1.1]])
+    diag = np.stack([np.diag([-0.5, -0.5]), np.diag([1.0, 0.5]), np.diag([0.0, 1.0])])
+    return IndicialFamily(np.einsum("ij,kjl,lm->kim", s, diag, t))
 
 
 def test_simple_scalar_pole():
@@ -151,3 +167,63 @@ def test_divergence_times_derivative_jump_consistency():
     )
     for a, b in [(-1.5, 0.0), (0.0, 1.7), (-1.5, 2.5)]:
         assert index_jump(famC, a, b) == index_jump(famL, a, b)
+
+
+# (family, root, determinant vanishing order m, pole order p, residue rank,
+# projector rank), pinned to the adjugate route's pole orders
+CONTOUR_CASES = [
+    ("laplacian d=2", lambda: indicial_family(sym_laplacian_spec(2)), -1.0, 2, 1, 2, 2),
+    ("laplacian d=2", lambda: indicial_family(sym_laplacian_spec(2)), 3.0, 2, 1, 2, 2),
+    ("laplacian d=3", lambda: indicial_family(sym_laplacian_spec(3)), -1.0, 3, 1, 3, 3),
+    ("laplacian d=3", lambda: indicial_family(sym_laplacian_spec(3)), 4.0, 3, 1, 3, 3),
+    ("S diag T", s_diag_t_family, 0.5, 2, 1, 2, 2),
+    ("jordan 3x3", lambda: jordan3_family(0.2), 0.2, 3, 3, 3, 3),
+    ("derivative d=1", lambda: indicial_family(sym_derivative_spec(1)), -1.0, 2, 1, 1, 1),
+    ("derivative d=2", lambda: indicial_family(sym_derivative_spec(2)), -1.0, 4, 1, 2, 2),
+    ("derivative d=3", lambda: indicial_family(sym_derivative_spec(3)), -1.0, 6, 1, 3, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "make, lam0, m, p, rank, prank",
+    [case[1:] for case in CONTOUR_CASES],
+    ids=[f"{case[0]} at {case[2]}" for case in CONTOUR_CASES],
+)
+def test_contour_pole_order_rank_and_projector_rank(make, lam0, m, p, rank, prank):
+    fam = make()
+    assert vanishing_order(_denominator(fam), lam0) == m
+    assert pole_order(fam, lam0) == p
+    assert residue_rank(fam, lam0) == (rank, p)
+    assert projector_rank(fam, lam0) == prank
+
+
+def test_root_report_reads_one_contour_per_root(monkeypatch):
+    fam = indicial_family(sym_laplacian_spec(2))
+    calls = []
+    original = residues.laurent_coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(residues, "laurent_coefficients", counted)
+    rep = root_report(fam, (-2.0, 4.0))
+    assert len(calls) == len(rep["roots"]) == 4
+    assert [e["pole_order"] for e in rep["roots"]] == [1, 1, 1, 1]
+    assert [e["projector_rank"] for e in rep["roots"]] == [2, 1, 1, 2]
+
+
+def test_zero_of_denominator_without_principal_part_fails(monkeypatch):
+    # a zero of the denominator is always a pole; Laurent data that says
+    # otherwise is a quadrature failure, not pole order 0
+    fam = jordan3_family(0.2)
+    original = residues.laurent_coefficients
+
+    def flattened(*args, **kwargs):
+        laurent, floor = original(*args, **kwargs)
+        return {k: 0.0 * a for k, a in laurent.items()}, floor
+
+    monkeypatch.setattr(residues, "laurent_coefficients", flattened)
+    with pytest.raises(NumericFailureError) as info:
+        pole_order(fam, 0.2)
+    assert info.value.diagnostics["vanishing_order"] == 3
