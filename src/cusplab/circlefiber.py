@@ -14,6 +14,7 @@ spaces, where the derivative part is assembled exactly from monomial
 sphere integrals.
 """
 
+import functools
 import math
 from itertools import combinations_with_replacement
 
@@ -135,12 +136,12 @@ def _add_alpha(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _poly_gram(monos):
+def _poly_gram(monos, integral):
     n = len(monos)
     g = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):
-            g[i, j] = g[j, i] = _sphere_integral(_add_alpha(monos[i], monos[j]))
+            g[i, j] = g[j, i] = integral(_add_alpha(monos[i], monos[j]))
     return g
 
 
@@ -169,9 +170,8 @@ def _rotation_matrix(monos, var_a, var_b):
     return mat
 
 
-def _gradient_gram(monos, degree):
-    """Gram of the spherical gradient on homogeneous polynomials: the
-    ambient-gradient pairing minus the radial part degree^2 <P, Q>."""
+def _ambient_gram(monos, integral):
+    """Pairing of the ambient gradients of the monomials over the sphere."""
     nvars = len(monos[0])
     n = len(monos)
     amb = np.zeros((n, n))
@@ -182,9 +182,9 @@ def _gradient_gram(monos, degree):
                 di, ci = _derivative_coeffs(monos[i], var)
                 dj, cj = _derivative_coeffs(monos[j], var)
                 if di is not None and dj is not None:
-                    acc += ci * cj * _sphere_integral(_add_alpha(di, dj))
+                    acc += ci * cj * integral(_add_alpha(di, dj))
             amb[i, j] = amb[j, i] = acc
-    return amb - degree**2 * _poly_gram(monos)
+    return amb
 
 
 def gradient_indicial_roots(d, window=(-10.0, 10.0), lmax=8):
@@ -205,10 +205,14 @@ def gradient_indicial_roots(d, window=(-10.0, 10.0), lmax=8):
     nvars = d + 1
     roots = set()
     certificate = []
+    # the Gram entries of all degrees draw on few distinct exponents
+    integral = functools.cache(_sphere_integral)
     for degree in range(lmax + 1):
         monos = _monomials(nvars, degree)
-        gram = _poly_gram(monos)
-        a = _gradient_gram(monos, degree)
+        gram = _poly_gram(monos, integral)
+        # Gram of the spherical gradient: the ambient-gradient pairing minus
+        # the radial part degree^2 <P, Q>
+        a = _ambient_gram(monos, integral) - degree**2 * gram
         for ell in range(1, nvars):
             rot = _rotation_matrix(monos, 0, ell)
             a += rot.T @ gram @ rot

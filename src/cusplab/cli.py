@@ -141,12 +141,9 @@ def cmd_mode0_solve(cfg, out, args):
     except InvalidInputError:
         report["rate_right"] = report["rate_left"] = None
     header = ["r"] + [f"c{k}_{p}" for k in range(ncomp) for p in ("re", "im")]
-    rows = []
-    for i, r in enumerate(u.grid):
-        row = [float(r)]
-        for k in range(ncomp):
-            row += [float(u.samples[i, k].real), float(u.samples[i, k].imag)]
-        rows.append(row)
+    # columns r, then re and im of each component
+    parts = np.stack([u.samples.real, u.samples.imag], axis=2).reshape(len(u.grid), -1)
+    rows = np.column_stack([u.grid, parts]).tolist()
     return [
         write_csv(out / "mode0_solution.csv", header, rows),
         write_json(out / "mode0_report.json", report),
@@ -185,7 +182,9 @@ def cmd_lp_norm(cfg, out, args):
     r_half, n = build_line_grid(cfg)
     fam = random_band_limited_family(16, seed=args.seed, r_half=r_half, n=n)
     fld = fam[0]
-    value, block_norms = zygmund_norm(fld, s, return_blocks=True)
+    equivalence = norm_equivalence_report(fam, s)
+    first = equivalence["fields"][0]
+    value, block_norms = first["zygmund"], first["blocks"]
     exponent, points = interaction_decay_exponent(fld, gap=3)
     from .modezero import ModeZeroField, window_profile
     from .paley import block_decay_exponent
@@ -197,11 +196,7 @@ def cmd_lp_norm(cfg, out, args):
         "zygmund_norm": value,
         "interaction_exponent": exponent,
         "constant_block_decay_exponent": block_decay_exponent(const_blocks),
-        "equivalence": {
-            k: v
-            for k, v in norm_equivalence_report(fam, s).items()
-            if k != "fields"
-        },
+        "equivalence": {k: v for k, v in equivalence.items() if k != "fields"},
     }
     rows = [[j, float(b)] for j, b in enumerate(block_norms)]
     return [
@@ -281,11 +276,11 @@ def cmd_xray(cfg, out, args):
     else:
         raise InvalidInputError(f"unknown xray mode {mode!r}")
     rows = [
-        [r.class_word, float(r.length), float(r.value), float(r.error_estimate)]
+        [r.class_word, float(r.length), float(r.value), float(r.error_estimate), r.nodes_used]
         for r in results
     ]
     return [
-        write_csv(out / "xray.csv", ["word", "length", "value", "error"], rows),
+        write_csv(out / "xray.csv", ["word", "length", "value", "error", "nodes"], rows),
         write_json(out / "xray_summary.json", summary),
     ]
 

@@ -93,7 +93,8 @@ class ModeZeroField:
 
     def check_aliasing(self, tol, what):
         """Raise ResolutionError when more than the fraction ``tol`` of the
-        spectral energy lies within n/10 bins of the Nyquist frequency."""
+        spectral energy lies within n/10 bins of the Nyquist frequency;
+        otherwise return the spectrum checked (the samples' FFT along r)."""
         spec = np.fft.fft(self.samples, axis=0)
         n = spec.shape[0]
         band = max(n // 10, 1)
@@ -104,6 +105,7 @@ class ModeZeroField:
                 f"{what}: spectral tail fraction {tail / total:.2e} exceeds {tol}",
                 diagnostics={"tail_fraction": float(tail / total)},
             )
+        return spec
 
 
 def line_grid(r_half=48.0, n=4096):
@@ -169,11 +171,9 @@ def apply_indicial(fam, fld):
     """
     if fam.shape[1] != fld.ncomp:
         raise InvalidInputError("family/field component mismatch")
-    fld.check_aliasing(_ALIAS_TOL, "apply_indicial input")
-    xi = fld.frequencies()
-    lam = fld.weight + 1j * xi
+    what = fld.check_aliasing(_ALIAS_TOL, "apply_indicial input")
+    lam = fld.weight + 1j * fld.frequencies()
     mats = fam(lam)
-    what = np.fft.fft(fld.samples, axis=0)
     out_hat = np.einsum("kij,kj->ki", mats, what)
     out = np.fft.ifft(out_hat, axis=0)
     return ModeZeroField(fld.r0, fld.dr, out, weight=fld.weight)
@@ -199,11 +199,9 @@ def invert_on_line(fam, f, rho):
             stacklevel=2,
         )
     g = f.with_weight(rho)
-    g.check_aliasing(_ALIAS_TOL, "invert_on_line data")
-    xi = g.frequencies()
-    lam = rho + 1j * xi
+    what = g.check_aliasing(_ALIAS_TOL, "invert_on_line data")
+    lam = rho + 1j * g.frequencies()
     mats = fam(lam)
-    what = np.fft.fft(g.samples, axis=0)
     sol_hat = np.linalg.solve(mats, what[..., None])[..., 0]
     sol = np.fft.ifft(sol_hat, axis=0)
     conds = np.linalg.cond(mats)

@@ -10,6 +10,7 @@ convention.
 
 import configparser
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -149,14 +150,18 @@ def write_json(path, payload):
 
 
 def write_csv(path, header, rows):
+    """Header line, then one line per row: floats (numpy's included) as
+    "%.17g", anything else as str.  Each run of rows with the same cell
+    types is formatted by one % operation and written as it is made, so
+    no per-cell or per-line strings and no copy of the whole file are
+    built."""
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [
-            format(x, ".17g") if isinstance(x, float) else str(x) for x in row
-        ]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for kinds, run in itertools.groupby(rows, lambda row: tuple(map(type, row))):
+            run = list(run)
+            fmt = ",".join("%.17g" if issubclass(t, float) else "%s" for t in kinds) + "\n"
+            fh.write(fmt * len(run) % tuple(itertools.chain.from_iterable(run)))
     return path
 
 

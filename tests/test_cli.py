@@ -1,4 +1,5 @@
 import configparser
+import csv
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from cusplab.cli import main
-from cusplab.runio import load_tensor
+from cusplab.runio import load_tensor, write_csv
 
 BASE_CONFIG = """
 [surface]
@@ -85,9 +86,9 @@ def test_mode0_solve_subcommand(config, tmp_path):
     assert code == 0
     report = json.loads((out / "mode0_report.json").read_text())
     assert report["roundtrip_residual"] <= 1e-8
-    csv = (out / "mode0_solution.csv").read_text().splitlines()
-    assert csv[0] == "r,c0_re,c0_im,c1_re,c1_im"
-    assert len(csv) == 4097
+    lines = (out / "mode0_solution.csv").read_text().splitlines()
+    assert lines[0] == "r,c0_re,c0_im,c1_re,c1_im"
+    assert len(lines) == 4097
 
 
 def test_mode0_solve_off_zero_weight_round_trips(tmp_path):
@@ -167,10 +168,34 @@ def test_geodesics_subcommand(config, tmp_path):
 def test_xray_metric_subcommand(config, tmp_path):
     code, out = run("xray", config, tmp_path)
     assert code == 0
-    lines = (out / "xray.csv").read_text().splitlines()[1:]
-    for line in lines:
-        _, _, value, err = line.split(",")
-        assert abs(float(value) - 1.0) <= 1e-8
+    with open(out / "xray.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        assert abs(float(row["value"]) - 1.0) <= 1e-8
+        assert int(row["nodes"]) > 0
+
+
+def test_write_csv_bytes(tmp_path):
+    # floats of either kind as %.17g (nan, infinities and -0 included),
+    # everything else as str; a column may change type between rows
+    rows = [
+        ["a", 1, 0.1, np.float64(2.5), float("nan")],
+        ["b", -7, float("inf"), float("-inf"), -0.0],
+        ["c", np.int64(3), 1e-300, np.float64(-1e-300), 1 / 3],
+        ["d", 2**70, "text", np.float64(-0.0), 123456789.0],
+        [True, 0.0],
+    ]
+    path = write_csv(tmp_path / "t.csv", ["s", "i", "x", "y", "z"], rows)
+    assert path.read_bytes() == (
+        b"s,i,x,y,z\n"
+        b"a,1,0.10000000000000001,2.5,nan\n"
+        b"b,-7,inf,-inf,-0\n"
+        b"c,3,1e-300,-1e-300,0.33333333333333331\n"
+        b"d,1180591620717411303424,text,-0,123456789\n"
+        b"True,0\n"
+    )
+    assert write_csv(tmp_path / "empty.csv", ["s", "i"], []).read_bytes() == b"s,i\n"
 
 
 def test_decompose_subcommand_round_trip(config, tmp_path):

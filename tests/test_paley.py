@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from cusplab.errors import InvalidInputError
+from cusplab.errors import InvalidInputError, ResolutionError
 from cusplab.modezero import ModeZeroField, line_grid, window_profile
 from cusplab.paley import (
     ALT_PSI,
     DEFAULT_PSI,
-    DyadicMultiplier,
     block_decay_exponent,
     bracket,
+    dyadic_multipliers,
     holder_norm,
     interaction_decay_exponent,
     lp_block,
@@ -16,6 +16,7 @@ from cusplab.paley import (
     max_block_index,
     norm_equivalence_report,
     random_band_limited_family,
+    smoothstep_poly,
     sup_norm,
     zygmund_norm,
 )
@@ -40,17 +41,74 @@ def test_partition_of_unity_on_frequency_grid():
     r = r_axis()
     xi = 2 * np.pi * np.fft.fftfreq(len(r), d=r[1] - r[0])
     j_max = int(np.ceil(np.log2(bracket(xi).max()))) + 1
-    total = sum(DyadicMultiplier(j)(xi) for j in range(j_max + 1))
+    total = sum(dyadic_multipliers(xi, j_max))
     assert np.max(np.abs(total - 1.0)) <= 1e-12
 
 
 def test_multiplier_support_in_dyadic_ring():
     xi = np.linspace(-300, 300, 20001)
-    for j in range(1, 8):
-        m = DyadicMultiplier(j)(xi)
+    for j, m in enumerate(dyadic_multipliers(xi, 7)):
         br = bracket(xi)
         outside = (br < 2.0 ** (j - 1) - 1e-9) | (br > 2.0 ** (j + 1) + 1e-9)
         assert np.max(np.abs(m[outside])) == 0.0
+
+
+def _reference_block(fld, j, psi):
+    # one block at a time, the cutoff's smoothstep evaluated on every
+    # frequency: the transform each batched block must reproduce bit for bit
+    def cutoff(x):
+        return 1.0 - smoothstep_poly(np.abs(x) - 1.0, psi.degree)
+
+    br = bracket(fld.frequencies())
+    mult = cutoff(br * 2.0 ** (-j)) - cutoff(br * 2.0 ** (-j + 1))
+    return np.fft.ifft(np.fft.fft(fld.samples, axis=0) * mult[:, None], axis=0)
+
+
+@pytest.mark.parametrize("psi", [DEFAULT_PSI, ALT_PSI], ids=["psi5", "psi7"])
+@pytest.mark.parametrize(
+    "n, ncomp, weight", [(4096, 1, 0.0), (3000, 3, 0.0), (1000, 1, 0.3), (4096, 3, -0.2)]
+)
+def test_batched_blocks_equal_single_blocks_bitwise(psi, n, ncomp, weight):
+    r0, dr = line_grid(20.0, n)
+    r = r0 + dr * np.arange(n)
+    u = np.stack(
+        [np.exp(-((r / (3.0 + k)) ** 2)) * np.cos((1.5 + k) * r) for k in range(ncomp)], axis=1
+    )
+    fld = ModeZeroField(r0, dr, u, weight=weight)
+    batched = lp_blocks(fld, psi)
+    _, norms = zygmund_norm(fld, 0.5, psi, return_blocks=True)
+    assert len(batched) == len(norms) == max_block_index(fld) + 1
+    for j, block in enumerate(batched):
+        single = lp_block(fld, j, psi)
+        assert np.array_equal(single.samples, _reference_block(fld, j, psi))
+        assert np.array_equal(block.samples, single.samples)
+        assert block.weight == single.weight == weight
+        assert norms[j] == sup_norm(single)
+
+
+def test_report_rows_hold_each_fields_block_norms():
+    fam = random_band_limited_family(3, seed=2, r_half=20.0, n=1000)
+    rep = norm_equivalence_report(fam, 0.4, alt_psi=ALT_PSI)
+    for fld, row in zip(fam, rep["fields"]):
+        value, norms = zygmund_norm(fld, 0.4, return_blocks=True)
+        assert np.array_equal(row["blocks"], norms)
+        assert row["zygmund"] == value
+        assert row["zygmund_alt"] == zygmund_norm(fld, 0.4, ALT_PSI)
+
+
+def test_aliased_field_raises_from_every_block_entry_point():
+    r0, dr = line_grid(12.0, 256)
+    r = r0 + dr * np.arange(256)
+    fld = ModeZeroField(r0, dr, np.cos(0.97 * np.pi / dr * r)[:, None])
+    for call in (
+        lambda: lp_blocks(fld),
+        lambda: zygmund_norm(fld, 0.5),
+        lambda: zygmund_norm(fld, 0.5, ALT_PSI, return_blocks=True),
+        lambda: norm_equivalence_report([fld], 0.5),
+    ):
+        with pytest.raises(ResolutionError) as err:
+            call()
+        assert err.value.diagnostics["tail_fraction"] > 1e-6
 
 
 def test_blocks_sum_back_to_field():
@@ -143,8 +201,9 @@ def test_block_norms_match_multiplier_integral_oracle():
     norms = [
         sup_norm(lp_block(fld, j, check_aliasing=False)) for j in range(8)
     ]
+    mults = dyadic_multipliers(xi, 6)
     for j in range(3, 7):
-        oracle = np.sum(DyadicMultiplier(j)(xi) * spec) / n
+        oracle = np.sum(mults[j] * spec) / n
         assert abs(norms[j] - oracle) <= 1e-10 * oracle
     slope = np.polyfit(np.arange(3, 7), np.log2(norms[3:7]), 1)[0]
     assert abs(slope + 0.5) < 0.1
