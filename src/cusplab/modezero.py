@@ -15,10 +15,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInputError, InvalidWeightError, ResolutionError
-from .polymat import indicial_roots
+from .polymat import _contour_moments, indicial_roots
 from .residues import (
     _contour,
-    _contour_moments,
     meromorphic_inverse,
     pole_order,
     residue_range_profiles,

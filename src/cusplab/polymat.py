@@ -3,13 +3,21 @@
 These represent the frequency-side families of convolution operators on the
 cusp's zero Fourier mode: a differential operator whose action is a
 polynomial in y*d/dy with constant matrix coefficients becomes a matrix
-polynomial once y*d/dy is replaced by the spectral parameter.  Determinants
-use fraction-free Bareiss elimination; roots come from companion-matrix
-eigenvalues with a Newton polish.
+polynomial once y*d/dy is replaced by the spectral parameter.
+
+The zeros of a square family's determinant are the finite eigenvalues of
+its block-companion pencil (Gohberg, Lancaster and Rodman, Matrix
+Polynomials, 1982).  Eigenvalues closer than 1e-2 relative are linked into
+groups, and each group is counted by the argument principle: the moments
+s_p = (1/2 pi i) \\oint (lam - c)^p tr(P^-1 P')(lam) dlam, p = 0, 1, 2, on
+a circle around the group's centre c give the number of zeros inside (s_0),
+their mean (c + s_1/s_0) and their spread s_2/s_0 - (s_1/s_0)^2 (Delves and
+Lyness, Math. Comp. 21, 1967).  A group whose spread is not zero holds
+distinct zeros and is linked again more tightly.  The trapezoidal circle is
+the one ``residues`` uses for its Laurent data.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import math
 
@@ -17,148 +25,54 @@ import numpy as np
 
 from .errors import DegenerateOperatorError, InvalidInputError, NumericFailureError
 
-_TRIM_RTOL = 1e-12
-_CLUSTER_RADIUS = 1e-4
-_ORDER_TOL = 1e-7
-
-# ---------------------------------------------------------------------------
-# scalar polynomial helpers (ascending coefficient arrays)
-# ---------------------------------------------------------------------------
-
-
-def ptrim(c, rtol=_TRIM_RTOL):
-    c = np.atleast_1d(np.asarray(c, dtype=complex))
-    scale = np.max(np.abs(c)) if c.size else 0.0
-    if scale == 0.0:
-        return np.zeros(1, dtype=complex)
-    keep = np.nonzero(np.abs(c) > rtol * scale)[0]
-    if keep.size == 0:
-        return np.zeros(1, dtype=complex)
-    return c[: keep[-1] + 1]
+# trapezoidal nodes on every contour, and the largest contour radius
+_NODES = 64
+_RADIUS = 1e-2
+# eigenvalues this close, relative to max(1, |lam|), form one group
+_LINK = 1e-2
+# a pencil eigenvalue (alpha, beta) is infinite when |beta| <= _PENCIL_RTOL
+# |alpha|, and 0/0 (the determinant vanishes identically) when both are at
+# most _PENCIL_RTOL times the norms of their matrices
+_PENCIL_RTOL = 1e-12
+# largest distance of a zero count from an integer, and of a group's spread
+# from zero relative to the contour radius squared
+_COUNT_TOL = 1e-6
+_SPREAD_TOL = 1e-6
+# sigma_min / sigma_max at or below which a family drops rank
+_ROOT_SV_RTOL = 1e-6
 
 
-def padd(a, b):
-    n = max(len(a), len(b))
-    out = np.zeros(n, dtype=complex)
-    out[: len(a)] += a
-    out[: len(b)] += b
-    return out
+def _contour_nodes(center, rad):
+    """Trapezoidal nodes on the circle |lam - center| = rad: (angles, points)."""
+    phi = 2.0 * np.pi * np.arange(_NODES) / _NODES
+    return phi, center + rad * np.exp(1j * phi)
 
 
-def pmul(a, b):
-    return np.convolve(a, b)
+def _contour_moments(values, rad, phi, kmax):
+    """Trapezoidal (1/2 pi i) \\oint (lam - center)^(k-1) g(lam) dlam for
+    k = 1..kmax from samples g at _contour_nodes (sample axis first)."""
+    n = phi.size
+    return {
+        k: np.tensordot(np.exp(1j * k * phi) * (rad**k) / n, values, axes=(0, 0))
+        for k in range(1, kmax + 1)
+    }
 
 
-def pdivexact(a, b):
-    """Divide polynomial a by b, assuming the division is exact.
-
-    Used inside Bareiss elimination where divisibility is guaranteed
-    algebraically; a remainder above roundoff noise raises
-    NumericFailureError with the remainder ratio in its diagnostics.
-    """
-    a = ptrim(a)
-    b = ptrim(b)
-    if len(b) == 1:
-        if b[0] == 0:
-            raise ZeroDivisionError("polynomial division by zero")
-        return a / b[0]
-    q, r = np.polydiv(a[::-1], b[::-1])
-    ratio = float(np.max(np.abs(r)) / max(np.max(np.abs(a)), 1.0))
-    if ratio > 1e-9:
-        raise NumericFailureError(
-            "inexact polynomial division in Bareiss step", {"remainder_ratio": ratio}
-        )
-    return np.atleast_1d(q[::-1]).astype(complex)
+def _sv_ratio(a):
+    """sigma_min / sigma_max of the matrix a (sigma_min if a vanishes)."""
+    sv = np.linalg.svd(a, compute_uv=False)
+    return sv[-1] / (sv[0] if sv[0] > 0 else 1.0)
 
 
-def peval(c, lam):
-    """Horner evaluation, vectorized over lam."""
-    lam = np.asarray(lam)
-    out = np.zeros_like(lam, dtype=complex)
-    for ck in c[::-1]:
-        out = out * lam + ck
-    return out
-
-
-def pderiv(c, k=1):
-    c = np.asarray(c, dtype=complex)
-    for _ in range(k):
-        if len(c) == 1:
-            return np.zeros(1, dtype=complex)
-        c = c[1:] * np.arange(1, len(c))
-    return c
-
-
-def proots(c):
-    c = ptrim(c)
-    if len(c) == 1:
-        return np.array([], dtype=complex)
-    return np.roots(c[::-1])
-
-
-def vanishing_order(c, lam0, tol=_ORDER_TOL):
-    """Order of lam0 as a root of the polynomial c (0 if not a root)."""
-    c = ptrim(c)
-    scale = max(np.max(np.abs(c)) * max(1.0, abs(lam0)) ** (len(c) - 1), 1e-300)
-    for k in range(len(c)):
-        val = abs(peval(pderiv(c, k), lam0)) / math.factorial(k) if k else abs(
-            peval(c, lam0)
-        )
-        if val > tol * scale:
-            return k
-    return len(c)
-
-
-def _newton_polish(c, lam0, mult):
-    """Polish a root of multiplicity ``mult`` by Newton on the deflated
-    derivative (which has a simple root there)."""
-    p = pderiv(c, mult - 1)
-    dp = pderiv(p, 1)
-    lam = lam0
-    for _ in range(60):
-        f = peval(p, lam)
-        df = peval(dp, lam)
-        if df == 0:
-            break
-        step = f / df
-        lam = lam - step
-        if abs(step) < 1e-15 * max(1.0, abs(lam)):
-            break
-    return lam
-
-
-def cluster_roots(raw, radius=_CLUSTER_RADIUS):
-    """Group nearly-coincident roots; returns list of (center, multiplicity)."""
-    raw = sorted(raw, key=lambda z: (z.real, z.imag))
-    groups = []
-    for z in raw:
-        placed = False
-        for g in groups:
-            if abs(z - g[0] / g[1]) < radius * max(1.0, abs(z)) * 10:
-                g[0] += z
-                g[1] += 1
-                placed = True
-                break
-        if not placed:
-            groups.append([z, 1])
-    return [(g[0] / g[1], g[1]) for g in groups]
-
-
-def polished_roots(c):
-    """All roots of c with multiplicities, polished to ~1e-14."""
-    c = ptrim(c)
-    out = []
-    for center, mult in cluster_roots(proots(c)):
-        lam = _newton_polish(c, center, mult)
-        if abs(lam.imag) < 1e-11 * max(1.0, abs(lam.real)):
-            lam = complex(lam.real, 0.0)
-        out.append((lam, mult))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# matrix polynomials
-# ---------------------------------------------------------------------------
+def _link(z, tol):
+    """Single-linkage groups of the points z (index arrays): chains of steps
+    |z_i - z_j| <= tol max(1, |z_i|, |z_j|)."""
+    size = np.maximum(1.0, np.maximum.outer(np.abs(z), np.abs(z)))
+    reach = np.abs(z[:, None] - z) <= tol * size
+    # squaring the boolean relation until it settles closes it transitively
+    while not np.array_equal(reach @ reach, reach):
+        reach = reach @ reach
+    return [np.nonzero(row)[0] for row in np.unique(reach, axis=0)]
 
 
 @dataclass(frozen=True)
@@ -206,9 +120,6 @@ class IndicialFamily:
             out = out * lam[..., None, None] + ck
         return out
 
-    def entry(self, i, j):
-        return ptrim(self.coeffs[:, i, j])
-
     @staticmethod
     def identity(n):
         return IndicialFamily(np.eye(n)[None, :, :])
@@ -226,61 +137,82 @@ class IndicialFamily:
                 out[i + j] += self.coeffs[i] @ other.coeffs[j]
         return IndicialFamily(out, gram_in=other.gram_in, gram_out=self.gram_out)
 
-    def __add__(self, other):
-        if self.shape != other.shape:
-            raise InvalidInputError("shape mismatch in family sum")
-        n = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        c = np.zeros((n,) + self.shape, dtype=complex)
-        c[: self.coeffs.shape[0]] += self.coeffs
-        c[: other.coeffs.shape[0]] += other.coeffs
-        return IndicialFamily(c, gram_in=self.gram_in, gram_out=self.gram_out)
+    # -- determinant zeros ----------------------------------------------------
 
-    # -- determinant machinery ------------------------------------------------
+    def _eigenvalues(self):
+        """Finite eigenvalues of the block-companion pencil (a, b), whose
+        determinant det(lam b - a) is det(self(lam))."""
+        deg, n = self.degree, self.shape[0]
+        size = n * max(deg, 1)
+        a = np.eye(size, k=n, dtype=complex)
+        b = np.eye(size, dtype=complex)
+        a[-n:] = -np.hstack(list(self.coeffs[:-1])) if deg else -self.coeffs[0]
+        b[-n:, -n:] = self.coeffs[-1] if deg else 0.0
+        # imported on first use: ahead of tensorfield's scipy imports it made
+        # `import cusplab.cli` ~60 ms slower (of 0.55 s, 2-vCPU x86-64 VM)
+        import scipy.linalg
 
-    def _entry_table(self):
-        n, m = self.shape
-        return [[self.entry(i, j) for j in range(m)] for i in range(n)]
+        alpha, beta = scipy.linalg.eigvals(a, b, homogeneous_eigvals=True)
+        if np.any(
+            (np.abs(alpha) <= _PENCIL_RTOL * np.linalg.norm(a))
+            & (np.abs(beta) <= _PENCIL_RTOL * np.linalg.norm(b))
+        ):
+            raise DegenerateOperatorError("determinant vanishes identically")
+        finite = np.abs(beta) > _PENCIL_RTOL * np.abs(alpha)
+        return alpha[finite] / beta[finite]
+
+    def _zero_moments(self, center, rad):
+        """Moments s_0, s_1, s_2 of tr(self^-1 self') on the circle of
+        radius rad around center (see the module docstring)."""
+        phi, lam = _contour_nodes(center, rad)
+        deriv = IndicialFamily(self.coeffs[1:] * np.arange(1, self.degree + 1)[:, None, None])
+        trace = np.trace(np.linalg.solve(self(lam), deriv(lam)), axis1=-2, axis2=-1)
+        s = _contour_moments(trace, rad, phi, 3)
+        return complex(s[1]), complex(s[2]), complex(s[3])
 
     def determinant(self):
-        """Determinant polynomial via fraction-free Bareiss elimination."""
+        """Zeros of det(self(lam)) with their orders, [(lam, order), ...]
+        sorted by (real, imaginary) part: the factored determinant
+        polynomial without its constant factor."""
         if not self.is_square:
             raise InvalidInputError("determinant requires a square family")
-        n = self.shape[0]
-        a = self._entry_table()
-        sign = 1.0
-        prev = np.ones(1, dtype=complex)
-        for k in range(n - 1):
-            if np.max(np.abs(a[k][k])) == 0.0:
-                pivot = next(
-                    (r for r in range(k + 1, n) if np.max(np.abs(a[r][k])) > 0), None
+        eig = self._eigenvalues()
+        zeros = []
+        work = [(group, _LINK) for group in _link(eig, _LINK)]
+        while work:
+            group, tol = work.pop()
+            center = np.mean(eig[group])
+            rest = np.delete(eig, group)
+            rad = min(_RADIUS, np.min(np.abs(rest - center), initial=np.inf) / 3.0)
+            s0, s1, s2 = self._zero_moments(center, rad)
+            count = round(s0.real)
+            diagnostics = {
+                "eigenvalues": [complex(z) for z in eig[group]],
+                "count": complex(s0),
+                "radius": rad,
+            }
+            if abs(s0 - count) > _COUNT_TOL:
+                raise NumericFailureError("non-integer zero count on a contour", diagnostics)
+            if count and abs(s2 / s0 - (s1 / s0) ** 2) > _SPREAD_TOL * rad**2:
+                # distinct zeros inside the contour: link the group tighter
+                if tol < np.finfo(float).eps:
+                    raise NumericFailureError("cannot separate the zeros of a group", diagnostics)
+                work += [(group[sub], tol / 10.0) for sub in _link(eig[group], tol / 10.0)]
+                continue
+            if count != group.size:
+                raise NumericFailureError(
+                    "zero count disagrees with the pencil's eigenvalues", diagnostics
                 )
-                if pivot is None:
-                    return np.zeros(1, dtype=complex)
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = padd(pmul(a[k][k], a[i][j]), -pmul(a[i][k], a[k][j]))
-                    try:
-                        a[i][j] = pdivexact(num, prev)
-                    except NumericFailureError as exc:
-                        exc.diagnostics["step"] = k
-                        raise
-                a[i][k] = np.zeros(1, dtype=complex)
-            prev = ptrim(a[k][k])
-        return ptrim(sign * a[n - 1][n - 1])
+            lam = complex(center + s1 / s0)
+            if abs(lam.imag) < 1e-11 * max(1.0, abs(lam.real)):
+                lam = complex(lam.real, 0.0)
+            zeros.append((lam, count))
+        return sorted(zeros, key=lambda z: (z[0].real, z[0].imag))
 
-    def maximal_minors(self):
-        """Determinants of all maximal square submatrices (tall case: row
-        subsets of size ncols)."""
-        n, m = self.shape
-        if n < m:
-            raise InvalidInputError("maximal minors implemented for tall families")
-        out = []
-        for rows in combinations(range(n), m):
-            sub = IndicialFamily(self.coeffs[:, rows, :])
-            out.append(sub.determinant())
-        return out
+
+def transpose_family(fam):
+    """Plain (non-conjugated) transpose, analytic in the parameter."""
+    return IndicialFamily(np.swapaxes(fam.coeffs, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -291,75 +223,38 @@ class IndicialRoot:
     multiplicity: int
 
 
-def _family_newton_polish(fam, lam0, mult):
-    """Refine a determinant root directly on the evaluated family.
-
-    Newton's update for det(fam(lam)) uses the logarithmic derivative
-    tr(fam(lam)^{-1} fam'(lam)), which stays well-conditioned near the root
-    and is independent of the elimination-produced determinant
-    coefficients (whose roundoff limits the companion roots to ~1e-12).
-    """
-    dcoeffs = fam.coeffs[1:] * np.arange(1, fam.coeffs.shape[0])[:, None, None]
-    lam = lam0
-    for _ in range(80):
-        a = fam(lam)
-        da = np.zeros_like(a)
-        for k in range(dcoeffs.shape[0] - 1, -1, -1):
-            da = da * lam + dcoeffs[k]
-        try:
-            trace = np.trace(np.linalg.solve(a, da))
-        except np.linalg.LinAlgError:
-            break
-        if trace == 0:
-            break
-        step = mult / trace
-        lam = lam - step
-        if abs(step) < 1e-15 * max(1.0, abs(lam)):
-            break
-    if abs(lam - lam0) > 1e-6 * max(1.0, abs(lam0)):
-        return lam0  # diverged; keep the companion estimate
-    if abs(lam.imag) < 1e-11 * max(1.0, abs(lam.real)):
-        lam = complex(lam.real, 0.0)
-    return lam
-
-
 def indicial_roots(fam, window=None):
     """All roots of the family with real part in ``window``.
 
-    Square families: zeros of the Bareiss determinant, refined by Newton on
-    the evaluated family.  Tall families (overdetermined operators): points
-    where every maximal minor vanishes, with multiplicity the minimum
-    vanishing order across minors.
+    Square families: the zeros of the determinant with their orders.  Tall
+    families (overdetermined operators): the zeros of det(A^T A) (plain
+    transpose) at which A itself drops rank, with half their order; the
+    other zeros of det(A^T A) come from cancellation among the squared
+    maximal minors (Cauchy-Binet), not from A.
     """
+    n, m = fam.shape
+    if n < m:
+        raise InvalidInputError("roots are defined for square and tall families")
     if fam.is_square:
-        det = fam.determinant()
-        if len(det) == 1 and det[0] == 0:
-            raise DegenerateOperatorError("determinant vanishes identically")
-        roots = [
-            IndicialRoot(_family_newton_polish(fam, lam, m), m)
-            for lam, m in polished_roots(det)
-        ]
+        roots = [IndicialRoot(lam, k) for lam, k in fam.determinant()]
     else:
-        minors = [m for m in fam.maximal_minors()]
-        nonzero = [m for m in minors if not (len(m) == 1 and m[0] == 0)]
-        if not nonzero:
-            raise DegenerateOperatorError("all maximal minors vanish identically")
-        candidates = {}
-        for m in nonzero:
-            for lam, _ in polished_roots(m):
-                key = (round(lam.real, 9), round(lam.imag, 9))
-                candidates.setdefault(key, lam)
+        normal = transpose_family(fam).compose(fam)
         roots = []
-        for lam in candidates.values():
-            mult = min(vanishing_order(m, lam) for m in nonzero)
-            if mult >= 1:
-                roots.append(IndicialRoot(lam, mult))
+        for lam, k in normal.determinant():
+            if _sv_ratio(fam(lam)) > _ROOT_SV_RTOL:
+                continue
+            if k % 2:
+                raise NumericFailureError(
+                    "odd zero order of det(A^T A) at a rank drop of A",
+                    {"lambda": lam, "order": k},
+                )
+            roots.append(IndicialRoot(lam, k // 2))
     if window is not None:
         lo, hi = window
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise InvalidInputError("root search window must be finite")
         roots = [r for r in roots if lo <= r.lam.real <= hi]
-    return sorted(roots, key=lambda r: (r.lam.real, r.lam.imag))
+    return roots
 
 
 def adjoint_family(fam, d):

@@ -1,17 +1,18 @@
 """Residues of inverse indicial families and Fredholm index bookkeeping.
 
-The inverse of a matrix polynomial is meromorphic; at each root the residue
-(and deeper Laurent coefficients) are recovered by trapezoidal contour
-quadrature on a small circle, which is exact up to aliasing at the level of
-machine precision.  Overdetermined (tall) families use the analytic left
-inverse (A^T A)^{-1} A^T built with the plain transpose, so meromorphy in
-the spectral parameter is preserved.
+The inverse of a matrix polynomial is meromorphic, with its poles at the
+zeros of the denominator: det A, or det(A^T A) for overdetermined (tall)
+families, whose analytic left inverse (A^T A)^{-1} A^T is built with the
+plain transpose so that meromorphy in the spectral parameter is preserved.
+``IndicialFamily.determinant`` lists those zeros with their orders, and
+that one list gives each root's order m and its contour radius: the largest
+up to 1e-2 that keeps the other zeros three radii away.
 
-Every residue quantity at a root comes from one contour.  The vanishing
-order m of the determinant of A (of A^T A for tall families) bounds the
-pole order, so the contour returns A_{-1}..A_{-m} with its roundoff floor.
-The pole order p is the largest k whose A_{-k} lies above the floor scaled
-by radius^(k-1), the factor by which the quadrature's roundoff in A_{-k}
+Every residue quantity at a root comes from one trapezoidal contour, the
+quadrature that also counts the zeros.  The order m bounds the pole order,
+so the contour returns A_{-1}..A_{-m} with its roundoff floor.  The pole
+order p is the largest k whose A_{-k} lies above the floor scaled by
+radius^(k-1), the factor by which the quadrature's roundoff in A_{-k}
 shrinks with k: the order of a pole of the inverse is its largest partial
 multiplicity, the index of the last nonzero principal-part coefficient
 (Gohberg, Lancaster and Rodman, Matrix Polynomials, 1982).
@@ -21,20 +22,21 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
 from .polymat import (
+    _RADIUS,
+    _ROOT_SV_RTOL,
     IndicialFamily,
+    _contour_moments,
+    _contour_nodes,
+    _sv_ratio,
     indicial_roots,
-    polished_roots,
-    vanishing_order,
+    transpose_family,
 )
 
 _RANK_RTOL = 1e-8
-_DEFAULT_RADIUS = 1e-2
-_DEFAULT_NODES = 64
-
-
-def transpose_family(fam):
-    """Plain (non-conjugated) transpose, analytic in the parameter."""
-    return IndicialFamily(np.swapaxes(fam.coeffs, 1, 2))
+# zeros of the denominator this close to a point are that point itself
+_SAME_ZERO = 1e-6
+# index_jump refuses weight endpoints this close to a root line
+_ROOT_GUARD = 1e-9
 
 
 def meromorphic_inverse(fam):
@@ -52,39 +54,32 @@ def meromorphic_inverse(fam):
 
 
 def _denominator(fam):
-    """Determinant polynomial whose zeros carry all poles of the
-    meromorphic (left-)inverse."""
+    """Zeros, with their orders, of the determinant whose zeros carry all
+    poles of the meromorphic (left-)inverse: det A, or det(A^T A) for tall
+    families."""
     if fam.is_square:
         return fam.determinant()
-    famN = transpose_family(fam).compose(fam)
-    return famN.determinant()
+    return transpose_family(fam).compose(fam).determinant()
 
 
-def _contour_radius(den, lam0):
-    """Largest radius up to _DEFAULT_RADIUS that keeps the other zeros of
-    the denominator polynomial den at least three radii from lam0."""
-    others = [abs(lam - lam0) for lam, _ in polished_roots(den) if abs(lam - lam0) > 1e-6]
-    gap = min(others) if others else 1.0
-    return min(_DEFAULT_RADIUS, gap / 3.0)
+def _order_and_radius(fam, lam0):
+    """Order m of lam0 as a zero of the denominator, and the largest contour
+    radius up to _RADIUS that keeps the denominator's other zeros at least
+    three radii from lam0."""
+    m, gap = 0, np.inf
+    for lam, order in _denominator(fam):
+        if abs(lam - lam0) <= _SAME_ZERO:
+            m += order
+        else:
+            gap = min(gap, abs(lam - lam0))
+    return m, min(_RADIUS, gap / 3.0)
 
 
 def _contour(fam, lam0, radius):
-    """Quadrature circle around lam0: (radius, angles, points), with
-    _DEFAULT_NODES equispaced nodes; a radius of None picks
-    _contour_radius."""
-    rad = _contour_radius(_denominator(fam), lam0) if radius is None else radius
-    phi = 2.0 * np.pi * np.arange(_DEFAULT_NODES) / _DEFAULT_NODES
-    return rad, phi, lam0 + rad * np.exp(1j * phi)
-
-
-def _contour_moments(values, rad, phi, kmax):
-    """Trapezoidal (1/2 pi i) \\oint (lam - lam0)^(k-1) g(lam) dlam for
-    k = 1..kmax from samples g on the circle (sample axis first)."""
-    n = phi.size
-    return {
-        k: np.tensordot(np.exp(1j * k * phi) * (rad**k) / n, values, axes=(0, 0))
-        for k in range(1, kmax + 1)
-    }
+    """Quadrature circle around lam0: (radius, angles, points); a radius of
+    None picks the one of _order_and_radius."""
+    rad = _order_and_radius(fam, lam0)[1] if radius is None else radius
+    return (rad,) + _contour_nodes(lam0, rad)
 
 
 def laurent_coefficients(fam, lam0, kmax, radius=None):
@@ -103,9 +98,7 @@ def _principal_part(fam, lam0):
     """(p, {k: A_-k for k = 1..max(m, 1)}, floor) at lam0 from one contour,
     where m is the vanishing order of the denominator and p the pole order
     (see the module docstring)."""
-    den = _denominator(fam)
-    m = vanishing_order(den, lam0)
-    rad = _contour_radius(den, lam0)
+    m, rad = _order_and_radius(fam, lam0)
     laurent, floor = laurent_coefficients(fam, lam0, max(m, 1), radius=rad)
     p = max(
         (k for k in range(1, m + 1) if np.linalg.norm(laurent[k], 2) > floor * rad ** (k - 1)),
@@ -134,12 +127,10 @@ def _rank(sv, floor):
 
 
 def _check_is_root(fam, lam0):
-    a = fam(lam0)
-    sv = np.linalg.svd(a, compute_uv=False)
-    scale = sv[0] if sv[0] > 0 else 1.0
-    if sv[-1] > 1e-6 * scale:
+    ratio = _sv_ratio(fam(lam0))
+    if ratio > _ROOT_SV_RTOL:
         raise InvalidInputError(
-            f"{lam0} is not an indicial root (sigma_min/sigma_max = {sv[-1] / scale:.2e})"
+            f"{lam0} is not an indicial root (sigma_min/sigma_max = {ratio:.2e})"
         )
 
 
@@ -231,7 +222,7 @@ def projector_rank(fam, lam0):
     return _projector_rank(*_principal_part(fam, lam0))
 
 
-def index_jump(fam, rho_from, rho_to, root_guard=1e-9):
+def index_jump(fam, rho_from, rho_to):
     """Change of Fredholm index between two weight lines.
 
     Weights are in the y^rho convention on the zero mode (the same axis on
@@ -241,14 +232,14 @@ def index_jump(fam, rho_from, rho_to, root_guard=1e-9):
     signed sum of residue-projector ranks over roots whose real part lies
     strictly between the two lines.
     """
-    if isinstance(fam, tuple) or not isinstance(fam, IndicialFamily):
+    if not isinstance(fam, IndicialFamily):
         raise InvalidInputError("index_jump expects an IndicialFamily")
     lo, hi = sorted((rho_from, rho_to))
     sign = 1 if rho_to >= rho_from else -1
     span = max(abs(hi), abs(lo), 1.0) + 1.0
     roots = indicial_roots(fam, window=(-span - 1, span + 1))
     for r in roots:
-        if abs(r.lam.real - rho_from) < root_guard or abs(r.lam.real - rho_to) < root_guard:
+        if abs(r.lam.real - rho_from) < _ROOT_GUARD or abs(r.lam.real - rho_to) < _ROOT_GUARD:
             raise InvalidInputError(
                 f"weight endpoint sits on the root line Re = {r.lam.real:.12g}"
             )

@@ -9,12 +9,7 @@ from cusplab.operators import (
     sym_derivative_spec,
     sym_laplacian_spec,
 )
-from cusplab.polymat import (
-    IndicialFamily,
-    adjoint_family,
-    indicial_roots,
-    polished_roots,
-)
+from cusplab.polymat import IndicialFamily, adjoint_family, indicial_roots
 from cusplab.residues import root_report
 
 RNG = np.random.default_rng(20240811)
@@ -25,39 +20,102 @@ def laplacian_root_set(d):
     return sorted([-1.0, float(d + 1), d / 2.0 - half, d / 2.0 + half])
 
 
-# ---------------------------------------------------------------------------
-# determinant against a pointwise numeric oracle
-# ---------------------------------------------------------------------------
-
-
-def test_bareiss_determinant_matches_numeric_det():
-    # random degree-2 square family; oracle: numpy det at sample points
-    coeffs = RNG.normal(size=(3, 4, 4))
-    fam = IndicialFamily(coeffs)
-    det = fam.determinant()
-    lams = RNG.normal(size=7) + 1j * RNG.normal(size=7)
-    from cusplab.polymat import peval
-
-    for lam in lams:
-        direct = np.linalg.det(fam(lam))
-        via_poly = peval(det, lam)
-        assert abs(direct - via_poly) <= 1e-9 * max(1.0, abs(direct))
-
-
-def test_inexact_bareiss_division_is_numeric_failure():
+def rng3_quadratic():
+    # the second default_rng(3) 3x3 quadratic: fraction-free elimination of
+    # its determinant polynomial loses exactness in floating point
     rng = np.random.default_rng(3)
     rng.normal(size=(3, 3, 3))
-    fam = IndicialFamily(rng.normal(size=(3, 3, 3)))
-    with pytest.raises(NumericFailureError) as info:
+    return IndicialFamily(rng.normal(size=(3, 3, 3)))
+
+
+def jordan_family(k, c):
+    # lam - c on the diagonal, ones on the superdiagonal
+    return IndicialFamily(np.stack([-c * np.eye(k) + np.eye(k, k=1), np.eye(k)]))
+
+
+def sv_ratio(a):
+    sv = np.linalg.svd(a, compute_uv=False)
+    return sv[-1] / sv[0]
+
+
+# ---------------------------------------------------------------------------
+# determinant zeros against a pointwise numeric oracle
+# ---------------------------------------------------------------------------
+
+
+def test_determinant_zeros_factor_numeric_det():
+    # oracle: numpy det at sample points divided by prod (lam - lam_i)^m_i
+    # is the determinant's constant factor, the same at every point
+    for fam in (IndicialFamily(RNG.normal(size=(3, 4, 4))), rng3_quadratic()):
+        zeros = fam.determinant()
+        assert sum(m for _, m in zeros) == fam.degree * fam.shape[0]
+        lams = RNG.normal(size=7) + 1j * RNG.normal(size=7)
+        consts = [
+            np.linalg.det(fam(lam)) / np.prod([(lam - z) ** m for z, m in zeros])
+            for lam in lams
+        ]
+        assert np.allclose(consts, consts[0], rtol=1e-9, atol=0.0)
+
+
+def test_generic_quadratic_roots_are_rank_drops():
+    fam = rng3_quadratic()
+    roots = indicial_roots(fam)
+    assert len(roots) == 6
+    assert max(sv_ratio(fam(r.lam)) for r in roots) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_jordan_block_is_one_root_of_full_multiplicity(k):
+    roots = indicial_roots(jordan_family(k, 0.2))
+    assert len(roots) == 1
+    assert roots[0].multiplicity == k
+    assert abs(roots[0].lam - 0.2) < 1e-12
+
+
+def test_close_simple_roots_are_split():
+    # 4.8e-3 apart: one contour of radius 1e-2 holds both
+    fam = IndicialFamily(np.stack([np.diag([-0.5, -0.5048]), np.eye(2)]))
+    roots = indicial_roots(fam)
+    assert [r.multiplicity for r in roots] == [1, 1]
+    assert abs(roots[0].lam - 0.5) < 1e-12
+    assert abs(roots[1].lam - 0.5048) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "moments, message",
+    [((2.5, 0.0, 0.0), "non-integer"), ((2.0, 0.0, 0.0), "disagrees")],
+    ids=["non-integer", "size-mismatch"],
+)
+def test_bad_zero_count_is_numeric_failure(monkeypatch, moments, message):
+    # a scalar (lam - 0.3): one eigenvalue, whose contour is made to count
+    # a fraction, or two zeros
+    fam = IndicialFamily(np.array([-0.3, 1.0]).reshape(2, 1, 1))
+    monkeypatch.setattr(IndicialFamily, "_zero_moments", lambda self, c, rad: moments)
+    with pytest.raises(NumericFailureError, match=message) as info:
         fam.determinant()
-    assert info.value.diagnostics["step"] == 1
-    assert info.value.diagnostics["remainder_ratio"] > 1e-9
+    assert info.value.diagnostics["eigenvalues"] == [pytest.approx(0.3)]
+    assert info.value.diagnostics["count"] == moments[0]
 
 
 def test_identically_singular_family_raises():
     fam = IndicialFamily(np.ones((1, 2, 2)))
     with pytest.raises(DegenerateOperatorError):
         indicial_roots(fam)
+
+
+def test_wide_family_is_invalid_input():
+    fam = IndicialFamily(RNG.normal(size=(2, 2, 3)))
+    with pytest.raises(InvalidInputError):
+        indicial_roots(fam)
+
+
+def test_odd_order_at_tall_rank_drop_is_numeric_failure(monkeypatch):
+    # a rank drop of A is a zero of det(A^T A) of even order
+    fam = indicial_family(sym_derivative_spec(1))
+    monkeypatch.setattr(IndicialFamily, "determinant", lambda self: [(-1.0 + 0j, 3)])
+    with pytest.raises(NumericFailureError) as info:
+        indicial_roots(fam)
+    assert info.value.diagnostics["order"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +256,7 @@ def test_adjoint_identity_is_identity():
 
 def test_root_polish_handles_high_multiplicity():
     # (lam+1)^3 as a scalar family; companion roots alone scatter ~1e-5
-    c = np.array([1.0, 3.0, 3.0, 1.0], dtype=complex)
-    roots = polished_roots(c)
+    roots = indicial_roots(IndicialFamily(np.array([1.0, 3.0, 3.0, 1.0]).reshape(4, 1, 1)))
     assert len(roots) == 1
-    lam, mult = roots[0]
-    assert mult == 3
-    assert abs(lam + 1.0) < 1e-10
+    assert roots[0].multiplicity == 3
+    assert abs(roots[0].lam + 1.0) < 1e-10

@@ -9,8 +9,9 @@ from cusplab.operators import (
     sym_laplacian_spec,
 )
 from cusplab import residues
-from cusplab.polymat import IndicialFamily, vanishing_order
+from cusplab.polymat import IndicialFamily
 from cusplab.residues import (
+    _contour,
     _denominator,
     index_jump,
     laurent_coefficients,
@@ -191,10 +192,24 @@ CONTOUR_CASES = [
 )
 def test_contour_pole_order_rank_and_projector_rank(make, lam0, m, p, rank, prank):
     fam = make()
-    assert vanishing_order(_denominator(fam), lam0) == m
+    assert [k for lam, k in _denominator(fam) if abs(lam - lam0) < 1e-6] == [m]
     assert pole_order(fam, lam0) == p
     assert residue_rank(fam, lam0) == (rank, p)
     assert projector_rank(fam, lam0) == prank
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_jordan_block_pole_order_is_block_size(k):
+    fam = IndicialFamily(np.stack([-0.2 * np.eye(k) + np.eye(k, k=1), np.eye(k)]))
+    assert _denominator(fam) == [(pytest.approx(0.2, abs=1e-12), k)]
+    assert pole_order(fam, 0.2) == k
+
+
+def test_tall_derivative_contour_keeps_full_radius():
+    # det(A^T A) has a 6-fold zero at -1 and its other zeros at +-i sqrt(3),
+    # so nothing forces the contour below its 1e-2 cap
+    fam = indicial_family(sym_derivative_spec(3))
+    assert _contour(fam, -1.0, None)[0] == 1e-2
 
 
 def test_root_report_reads_one_contour_per_root(monkeypatch):
