@@ -358,7 +358,7 @@ def criterion_12_littlewood_paley():
     total = sum(dyadic_multipliers(xi, j_max))
     partition_err = float(np.max(np.abs(total - 1.0)))
     fam = random_band_limited_family(50, seed=7)
-    fitted, _ = interaction_decay_exponent(fam[0], gap=3)
+    fitted, _ = interaction_decay_exponent(fam[0])
     rep_full = norm_equivalence_report(fam, 0.5, alt_psi=ALT_PSI)
     # the half family's interval, from the first 25 of the full family's rows
     half = np.array([row["ratio"] for row in rep_full["fields"][:25]])

@@ -185,7 +185,7 @@ def cmd_lp_norm(cfg, out, args):
     equivalence = norm_equivalence_report(fam, s)
     first = equivalence["fields"][0]
     value, block_norms = first["zygmund"], first["blocks"]
-    exponent, points = interaction_decay_exponent(fld, gap=3)
+    exponent, points = interaction_decay_exponent(fld)
     from .modezero import ModeZeroField, window_profile
     from .paley import block_decay_exponent
 

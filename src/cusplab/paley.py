@@ -20,6 +20,8 @@ from .modezero import ModeZeroField, window_profile
 _ALIAS_TOL = 1e-6
 # largest zero-mode distance |r - r'| of the pairs in the Hoelder seminorm
 _HOLDER_DISTANCE_CAP = 2.0
+# block offset j - k of the interaction pairs (B_j, B_k)
+_INTERACTION_GAP = 3
 
 
 # ---------------------------------------------------------------------------
@@ -163,23 +165,22 @@ def holder_norm(fld, s):
 # ---------------------------------------------------------------------------
 
 
-def interaction_decay_exponent(fld, gap=3, psi=DEFAULT_PSI, floor=1e-14):
+def interaction_decay_exponent(fld, psi=DEFAULT_PSI, floor=1e-14):
     """Fitted exponent N with ||B_j W B_k u|| ~ 2^{-N max(j,k)} along the
-    off-diagonal j = k + gap, where W is the cusp window.  For gap >= 2 the
-    bare multipliers are disjoint, so what remains measures the spectral
-    spreading induced by the window (the zero-mode shadow of the
-    off-diagonal block interaction)."""
+    off-diagonal j = k + _INTERACTION_GAP, where W is the cusp window.  The
+    bare multipliers of those pairs are disjoint, so what remains measures
+    the spectral spreading induced by the window (the zero-mode shadow of
+    the off-diagonal block interaction)."""
+    gap = _INTERACTION_GAP
     j_max = max_block_index(fld)
     scale = sup_norm(fld)
     table = _field_multipliers(fld, psi)
     spec = fld.check_aliasing(_ALIAS_TOL, "dyadic block input")
     # W B_k u for k = 0..j_max - gap, then B_{k + gap} of each
-    mid = _apply(spec, table[: j_max - gap + 1]) * window_profile(fld.grid)[:, None]
+    mid = _apply(spec, table[: max(j_max - gap + 1, 0)]) * window_profile(fld.grid)[:, None]
     pairs = np.fft.ifft(table[gap:, :, None] * np.fft.fft(mid, axis=1), axis=1)
-    points = []
-    for k, val in enumerate(np.max(np.abs(pairs), axis=(1, 2))):
-        if val > floor * scale:
-            points.append((k + gap, np.log2(val)))
+    peaks = np.max(np.abs(pairs), axis=(1, 2))
+    points = [(k + gap, np.log2(val)) for k, val in enumerate(peaks) if val > floor * scale]
     if len(points) < 3:
         raise InvalidInputError("not enough interaction points above the floor")
     xs = np.array([p[0] for p in points])

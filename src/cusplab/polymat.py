@@ -9,12 +9,14 @@ The zeros of a square family's determinant are the finite eigenvalues of
 its block-companion pencil (Gohberg, Lancaster and Rodman, Matrix
 Polynomials, 1982).  Eigenvalues closer than 1e-2 relative are linked into
 groups, and each group is counted by the argument principle: the moments
-s_p = (1/2 pi i) \\oint (lam - c)^p tr(P^-1 P')(lam) dlam, p = 0, 1, 2, on
-a circle around the group's centre c give the number of zeros inside (s_0),
-their mean (c + s_1/s_0) and their spread s_2/s_0 - (s_1/s_0)^2 (Delves and
-Lyness, Math. Comp. 21, 1967).  A group whose spread is not zero holds
-distinct zeros and is linked again more tightly.  The trapezoidal circle is
-the one ``residues`` uses for its Laurent data.
+s_p = (1/2 pi i) \\oint (lam - c)^p tr(P^-1 P')(lam) dlam, p = 0..k, on a
+circle around the group's centre c are the power sums of the zeros inside
+(Delves and Lyness, Math. Comp. 21, 1967).  s_0 counts them and c +
+s_1/s_0 is their mean; when the count equals the group's size k and every
+central power sum of order 2..k vanishes, the group is one zero of order
+k (Newton's identities).  Otherwise the contour misses part of the group
+or holds distinct zeros, and the group is linked again more tightly.  The
+trapezoidal circle is the one ``residues`` uses for its Laurent data.
 """
 
 from dataclasses import dataclass, field
@@ -31,11 +33,12 @@ _RADIUS = 1e-2
 # eigenvalues this close, relative to max(1, |lam|), form one group
 _LINK = 1e-2
 # a pencil eigenvalue (alpha, beta) is infinite when |beta| <= _PENCIL_RTOL
-# |alpha|, and 0/0 (the determinant vanishes identically) when both are at
-# most _PENCIL_RTOL times the norms of their matrices
+# |alpha|; a family singular to _PENCIL_RTOL at both _GENERIC points is
+# singular everywhere
 _PENCIL_RTOL = 1e-12
-# largest distance of a zero count from an integer, and of a group's spread
-# from zero relative to the contour radius squared
+_GENERIC = np.exp(1j * np.array([1.0, 2.0]))
+# largest distance of a zero count from an integer, and of a group's
+# central power sums from zero (see _one_zero)
 _COUNT_TOL = 1e-6
 _SPREAD_TOL = 1e-6
 # sigma_min / sigma_max at or below which a family drops rank
@@ -120,10 +123,6 @@ class IndicialFamily:
             out = out * lam[..., None, None] + ck
         return out
 
-    @staticmethod
-    def identity(n):
-        return IndicialFamily(np.eye(n)[None, :, :])
-
     def compose(self, other):
         """Matrix product of families: (self @ other)(lam) = self(lam) other(lam)."""
         if self.shape[1] != other.shape[0]:
@@ -142,6 +141,8 @@ class IndicialFamily:
     def _eigenvalues(self):
         """Finite eigenvalues of the block-companion pencil (a, b), whose
         determinant det(lam b - a) is det(self(lam))."""
+        if all(_sv_ratio(self(lam)) <= _PENCIL_RTOL for lam in _GENERIC):
+            raise DegenerateOperatorError("determinant vanishes identically")
         deg, n = self.degree, self.shape[0]
         size = n * max(deg, 1)
         a = np.eye(size, k=n, dtype=complex)
@@ -153,22 +154,18 @@ class IndicialFamily:
         import scipy.linalg
 
         alpha, beta = scipy.linalg.eigvals(a, b, homogeneous_eigvals=True)
-        if np.any(
-            (np.abs(alpha) <= _PENCIL_RTOL * np.linalg.norm(a))
-            & (np.abs(beta) <= _PENCIL_RTOL * np.linalg.norm(b))
-        ):
-            raise DegenerateOperatorError("determinant vanishes identically")
         finite = np.abs(beta) > _PENCIL_RTOL * np.abs(alpha)
         return alpha[finite] / beta[finite]
 
-    def _zero_moments(self, center, rad):
-        """Moments s_0, s_1, s_2 of tr(self^-1 self') on the circle of
-        radius rad around center (see the module docstring)."""
+    def _zero_moments(self, center, rad, kmax):
+        """Power sums t_p, p = 0..kmax-1, of the zeros inside the circle of
+        radius rad around center, taken about center in units of rad:
+        (1/2 pi i) \\oint ((lam - center)/rad)^p tr(self^-1 self') dlam."""
         phi, lam = _contour_nodes(center, rad)
         deriv = IndicialFamily(self.coeffs[1:] * np.arange(1, self.degree + 1)[:, None, None])
         trace = np.trace(np.linalg.solve(self(lam), deriv(lam)), axis1=-2, axis2=-1)
-        s = _contour_moments(trace, rad, phi, 3)
-        return complex(s[1]), complex(s[2]), complex(s[3])
+        s = _contour_moments(trace, rad, phi, kmax)
+        return np.array([s[p + 1] / rad**p for p in range(kmax)])
 
     def determinant(self):
         """Zeros of det(self(lam)) with their orders, [(lam, order), ...]
@@ -184,35 +181,52 @@ class IndicialFamily:
             center = np.mean(eig[group])
             rest = np.delete(eig, group)
             rad = min(_RADIUS, np.min(np.abs(rest - center), initial=np.inf) / 3.0)
-            s0, s1, s2 = self._zero_moments(center, rad)
-            count = round(s0.real)
+            t = self._zero_moments(center, rad, group.size + 1)
+            count = round(t[0].real)
             diagnostics = {
                 "eigenvalues": [complex(z) for z in eig[group]],
-                "count": complex(s0),
+                "count": complex(t[0]),
                 "radius": rad,
             }
-            if abs(s0 - count) > _COUNT_TOL:
+            if abs(t[0] - count) > _COUNT_TOL:
                 raise NumericFailureError("non-integer zero count on a contour", diagnostics)
-            if count and abs(s2 / s0 - (s1 / s0) ** 2) > _SPREAD_TOL * rad**2:
-                # distinct zeros inside the contour: link the group tighter
+            if count != group.size or not _one_zero(t):
+                # the contour misses part of the group, or holds distinct
+                # zeros: link the group tighter
                 if tol < np.finfo(float).eps:
-                    raise NumericFailureError("cannot separate the zeros of a group", diagnostics)
+                    raise NumericFailureError("cannot resolve the zeros of a group", diagnostics)
                 work += [(group[sub], tol / 10.0) for sub in _link(eig[group], tol / 10.0)]
                 continue
-            if count != group.size:
-                raise NumericFailureError(
-                    "zero count disagrees with the pencil's eigenvalues", diagnostics
-                )
-            lam = complex(center + s1 / s0)
+            lam = complex(center + rad * t[1] / t[0])
             if abs(lam.imag) < 1e-11 * max(1.0, abs(lam.real)):
                 lam = complex(lam.real, 0.0)
             zeros.append((lam, count))
         return sorted(zeros, key=lambda z: (z[0].real, z[0].imag))
 
 
+def _one_zero(t):
+    """Whether the power sums t_0..t_k of k zeros (see _zero_moments) have
+    vanishing central power sums of order 2..k (see the module docstring)."""
+    mean = t[1] / t[0]
+    return all(
+        abs(sum(math.comb(p, j) * t[j] * (-mean) ** (p - j) for j in range(p + 1)))
+        <= _SPREAD_TOL * t[0].real
+        for p in range(2, t.size)
+    )
+
+
 def transpose_family(fam):
     """Plain (non-conjugated) transpose, analytic in the parameter."""
     return IndicialFamily(np.swapaxes(fam.coeffs, 1, 2))
+
+
+def _denominator(fam):
+    """Zeros, with their orders, of the determinant whose zeros carry all
+    poles of the meromorphic (left-)inverse: det A, or det(A^T A) for tall
+    families."""
+    if fam.is_square:
+        return fam.determinant()
+    return transpose_family(fam).compose(fam).determinant()
 
 
 @dataclass(frozen=True)
@@ -238,9 +252,8 @@ def indicial_roots(fam, window=None):
     if fam.is_square:
         roots = [IndicialRoot(lam, k) for lam, k in fam.determinant()]
     else:
-        normal = transpose_family(fam).compose(fam)
         roots = []
-        for lam, k in normal.determinant():
+        for lam, k in _denominator(fam):
             if _sv_ratio(fam(lam)) > _ROOT_SV_RTOL:
                 continue
             if k % 2:

@@ -27,9 +27,9 @@ from .polymat import (
     IndicialFamily,
     _contour_moments,
     _contour_nodes,
+    _denominator,
     _sv_ratio,
     indicial_roots,
-    transpose_family,
 )
 
 _RANK_RTOL = 1e-8
@@ -51,15 +51,6 @@ def meromorphic_inverse(fam):
         return np.linalg.solve(at @ a, at)
 
     return left_inv
-
-
-def _denominator(fam):
-    """Zeros, with their orders, of the determinant whose zeros carry all
-    poles of the meromorphic (left-)inverse: det A, or det(A^T A) for tall
-    families."""
-    if fam.is_square:
-        return fam.determinant()
-    return transpose_family(fam).compose(fam).determinant()
 
 
 def _order_and_radius(fam, lam0):

@@ -249,7 +249,7 @@ def test_lipschitz_window_finite_for_all_s():
 
 def test_block_interaction_decay_exponent():
     fam = random_band_limited_family(1, seed=11)
-    fitted, points = interaction_decay_exponent(fam[0], gap=3)
+    fitted, points = interaction_decay_exponent(fam[0])
     assert len(points) >= 3
     assert fitted >= 4.0
 

@@ -9,7 +9,7 @@ from cusplab.operators import (
     sym_derivative_spec,
     sym_laplacian_spec,
 )
-from cusplab.polymat import IndicialFamily, adjoint_family, indicial_roots
+from cusplab.polymat import IndicialFamily, adjoint_family, indicial_roots, transpose_family
 from cusplab.residues import root_report
 
 RNG = np.random.default_rng(20240811)
@@ -81,26 +81,84 @@ def test_close_simple_roots_are_split():
     assert abs(roots[1].lam - 0.5048) < 1e-12
 
 
+def test_separated_roots_beyond_the_link_radius_stay_apart():
+    # 0.03 apart link (reach 1e-2 * 5.03) but one 1e-2 contour misses both
+    fam = IndicialFamily(np.stack([np.diag([-5.0, -5.03]), np.eye(2)]))
+    roots = indicial_roots(fam)
+    assert [r.multiplicity for r in roots] == [1, 1]
+    assert abs(roots[0].lam - 5.0) < 1e-12
+    assert abs(roots[1].lam - 5.03) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "fam, zeros",
+    [
+        # (lam - a)^2 -+ delta^2: a +- delta and a +- i delta, no spread
+        (
+            IndicialFamily(
+                np.stack(
+                    [np.diag([0.25 - 9e-6, 0.25 + 9e-6]), -np.eye(2), np.eye(2)]
+                )
+            ),
+            [0.5 - 3e-3, 0.5 - 3e-3j, 0.5 + 3e-3j, 0.5 + 3e-3],
+        ),
+        # lam^3 - eps^3: the cube roots of eps^3, no spread
+        (
+            IndicialFamily(np.array([-(5e-3**3), 0.0, 0.0, 1.0]).reshape(4, 1, 1)),
+            sorted(
+                5e-3 * np.exp(2j * np.pi * np.arange(3) / 3), key=lambda z: (z.real, z.imag)
+            ),
+        ),
+    ],
+    ids=["square-diamond", "cube-roots"],
+)
+def test_symmetric_close_roots_are_split(fam, zeros):
+    # central power sums beyond the second tell these from one multiple zero
+    roots = indicial_roots(fam)
+    assert [r.multiplicity for r in roots] == [1] * len(zeros)
+    assert np.allclose([r.lam for r in roots], zeros, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize(
     "moments, message",
-    [((2.5, 0.0, 0.0), "non-integer"), ((2.0, 0.0, 0.0), "disagrees")],
+    [((2.5, 0.0, 0.0), "non-integer"), ((2.0, 0.0, 0.0), "cannot resolve")],
     ids=["non-integer", "size-mismatch"],
 )
 def test_bad_zero_count_is_numeric_failure(monkeypatch, moments, message):
     # a scalar (lam - 0.3): one eigenvalue, whose contour is made to count
     # a fraction, or two zeros
     fam = IndicialFamily(np.array([-0.3, 1.0]).reshape(2, 1, 1))
-    monkeypatch.setattr(IndicialFamily, "_zero_moments", lambda self, c, rad: moments)
+    monkeypatch.setattr(
+        IndicialFamily, "_zero_moments", lambda self, c, rad, kmax: np.array(moments)
+    )
     with pytest.raises(NumericFailureError, match=message) as info:
         fam.determinant()
     assert info.value.diagnostics["eigenvalues"] == [pytest.approx(0.3)]
     assert info.value.diagnostics["count"] == moments[0]
 
 
+def rank2_family(seed, deg):
+    # U(lam) V(lam) with U 3x2 and V 2x3 of degree deg: rank 2 everywhere
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(deg + 1, 3, 2))
+    v = rng.normal(size=(deg + 1, 2, 3))
+    c = np.zeros((2 * deg + 1, 3, 3))
+    for i in range(deg + 1):
+        for j in range(deg + 1):
+            c[i + j] += u[i] @ v[j]
+    return IndicialFamily(c)
+
+
 def test_identically_singular_family_raises():
-    fam = IndicialFamily(np.ones((1, 2, 2)))
-    with pytest.raises(DegenerateOperatorError):
-        indicial_roots(fam)
+    singular = [
+        IndicialFamily(np.ones((1, 2, 2))),
+        IndicialFamily(np.stack([-np.ones((2, 2)), np.ones((2, 2))])),
+        IndicialFamily(np.stack([np.ones((2, 2)), 2 * np.ones((2, 2)), np.ones((2, 2))])),
+        rank2_family(22, 2),
+    ]
+    for fam in singular:
+        with pytest.raises(DegenerateOperatorError):
+            indicial_roots(fam)
 
 
 def test_wide_family_is_invalid_input():
@@ -170,7 +228,7 @@ def test_divergence_compose_derivative_is_laplacian(d):
 
 def test_compose_with_identity_is_identity_map():
     fam = indicial_family(sym_laplacian_spec(2))
-    ident = IndicialFamily.identity(3)
+    ident = IndicialFamily(np.eye(3)[None])
     comp = ident.compose(fam)
     assert np.allclose(comp.coeffs, fam.coeffs)
 
@@ -241,15 +299,13 @@ def test_adjoint_of_derivative_root_is_d_plus_one():
         # adjoint of a tall family is wide; root detection applies to its
         # transpose (the adjoint operator is itself overdetermined-dual)
         adj = adjoint_family(famD, d)
-        from cusplab.residues import transpose_family
-
         roots = indicial_roots(transpose_family(adj), window=(-50, 50))
         assert len(roots) == 1
         assert abs(roots[0].lam - (d + 1.0)) < 1e-9
 
 
 def test_adjoint_identity_is_identity():
-    fam = IndicialFamily.identity(3)
+    fam = IndicialFamily(np.eye(3)[None])
     adj = adjoint_family(fam, 1)
     assert np.allclose(adj.coeffs, fam.coeffs)
 

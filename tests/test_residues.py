@@ -9,10 +9,9 @@ from cusplab.operators import (
     sym_laplacian_spec,
 )
 from cusplab import residues
-from cusplab.polymat import IndicialFamily
+from cusplab.polymat import IndicialFamily, _denominator
 from cusplab.residues import (
     _contour,
-    _denominator,
     index_jump,
     laurent_coefficients,
     pole_order,
