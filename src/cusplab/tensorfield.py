@@ -10,9 +10,13 @@ e_2 = e^r d/dtheta, the connection gives
                     dx/dr + e^r dt/dtheta - 2 x)
 
 and the symmetric Laplacian is their composition.  Differentiation is
-spectral in theta and, by default, second-order centered finite differences
-in r ("spectral" switches the r-derivative to the transform side, valid for
-fields supported away from the radial boundary).
+spectral in theta and, by default ("fd"), second-order centered finite
+differences in r closed at the two radial edges by the summation-by-parts
+rows [-1, 1]/dr, the closure the solenoidal projection solves with.  "fd4"
+is a fourth-order interior stencil with second-order one-sided edge rows,
+kept as the independent check of that projection; "spectral" switches the
+r-derivative to the transform side, valid for fields supported away from
+the radial boundary.
 """
 
 from dataclasses import dataclass, replace
@@ -138,25 +142,29 @@ def l2_norm(f):
 
 
 def _dr_fd(arr, dr):
+    # centered interior, summation-by-parts edge rows: with the trapezoid
+    # norm H this derivative satisfies D^T H = -H D + edge terms
     out = np.empty_like(arr)
     out[..., 1:-1, :] = (arr[..., 2:, :] - arr[..., :-2, :]) / (2.0 * dr)
+    out[..., 0, :] = (arr[..., 1, :] - arr[..., 0, :]) / dr
+    out[..., -1, :] = (arr[..., -1, :] - arr[..., -2, :]) / dr
+    return out
+
+
+def _dr_fd4(arr, dr):
+    # fourth-order interior stencil, second-order centered next to the edges
+    # and one-sided on them; used by the independent verification route
+    out = _dr_fd(arr, dr)
+    out[..., 2:-2, :] = (
+        arr[..., :-4, :] - 8 * arr[..., 1:-1, :][..., :-2, :]
+        + 8 * arr[..., 2:, :][..., 1:-1, :] - arr[..., 4:, :]
+    ) / (12.0 * dr)
     out[..., 0, :] = (
         -1.5 * arr[..., 0, :] + 2.0 * arr[..., 1, :] - 0.5 * arr[..., 2, :]
     ) / dr
     out[..., -1, :] = (
         1.5 * arr[..., -1, :] - 2.0 * arr[..., -2, :] + 0.5 * arr[..., -3, :]
     ) / dr
-    return out
-
-
-def _dr_fd4(arr, dr):
-    # fourth-order interior stencil, second-order one-sided near the edges;
-    # used by the independent verification route
-    out = _dr_fd(arr, dr)
-    out[..., 2:-2, :] = (
-        arr[..., :-4, :] - 8 * arr[..., 1:-1, :][..., :-2, :]
-        + 8 * arr[..., 2:, :][..., 1:-1, :] - arr[..., 4:, :]
-    ) / (12.0 * dr)
     return out
 
 
@@ -260,13 +268,8 @@ def model_laplacian_image(grid, lam, a0, b0, d=1):
 
 
 def _dr_matrix(n, dr):
-    main = np.zeros(n)
-    upper = np.full(n - 1, 0.5 / dr)
-    lower = np.full(n - 1, -0.5 / dr)
-    m = sp.diags([lower, main, upper], [-1, 0, 1], format="lil")
-    m[0, :3] = np.array([-1.5, 2.0, -0.5]) / dr
-    m[-1, -3:] = np.array([0.5, -2.0, 1.5]) / dr
-    return m.tocsr()
+    """The matrix of the ``fd`` radial derivative, read off its stencil."""
+    return sp.csr_matrix(_dr_fd(np.eye(n), dr))
 
 
 def _mode_derivative(grid):
@@ -281,30 +284,10 @@ def _mode_derivative(grid):
     return m0, m1
 
 
-def _mode_divergence(grid):
-    """Per-theta-mode divergence (s, t, x) -> (a, b), as the real pair
-    (M0, M1) with M(xi) = M0 + i xi M1."""
-    n = grid.n_r
-    dr_m = _dr_matrix(n, grid.dr)
-    eye = sp.identity(n, format="csr")
-    e_mul = sp.diags(grid.exp_r)
-    m0 = sp.bmat([[dr_m - eye, eye, None], [None, None, dr_m - 2.0 * eye]], format="csr")
-    m1 = sp.bmat([[sp.csr_matrix((n, n)), None, e_mul], [None, e_mul, None]], format="csr")
-    return m0, m1
-
-
-# Half-bandwidth of both per-mode systems once the unknowns are interleaved
-# as (a_i, b_i) pairs: the composed radial stencils reach two nodes, and the
-# Dirichlet rows are identity rows.
+# Half-bandwidth of the per-mode normal equations once the unknowns are
+# interleaved as (a_i, b_i) pairs: D^H W D couples a with a and b with b two
+# nodes apart (offset 4), and a with b one node apart (offset 3).
 _HALF_BAND = 4
-
-
-def _pairs(n, nodes):
-    """Sparse map from interleaved unknowns (a_i, b_i), i in ``nodes``, to
-    stacked (a, b) radial profiles of length 2n."""
-    m = nodes.size
-    rows = np.stack([nodes, n + nodes], axis=1).ravel()
-    return sp.csr_matrix((np.ones(2 * m), (rows, np.arange(2 * m))), shape=(2 * n, 2 * m))
 
 
 def _band_storage(m):
@@ -362,76 +345,64 @@ def _solve_banded_modes(parts, rhs, xis):
     return sol, residual
 
 
-def _solve_modes_collocation(f, grid):
-    """Potential from the composed system (divergence o derivative) u =
-    divergence f, Dirichlet rows replaced; second-order accurate up to the
-    boundary."""
-    n = grid.n_r
-    d0, d1 = _mode_derivative(grid)
-    v0, v1 = _mode_divergence(grid)
-    pairs = _pairs(n, np.arange(n))
-    # V(xi) D(xi) = P0 + i xi P1 - xi^2 P2, rows and columns interleaved
-    systems = [v0 @ d0, v0 @ d1 + v1 @ d0, v1 @ d1]
-    keep = np.ones(2 * n)
-    keep[[0, 1, -2, -1]] = 0.0  # a and b at both radial ends
-    rows = sp.diags(keep)
-    systems = [rows @ (pairs.T @ m @ pairs) for m in systems]
-    systems[0] = systems[0] + sp.diags(1.0 - keep)
-    rhs_hat = np.fft.fft(divergence(f, method="fd").comps, axis=2)
-    rhs = rhs_hat.transpose(1, 0, 2).reshape(2 * n, grid.n_theta)
-    rhs[keep == 0.0] = 0.0
-    sol, residual = _solve_banded_modes(
-        [_band_storage(m) for m in systems], rhs, grid.theta_frequencies()
-    )
-    return sol.reshape(n, 2, grid.n_theta).transpose(1, 0, 2), residual
-
-
 def _solve_modes_least_squares(f, grid):
-    """Potential from the weighted normal equations of the discrete
-    derivative: the residual is orthogonal to potentials at solver
-    precision (at the cost of first-order accuracy in a boundary layer)."""
+    """The rfft modes of the potential (zero at both radial ends) from the
+    weighted normal equations of the discrete derivative, and the largest
+    relative solve residual."""
     n = grid.n_r
     wvec = grid.radial_weights()
     weight = sp.diags(np.concatenate([wvec, wvec, 2.0 * wvec]))
-    inject = _pairs(n, np.arange(1, n - 1))
-    d0, d1 = (m @ inject for m in _mode_derivative(grid))
+    # interleaved interior unknowns (a_i, b_i) -> stacked (a, b) profiles
+    nodes = np.arange(1, n - 1)
+    rows = np.stack([nodes, n + nodes], axis=1).ravel()
+    m = rows.size
+    inject = sp.csr_matrix((np.ones(m), (rows, np.arange(m))), shape=(2 * n, m))
+    d0, d1 = (part @ inject for part in _mode_derivative(grid))
     # D(xi)^H W D(xi) = N0 + i xi N1 - xi^2 N2 with D(xi) = D0 + i xi D1
     a0, a1 = d0.T @ weight, d1.T @ weight
     systems = [a0 @ d0, a0 @ d1 - a1 @ d0, -(a1 @ d1)]
-    # every mode's right-hand side D(xi)^H W f_hat from one sparse product
-    f_hat = np.fft.fft(f.comps, axis=2).reshape(3 * n, grid.n_theta)
-    xis = grid.theta_frequencies()
-    m = 2 * (n - 2)
+    # f is real, so mode -xi is the conjugate of mode xi: every mode xi >= 0
+    # takes its right-hand side D(xi)^H W f_hat from one sparse product
+    f_hat = np.fft.rfft(f.comps, axis=2).reshape(3 * n, -1)
+    xis = 2.0 * np.pi * np.fft.rfftfreq(grid.n_theta, d=grid.dtheta)
+    if grid.n_theta % 2 == 0:
+        xis[-1] = 0.0  # the theta-derivative of a real field drops its Nyquist mode
     both = sp.vstack([a0, a1]) @ f_hat
     rhs = both[:m] - 1j * xis * both[m:]
     sol, residual = _solve_banded_modes([_band_storage(s) for s in systems], rhs, xis)
-    sol_hat = np.zeros((2, n, grid.n_theta), dtype=complex)
-    sol_hat[:, 1:-1, :] = sol.reshape(n - 2, 2, grid.n_theta).transpose(1, 0, 2)
+    sol_hat = np.zeros((2, n, xis.size), dtype=complex)
+    sol_hat[:, 1:-1, :] = sol.reshape(n - 2, 2, xis.size).transpose(1, 0, 2)
     return sol_hat, residual
 
 
-def solenoidal_project(f, support_margin=5, adjoint="fd"):
+def solenoidal_project(f, support_margin=5, adjoint="exact"):
     """Splitting f = f_s + D u with D* f_s small.
 
-    Theta modes decouple and each radial problem is a banded solve with
-    Dirichlet conditions at the truncation.  The mode frequency xi enters
-    only through i xi e^r, so every mode's system is B0 + i xi B1 - xi^2 B2
-    with real, mode-independent parts, assembled once per call with the
-    unknowns interleaved as (a_i, b_i) pairs (half-bandwidth 4) and stored
-    in LAPACK band form; each mode then takes one ``solve_banded`` call and
-    a band mat-vec for its residual.  ``adjoint="fd"`` (default)
-    solves the composed collocation system (divergence o derivative) u =
-    divergence f: the potential is second-order accurate up to the boundary
-    and re-projection returns exactly zero.  ``adjoint="exact"`` solves the
-    weighted normal equations instead, making the residual orthogonal to
-    potentials at machine precision (its potential loses an order of
-    accuracy in a boundary layer).
+    The potential u vanishes at the radial truncation and minimizes
+    ||f - D u|| in the hyperbolic pairing: theta modes decouple, and each
+    solves the weighted normal equations D(xi)^H W D(xi) u = D(xi)^H W f_hat,
+    with D(xi) the per-mode matrix of ``sym_derivative`` and W the trapezoid
+    weights times the Gram weights.  Since f_s = f - sym_derivative(u) uses
+    that same D, f_s is W-orthogonal to every discrete potential at solver
+    precision, on any grid.  The summation-by-parts edge rows of D make these
+    equations a consistent discrete D* f_s = 0 up to the boundary, so the
+    divergence of f_s decays at second order.
+
+    f is real, so only the modes xi >= 0 are solved.  The mode frequency xi
+    enters only through i xi e^r, so every mode's system is B0 + i xi B1 -
+    xi^2 B2 with real, mode-independent parts, assembled once per call with
+    the unknowns interleaved as (a_i, b_i) pairs (half-bandwidth 4) and
+    stored in LAPACK band form; each mode then takes one ``solve_banded``
+    call and a band mat-vec for its residual.  ``adjoint`` names this route
+    and accepts only "exact"; it remains for callers that still pass it.
 
     Returns (f_s, u, info); info reports the solve residual, the divergence
     of f_s measured with an independently discretized operator (the
     fourth-order "fd4" r-derivative), and the orthogonality defect under the
     hyperbolic pairing.
     """
+    if adjoint != "exact":
+        raise InvalidInputError("adjoint must be 'exact'")
     if f.order != 2:
         raise InvalidInputError("solenoidal projection acts on 2-tensors")
     if f.support_margin() < support_margin:
@@ -440,13 +411,8 @@ def solenoidal_project(f, support_margin=5, adjoint="fd"):
             "radial truncation"
         )
     grid = f.grid
-    if adjoint == "fd":
-        sol_hat, residual = _solve_modes_collocation(f, grid)
-    elif adjoint == "exact":
-        sol_hat, residual = _solve_modes_least_squares(f, grid)
-    else:
-        raise InvalidInputError("adjoint must be 'fd' or 'exact'")
-    u_field = SymTensorField(grid, 1, np.fft.ifft(sol_hat, axis=2).real)
+    sol_hat, residual = _solve_modes_least_squares(f, grid)
+    u_field = SymTensorField(grid, 1, np.fft.irfft(sol_hat, n=grid.n_theta, axis=2))
     du = sym_derivative(u_field, method="fd")
     f_s = f - du
     norm_f = l2_norm(f)

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from cusplab.acceptance import _projection_test_field
 from cusplab.chart import ChartGrid
 from cusplab.errors import InvalidInputError, NumericFailureError
 from cusplab.fields import AnalyticOneForm, Scalar2D, random_bump_one_form
@@ -11,8 +12,8 @@ from cusplab.tensorfield import (
     SymTensorField,
     _band_matvec,
     _band_storage,
+    _dr_fd,
     _dr_matrix,
-    _solve_modes_collocation,
     _solve_modes_least_squares,
     divergence,
     l2_inner,
@@ -175,29 +176,28 @@ def test_projection_idempotent():
 
 
 def test_projection_orthogonality():
-    # the default collocation route is orthogonal to potentials up to
-    # discretization (meets 1e-6 at the 513-node resolution); the exact-
-    # adjoint variant is orthogonal at solver precision on any grid
     grid = ChartGrid(0.0, 3.0, 257, 64)
     _, f = _bump_pair(grid, 11)
-    _, _, info = solenoidal_project(f, adjoint="exact")
-    assert info["orthogonality"] <= 1e-10
-    fine = ChartGrid(0.0, 3.0, 513, 128)
-    _, f2 = _bump_pair(fine, 11)
-    _, _, info2 = solenoidal_project(f2)
-    assert info2["orthogonality"] <= 1e-6
+    _, _, info = solenoidal_project(f)
+    assert info["orthogonality"] <= 1e-12
 
 
 def test_projection_divergence_residual_decays_order_two():
-    vals = []
-    for g in [ChartGrid(0.0, 3.0, 129, 32), ChartGrid(0.0, 3.0, 257, 64), ChartGrid(0.0, 3.0, 513, 128)]:
-        _, f = _bump_pair(g, 11)
-        _, _, info = solenoidal_project(f)
-        vals.append(info["divergence_residual"])
-    order1 = np.log2(vals[0] / vals[1])
-    order2 = np.log2(vals[1] / vals[2])
-    assert order1 >= 1.9
-    assert order2 >= 1.9
+    ladders = [
+        ([(129, 32), (257, 64), (513, 128)], lambda g: _bump_pair(g, 11)[1], {}),
+        # criterion 8's ladder, through the keyword its benchmark passes
+        ([(129, 64), (257, 128), (513, 256)], _projection_test_field, {"adjoint": "exact"}),
+    ]
+    for shapes, field, kwargs in ladders:
+        vals = []
+        for shape in shapes:
+            _, _, info = solenoidal_project(field(ChartGrid(0.0, 3.0, *shape)), **kwargs)
+            assert info["orthogonality"] <= 1e-12
+            vals.append(info["divergence_residual"])
+        order1 = np.log2(vals[0] / vals[1])
+        order2 = np.log2(vals[1] / vals[2])
+        assert order1 >= 1.9
+        assert order2 >= 1.9
 
 
 def test_projection_requires_support_margin():
@@ -205,6 +205,20 @@ def test_projection_requires_support_margin():
     f = SymTensorField.metric(g)
     with pytest.raises(InvalidInputError):
         solenoidal_project(f)
+    _, f = _bump_pair(g, 11)
+    with pytest.raises(InvalidInputError, match="adjoint"):
+        solenoidal_project(f, adjoint="fd")
+
+
+def test_one_radial_closure_for_solve_and_derivative():
+    # dr a power of two makes the sparse product round like the stencil
+    n, dr = 65, 2.0**-5
+    v = np.random.default_rng(1).normal(size=n)
+    assert (_dr_matrix(n, dr) @ v).tobytes() == _dr_fd(v[:, None], dr)[:, 0].tobytes()
+    grid = ChartGrid(0.0, 3.0, 129, 64)
+    _, f = _bump_pair(grid, 11)
+    f_s, u, _ = solenoidal_project(f)
+    assert l2_norm(f - f_s - sym_derivative(u)) <= 1e-14 * l2_norm(f)
 
 
 # Reference: the per-mode sparse assembly and SuperLU solve, one system
@@ -225,37 +239,6 @@ def _sparse_mode_derivative(grid, xi):
     )
 
 
-def _sparse_mode_divergence(grid, xi):
-    n = grid.n_r
-    dr_m = _dr_matrix(n, grid.dr)
-    eye = sp.identity(n, format="csr")
-    e_mul = sp.diags(grid.exp_r)
-    zer = sp.csr_matrix((n, n))
-    ik = 1j * xi
-    return sp.bmat(
-        [[dr_m - eye, eye, ik * e_mul], [zer, ik * e_mul, dr_m - 2.0 * eye]],
-        format="csr",
-        dtype=complex,
-    )
-
-
-def _sparse_collocation(f, grid):
-    n = grid.n_r
-    rhs_hat = np.fft.fft(divergence(f, method="fd").comps, axis=2)
-    sol_hat = np.zeros((2, n, grid.n_theta), dtype=complex)
-    for k, xi in enumerate(grid.theta_frequencies()):
-        lap = (_sparse_mode_divergence(grid, xi) @ _sparse_mode_derivative(grid, xi)).tolil()
-        b = np.concatenate([rhs_hat[0, :, k], rhs_hat[1, :, k]])
-        for row in (0, n - 1, n, 2 * n - 1):
-            lap.rows[row] = [row]
-            lap.data[row] = [1.0]
-            b[row] = 0.0
-        u = spla.spsolve(lap.tocsc(), b)
-        sol_hat[0, :, k] = u[:n]
-        sol_hat[1, :, k] = u[n:]
-    return sol_hat
-
-
 def _sparse_least_squares(f, grid):
     n = grid.n_r
     wr = np.full(n, grid.dr)
@@ -273,7 +256,9 @@ def _sparse_least_squares(f, grid):
     )
     f_hat = np.fft.fft(f.comps, axis=2)
     sol_hat = np.zeros((2, n, grid.n_theta), dtype=complex)
-    for k, xi in enumerate(grid.theta_frequencies()):
+    xis = grid.theta_frequencies()
+    xis[grid.n_theta // 2] = 0.0  # a real field's theta-derivative drops this mode
+    for k, xi in enumerate(xis):
         d_m = _sparse_mode_derivative(grid, xi) @ inject
         lap = (d_m.conj().T @ weight @ d_m).tocsc()
         rhs = d_m.conj().T @ (
@@ -286,19 +271,11 @@ def _sparse_least_squares(f, grid):
 
 
 @pytest.mark.parametrize("shape", [(129, 64), (257, 128)])
-@pytest.mark.parametrize(
-    "banded,sparse",
-    [
-        (_solve_modes_collocation, _sparse_collocation),
-        (_solve_modes_least_squares, _sparse_least_squares),
-    ],
-    ids=["collocation", "least_squares"],
-)
-def test_banded_mode_solves_match_sparse_reference(shape, banded, sparse):
+def test_banded_mode_solves_match_sparse_reference(shape):
     grid = ChartGrid(0.0, 3.0, *shape)
     _, f = _bump_pair(grid, 11)
-    sol_hat, residual = banded(f, grid)
-    want = sparse(f, grid)
+    sol_hat, residual = _solve_modes_least_squares(f, grid)
+    want = _sparse_least_squares(f, grid)[:, :, : grid.n_theta // 2 + 1]
     assert residual <= 1e-12
     assert np.linalg.norm(sol_hat - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -316,14 +293,13 @@ def test_band_storage_round_trip_and_width_check():
         _band_storage(wide.T)
 
 
-@pytest.mark.parametrize("adjoint", ["fd", "exact"])
-def test_projection_of_non_finite_field_fails_with_mode(adjoint):
+def test_projection_of_non_finite_field_fails_with_mode():
     grid = ChartGrid(0.0, 3.0, 65, 16)
     _, f = _bump_pair(grid, 11)
     comps = f.comps.copy()
     comps[0, 30, 3] = np.nan
     with pytest.raises(NumericFailureError) as err:
-        solenoidal_project(SymTensorField(grid, 2, comps), adjoint=adjoint)
+        solenoidal_project(SymTensorField(grid, 2, comps))
     assert err.value.diagnostics == {"mode": 0}
 
 
