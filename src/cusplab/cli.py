@@ -46,11 +46,7 @@ from .runio import (
     write_json,
 )
 from .surface import enumerate_hyperbolic_classes
-from .tensorfield import (
-    SymTensorField,
-    solenoidal_project,
-    sym_derivative,
-)
+from .tensorfield import SymTensorField, solenoidal_project
 from .xray import potential_annihilation_suite, solenoidal_probe, xray_suite
 
 class _Parser(argparse.ArgumentParser):
@@ -256,9 +252,8 @@ def cmd_xray(cfg, out, args):
         rep = potential_annihilation_suite(
             surface, forms, classes, tol=max(tol, 1e-7), path="grid", grid=grid
         )
+        results = rep.pop("results")[0]
         summary["annihilation"] = rep
-        dp = sym_derivative(forms[0].sample(grid), method="spectral")
-        results = xray_suite(surface, dp, classes, tol=max(tol, 1e-7), strict=False)
     elif mode == "probe":
         phi = Scalar2D.bump(-1.68, -0.0833, 0.15, 0.05)
         f_raw = SymTensorField.sample(

@@ -39,14 +39,6 @@ class Scalar2D:
         return self.val(r, t)
 
     @staticmethod
-    def constant(c):
-        return Scalar2D(
-            lambda r, t: np.full_like(np.asarray(r, float), c),
-            lambda r, t: np.zeros_like(np.asarray(r, float)),
-            lambda r, t: np.zeros_like(np.asarray(r, float)),
-        )
-
-    @staticmethod
     def bump(r0, t0, r_width, t_width):
         """Compactly supported product bump centered at (r0, theta0);
         support is the coordinate box of the given half-widths (theta
@@ -142,10 +134,6 @@ class AnalyticOneForm:
     def pullback(self, r, t, p_hat, q_hat):
         comps = self.components(r, t)
         return comps[0] * p_hat + comps[1] * q_hat
-
-    def sup_norm_estimate(self, grid):
-        rr, tt = grid.mesh
-        return float(max(np.max(np.abs(self.a(rr, tt))), np.max(np.abs(self.b(rr, tt)))))
 
     def sym_derivative(self):
         """Exact symmetric derivative via the frame formulas."""

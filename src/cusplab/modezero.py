@@ -10,18 +10,13 @@ residues of the inverse family.
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidWeightError, ResolutionError
-from .polymat import _contour_moments, indicial_roots
-from .residues import (
-    _contour,
-    meromorphic_inverse,
-    pole_order,
-    residue_range_profiles,
-)
+from .polymat import _contour_moments, _contour_nodes, indicial_roots
+from .residues import _principal_part, meromorphic_inverse, residue_range_profiles
 
 _ALIAS_TOL = 1e-10
 _NEAR_ROOT_GUARD = 1e-3
@@ -51,7 +46,6 @@ class ModeZeroField:
     dr: float
     samples: np.ndarray
     weight: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=complex)
@@ -128,11 +122,6 @@ def window_profile(grid):
     r_half = max(abs(grid[0]), abs(grid[-1]))
     a, b = _WINDOW_FLAT * r_half, _WINDOW_ZERO * r_half
     return smooth_step((b - np.abs(grid)) / (b - a))
-
-
-def windowed(fld):
-    w = window_profile(fld.grid)
-    return replace(fld, samples=fld.samples * w[:, None])
 
 
 def make_field(fun, r_half=48.0, n=4096):
@@ -301,8 +290,8 @@ def cross_root_correction(fam, f, rho_from, rho_to):
     for root in indicial_roots(fam):
         if not (lo < root.lam.real < hi):
             continue
-        p = pole_order(fam, root.lam)
-        rad, phi, lam = _contour(fam, root.lam, None)
+        p, _, _, rad = _principal_part(fam, root.lam)
+        phi, lam = _contour_nodes(root.lam, rad)
         g = np.einsum("kij,kj->ki", minv(lam), _finite_transform(f, lam))
         for k, gk in _contour_moments(g, rad, phi, p).items():
             coeff = sign * gk / math.factorial(k - 1)

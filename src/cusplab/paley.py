@@ -111,23 +111,13 @@ def _weighted_sup(norms, s):
     return float(np.max(norms * 2.0 ** (s * np.arange(len(norms)))))
 
 
-def lp_block(fld, j, psi=DEFAULT_PSI, check_aliasing=True):
+def lp_block(fld, j, psi=DEFAULT_PSI):
     """Apply the j-th dyadic multiplier to a mode-zero field."""
     if j < 0:
         raise InvalidInputError("block index must be nonnegative")
-    if check_aliasing:
-        spec = fld.check_aliasing(_ALIAS_TOL, "dyadic block input")
-    else:
-        spec = np.fft.fft(fld.samples, axis=0)
+    spec = fld.check_aliasing(_ALIAS_TOL, "dyadic block input")
     row = dyadic_multipliers(fld.frequencies(), j, psi)[j:]
     return ModeZeroField(fld.r0, fld.dr, _apply(spec, row)[0], weight=fld.weight)
-
-
-def lp_blocks(fld, psi=DEFAULT_PSI):
-    """Dyadic blocks 0..max_block_index(fld) of the field."""
-    spec = fld.check_aliasing(_ALIAS_TOL, "dyadic block input")
-    blocks = _apply(spec, _field_multipliers(fld, psi))
-    return [ModeZeroField(fld.r0, fld.dr, b, weight=fld.weight) for b in blocks]
 
 
 def sup_norm(fld):

@@ -10,12 +10,17 @@ up to 1e-2 that keeps the other zeros three radii away.
 
 Every residue quantity at a root comes from one trapezoidal contour, the
 quadrature that also counts the zeros.  The order m bounds the pole order,
-so the contour returns A_{-1}..A_{-m} with its roundoff floor.  The pole
-order p is the largest k whose A_{-k} lies above the floor scaled by
-radius^(k-1), the factor by which the quadrature's roundoff in A_{-k}
-shrinks with k: the order of a pole of the inverse is its largest partial
-multiplicity, the index of the last nonzero principal-part coefficient
-(Gohberg, Lancaster and Rodman, Matrix Polynomials, 1982).
+so the contour returns A_{-1}..A_{-(m+1)}, and A_{-(m+1)}, zero in exact
+arithmetic, measures the quadrature's own roundoff.  That roundoff in A_{-k}
+scales like radius^k, so each A_{-k} is compared in units of radius^(k-1)
+with one floor: 1e3 times the scaled norm of A_{-(m+1)}, and at least
+1e-14 of the largest scaled norm.  The pole order p is the largest k whose
+scaled A_{-k} lies strictly above the floor: the order of a pole of the
+inverse is its largest partial multiplicity, the index of the last nonzero
+principal-part coefficient (Gohberg, Lancaster and Rodman, Matrix
+Polynomials, 1982).  Ranks count singular values strictly above the same
+floor: those of A_{-1}, and those of the block-Hankel matrix of the
+principal part with block (k, i) divided by radius^(k+i).
 """
 
 import numpy as np
@@ -32,7 +37,10 @@ from .polymat import (
     indicial_roots,
 )
 
-_RANK_RTOL = 1e-8
+# the roundoff floor: multiples of the scaled norm of A_{-(m+1)} and of the
+# largest scaled coefficient (see the module docstring)
+_ROUNDOFF_FACTOR = 1e3
+_FLOOR_RTOL = 1e-14
 # zeros of the denominator this close to a point are that point itself
 _SAME_ZERO = 1e-6
 # index_jump refuses weight endpoints this close to a root line
@@ -66,42 +74,31 @@ def _order_and_radius(fam, lam0):
     return m, min(_RADIUS, gap / 3.0)
 
 
-def _contour(fam, lam0, radius):
-    """Quadrature circle around lam0: (radius, angles, points); a radius of
-    None picks the one of _order_and_radius."""
-    rad = _order_and_radius(fam, lam0)[1] if radius is None else radius
-    return (rad,) + _contour_nodes(lam0, rad)
-
-
-def laurent_coefficients(fam, lam0, kmax, radius=None):
-    """Principal-part Laurent coefficients A_{-1}..A_{-kmax} of the
-    (left-)inverse of the family at lam0, by contour quadrature.
-
-    Returns (coefficients, floor): the floor is the roundoff level of the
-    quadrature (coefficients below it are numerically zero)."""
-    rad, phi, lam = _contour(fam, lam0, radius)
-    minv = meromorphic_inverse(fam)(lam)  # (nodes, m, n)
-    floor = 1e-9 * rad * np.max(np.linalg.norm(minv, axis=(-2, -1)))
-    return _contour_moments(minv, rad, phi, kmax), floor
+def laurent_coefficients(fam, lam0, kmax, radius):
+    """Principal-part Laurent coefficients {k: A_-k for k = 1..kmax} of the
+    (left-)inverse of the family at lam0, by contour quadrature on the
+    circle of the given radius."""
+    phi, lam = _contour_nodes(lam0, radius)
+    return _contour_moments(meromorphic_inverse(fam)(lam), radius, phi, kmax)
 
 
 def _principal_part(fam, lam0):
-    """(p, {k: A_-k for k = 1..max(m, 1)}, floor) at lam0 from one contour,
-    where m is the vanishing order of the denominator and p the pole order
-    (see the module docstring)."""
+    """(p, {k: A_-k for k = 1..m+1}, floor, radius) at lam0 from one contour,
+    where m is the vanishing order of the denominator, p the pole order and
+    floor the roundoff floor in units of radius^(k-1) (see the module
+    docstring)."""
     m, rad = _order_and_radius(fam, lam0)
-    laurent, floor = laurent_coefficients(fam, lam0, max(m, 1), radius=rad)
-    p = max(
-        (k for k in range(1, m + 1) if np.linalg.norm(laurent[k], 2) > floor * rad ** (k - 1)),
-        default=0,
-    )
+    laurent = laurent_coefficients(fam, lam0, m + 1, rad)
+    scaled = [np.linalg.norm(laurent[k], 2) / rad ** (k - 1) for k in range(1, m + 2)]
+    floor = max(_ROUNDOFF_FACTOR * scaled[m], _FLOOR_RTOL * max(scaled))
+    p = max((k for k in range(1, m + 1) if scaled[k - 1] > floor), default=0)
     if m and not p:
         # a zero of the denominator is always a pole of the (left-)inverse
         raise NumericFailureError(
             "no principal-part coefficient above the contour's roundoff floor",
             {"lambda": complex(lam0), "vanishing_order": m, "radius": rad, "floor": floor},
         )
-    return p, laurent, floor
+    return p, laurent, floor, rad
 
 
 def pole_order(fam, lam0):
@@ -109,12 +106,9 @@ def pole_order(fam, lam0):
     return _principal_part(fam, lam0)[0]
 
 
-def _rank(sv, floor):
-    """Numerical rank from singular values sv (descending): the count above
-    max(_RANK_RTOL * sv[0], floor)."""
-    if sv.size == 0 or sv[0] <= floor:
-        return 0
-    return int(np.sum(sv > max(_RANK_RTOL * sv[0], floor)))
+def _rank(a, floor):
+    """Numerical rank of the matrix a: its singular values above floor."""
+    return int(np.sum(np.linalg.svd(a, compute_uv=False) > floor))
 
 
 def _check_is_root(fam, lam0):
@@ -128,12 +122,13 @@ def _check_is_root(fam, lam0):
 def residue_rank(fam, lam0):
     """(rank of the residue matrix, pole order) at an indicial root."""
     _check_is_root(fam, lam0)
-    p, laurent, floor = _principal_part(fam, lam0)
-    return _rank(np.linalg.svd(laurent[1], compute_uv=False), floor), p
+    p, laurent, floor, _ = _principal_part(fam, lam0)
+    return _rank(laurent[1], floor), p
 
 
-def _hankel_block(p, laurent):
-    """Block-Hankel matrix H[k, i] = A_{-(k+i+1)} (k+i < pole order p).
+def _hankel_block(p, laurent, rad):
+    """Block-Hankel matrix H[k, i] = A_{-(k+i+1)} / rad^(k+i) (k+i < pole
+    order p); rad = 1 gives the unscaled matrix.
 
     Writing the residue convolution kernel as
     e^{lam0 (r-r')} sum_j A_{-j} (r-r')^{j-1}/(j-1)! and separating powers of
@@ -145,7 +140,7 @@ def _hankel_block(p, laurent):
     h = np.zeros((p * m, p * n), dtype=complex)
     for k in range(p):
         for i in range(p - k):
-            h[k * m : (k + 1) * m, i * n : (i + 1) * n] = laurent[k + i + 1]
+            h[k * m : (k + 1) * m, i * n : (i + 1) * n] = laurent[k + i + 1] / rad ** (k + i)
     return h
 
 
@@ -158,15 +153,15 @@ def residue_range_profiles(fam, lam0):
     tail lists (k', vector') pairs with k' < k.  The basis is graded by top
     power, so simple poles and diagonal families give pure-power profiles.
     """
-    p, laurent, floor = _principal_part(fam, lam0)
-    if p == 0:
-        return []
-    m = laurent[1].shape[0]
-    u, sv, _ = np.linalg.svd(_hankel_block(p, laurent))
-    dim = _rank(sv, floor)
+    p, laurent, floor, rad = _principal_part(fam, lam0)
+    dim = _projector_rank(p, laurent, floor, rad)
     if dim == 0:
         return []
-    q = u[:, :dim]  # orthonormal basis of the coefficient-tuple space
+    m = laurent[1].shape[0]
+    # orthonormal basis of the coefficient-tuple space: the leading left
+    # singular vectors of the unscaled Hankel matrix, whose row blocks are
+    # the coefficients c_k themselves
+    q = np.linalg.svd(_hankel_block(p, laurent, 1.0))[0][:, :dim]
     profiles = []
     prev = np.zeros((q.shape[0], 0), dtype=complex)
     for k in range(p):
@@ -201,10 +196,8 @@ def residue_range_profiles(fam, lam0):
     return profiles
 
 
-def _projector_rank(p, laurent, floor):
-    if p == 0:
-        return 0
-    return _rank(np.linalg.svd(_hankel_block(p, laurent), compute_uv=False), floor)
+def _projector_rank(p, laurent, floor, rad):
+    return _rank(_hankel_block(p, laurent, rad), floor) if p else 0
 
 
 def projector_rank(fam, lam0):
@@ -248,14 +241,14 @@ def root_report(fam, window):
     entries = []
     for r in roots:
         _check_is_root(fam, r.lam)
-        p, laurent, floor = _principal_part(fam, r.lam)
+        p, laurent, floor, rad = _principal_part(fam, r.lam)
         entries.append(
             {
                 "lambda": [r.lam.real, r.lam.imag],
                 "multiplicity": r.multiplicity,
-                "residue_rank": _rank(np.linalg.svd(laurent[1], compute_uv=False), floor),
+                "residue_rank": _rank(laurent[1], floor),
                 "pole_order": p,
-                "projector_rank": _projector_rank(p, laurent, floor),
+                "projector_rank": _projector_rank(p, laurent, floor, rad),
             }
         )
     sset = sorted({round(r.lam.real, 12) for r in roots})

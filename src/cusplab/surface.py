@@ -6,6 +6,7 @@ group are cyclic words; hyperbolic classes carry a unique closed geodesic
 whose length comes from the trace of the word matrix.
 """
 
+import string
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,8 +37,13 @@ def is_cyclically_reduced(word):
     return len(word) < 2 or word[0] != _invert_letter(word[-1])
 
 
-def _letter_rank(ch):
-    return 2 * (ord(ch.lower()) - ord("a")) + (0 if ch.islower() else 1)
+# letters to code points 0, 1, 2, 3, ... in the order a < A < b < B < ...,
+# so that translated words compare as their class words should
+_LETTER_ORDER = {
+    ord(ch): 2 * i + ch.isupper()
+    for i, low in enumerate(string.ascii_lowercase)
+    for ch in (low, low.upper())
+}
 
 
 def canonical_class_word(word):
@@ -49,7 +55,7 @@ def canonical_class_word(word):
     candidates = []
     for w in (word, invert_word(word)):
         candidates.extend(w[i:] + w[:i] for i in range(len(w)))
-    return min(candidates, key=lambda w: [_letter_rank(c) for c in w])
+    return min(candidates, key=lambda w: w.translate(_LETTER_ORDER))
 
 
 @dataclass(frozen=True)
@@ -200,19 +206,15 @@ def enumerate_hyperbolic_classes(surface, max_word_len):
     and inversion, sorted by (length, word)."""
     if max_word_len < 1:
         raise InvalidInputError("max_word_len must be >= 1")
-    seen = set()
     geodesics = []
     for word in surface.words(max_word_len):
-        if not is_cyclically_reduced(word):
+        # each class is kept once, at the word that is its own canonical form
+        if not is_cyclically_reduced(word) or canonical_class_word(word) != word:
             continue
-        canon = canonical_class_word(word)
-        if canon != word or canon in seen:
-            continue
-        seen.add(canon)
-        m = surface.word_matrix(canon)
+        m = surface.word_matrix(word)
         if m.classify() != "hyperbolic":
             continue
-        geodesics.append(ClosedGeodesic.from_word(surface, canon))
+        geodesics.append(ClosedGeodesic.from_word(surface, word))
     geodesics.sort(key=lambda g: (g.length, g.word))
     return geodesics
 

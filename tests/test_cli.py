@@ -365,3 +365,32 @@ def test_missing_tensor_file_is_invalid_input(tmp_path):
         BASE_CONFIG + f"\n[xray]\nmode = tensor-file\ntensor_file = {tmp_path / 'nope'}\n"
     )
     assert main(["xray", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_xray_potential_subcommand_writes_the_first_forms_rows(tmp_path):
+    from cusplab.fields import random_bump_one_form
+    from cusplab.runio import build_chart_grid, build_surface, load_config
+    from cusplab.surface import enumerate_hyperbolic_classes
+    from cusplab.tensorfield import sym_derivative
+    from cusplab.xray import xray_suite
+
+    cfg = tmp_path / "potential.ini"
+    cfg.write_text(BASE_CONFIG + "\n[xray]\nmode = potential\nforms = 2\nclass_cap = 6\n")
+    out = tmp_path / "out_potential"
+    assert main(["xray", str(cfg), "--out", str(out), "--seed", "4"]) == 0
+    summary = json.loads((out / "xray_summary.json").read_text())
+    assert summary["annihilation"]["n_forms"] == 2
+    assert "results" not in summary["annihilation"]
+    # the rows are those of a separate non-strict X-ray of the first form's
+    # spectral derivative at the suite's tolerance
+    loaded = load_config(cfg)
+    surface = build_surface(loaded)
+    classes = enumerate_hyperbolic_classes(surface, 3)[:6]
+    form = random_bump_one_form(4, center=(-0.916, 0.0), r_width=0.45, t_width=0.14)
+    dp = sym_derivative(form.sample(build_chart_grid(loaded)), method="spectral")
+    rows = [
+        [r.class_word, float(r.length), float(r.value), float(r.error_estimate), r.nodes_used]
+        for r in xray_suite(surface, dp, classes, tol=1e-7, strict=False)
+    ]
+    ref = write_csv(tmp_path / "ref.csv", ["word", "length", "value", "error", "nodes"], rows)
+    assert (out / "xray.csv").read_bytes() == ref.read_bytes()

@@ -16,7 +16,7 @@ from cusplab.modezero import (
     line_grid,
     make_field,
     spectral_l2_norm,
-    windowed,
+    window_profile,
 )
 from cusplab.operators import (
     indicial_family,
@@ -92,8 +92,6 @@ def test_apply_matches_finite_difference_oracle():
 def test_apply_on_windowed_exponential_reproduces_family_action():
     # on e^{lam0 r} psi(r) the operator acts exactly by fam(lam0) wherever
     # psi is flat; the commutator lives only on the window's transition
-    from cusplab.modezero import window_profile
-
     lam0 = 0.35
     r0, dr = line_grid(24.0, 2048)
     r = r0 + dr * np.arange(2048)
@@ -144,7 +142,7 @@ def test_invert_then_apply_recovers_rhs():
 
 
 def test_apply_then_invert_recovers_interior_data():
-    fld = windowed(make_field(gaussian_pair, r_half=48.0, n=4096))
+    fld = make_field(lambda r: gaussian_pair(r) * window_profile(r)[:, None])
     g = apply_indicial(FAM_LAP1, fld)
     u, _ = invert_on_line(FAM_LAP1, g, 0.0)
     assert np.max(np.abs(u.samples - fld.samples)) <= 1e-8
@@ -209,8 +207,6 @@ def test_kernel_elements_annihilated_in_interior():
             r0, dr = line_grid(24.0, 2048)
             r = r0 + dr * np.arange(2048)
             prof = el.evaluate(r) * np.exp(-el.lam.real * r)[:, None]
-            from cusplab.modezero import window_profile
-
             w = window_profile(r)  # flat plateau on |r| <= 19.2
             fld = ModeZeroField(r0, dr, prof * w[:, None], weight=el.lam.real)
             out = apply_indicial(fam, fld)

@@ -6,13 +6,13 @@ from cusplab.modezero import ModeZeroField, line_grid, window_profile
 from cusplab.paley import (
     ALT_PSI,
     DEFAULT_PSI,
+    _block_norms,
     block_decay_exponent,
     bracket,
     dyadic_multipliers,
     holder_norm,
     interaction_decay_exponent,
     lp_block,
-    lp_blocks,
     max_block_index,
     norm_equivalence_report,
     random_band_limited_family,
@@ -75,14 +75,12 @@ def test_batched_blocks_equal_single_blocks_bitwise(psi, n, ncomp, weight):
         [np.exp(-((r / (3.0 + k)) ** 2)) * np.cos((1.5 + k) * r) for k in range(ncomp)], axis=1
     )
     fld = ModeZeroField(r0, dr, u, weight=weight)
-    batched = lp_blocks(fld, psi)
     _, norms = zygmund_norm(fld, 0.5, psi, return_blocks=True)
-    assert len(batched) == len(norms) == max_block_index(fld) + 1
-    for j, block in enumerate(batched):
+    assert len(norms) == max_block_index(fld) + 1
+    for j in range(len(norms)):
         single = lp_block(fld, j, psi)
         assert np.array_equal(single.samples, _reference_block(fld, j, psi))
-        assert np.array_equal(block.samples, single.samples)
-        assert block.weight == single.weight == weight
+        assert single.weight == weight
         assert norms[j] == sup_norm(single)
 
 
@@ -101,7 +99,7 @@ def test_aliased_field_raises_from_every_block_entry_point():
     r = r0 + dr * np.arange(256)
     fld = ModeZeroField(r0, dr, np.cos(0.97 * np.pi / dr * r)[:, None])
     for call in (
-        lambda: lp_blocks(fld),
+        lambda: lp_block(fld, 0),
         lambda: zygmund_norm(fld, 0.5),
         lambda: zygmund_norm(fld, 0.5, ALT_PSI, return_blocks=True),
         lambda: norm_equivalence_report([fld], 0.5),
@@ -115,7 +113,7 @@ def test_blocks_sum_back_to_field():
     r = r_axis()
     u = np.exp(-((r / 7.0) ** 2)) * np.cos(3.0 * r)
     fld = grid_field(u)
-    blocks = lp_blocks(fld)
+    blocks = [lp_block(fld, j) for j in range(max_block_index(fld) + 1)]
     total = sum(b.samples for b in blocks)
     assert np.max(np.abs(total - fld.samples)) <= 1e-10
 
@@ -198,10 +196,10 @@ def test_block_norms_match_multiplier_integral_oracle():
     spec = bracket(xi) ** -1.5
     u = np.fft.ifft(spec).real
     fld = grid_field(np.fft.fftshift(u))  # center the peak; shifts are unitary
-    norms = [
-        sup_norm(lp_block(fld, j, check_aliasing=False)) for j in range(8)
-    ]
-    mults = dyadic_multipliers(xi, 6)
+    # the spectrum reaches Nyquist by construction, past the aliasing guard
+    # of the public entry points, so the block norms are read directly
+    mults = dyadic_multipliers(xi, 7)
+    norms = _block_norms(np.fft.fft(fld.samples, axis=0), mults)
     for j in range(3, 7):
         oracle = np.sum(mults[j] * spec) / n
         assert abs(norms[j] - oracle) <= 1e-10 * oracle

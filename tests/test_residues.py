@@ -11,7 +11,7 @@ from cusplab.operators import (
 from cusplab import residues
 from cusplab.polymat import IndicialFamily, _denominator
 from cusplab.residues import (
-    _contour,
+    _order_and_radius,
     index_jump,
     laurent_coefficients,
     pole_order,
@@ -54,7 +54,7 @@ def test_simple_scalar_pole():
     fam = scalar_family(-0.7, 1.0)  # lam - 0.7
     rank, p = residue_rank(fam, 0.7)
     assert (rank, p) == (1, 1)
-    res = laurent_coefficients(fam, 0.7, 1)[0][1]
+    res = laurent_coefficients(fam, 0.7, 1, 1e-2)[1]
     assert abs(res[0, 0] - 1.0) < 1e-12
 
 
@@ -73,8 +73,8 @@ def test_jordan_block_pole_versus_contour_oracle():
     fam = jordan_family(0.3)
     # contour oracle: Laurent coefficients computed at two radii agree and
     # reveal a second-order pole with vanishing third coefficient
-    l_small, _ = laurent_coefficients(fam, 0.3, 3, radius=5e-3)
-    l_large, _ = laurent_coefficients(fam, 0.3, 3, radius=2e-2)
+    l_small = laurent_coefficients(fam, 0.3, 3, radius=5e-3)
+    l_large = laurent_coefficients(fam, 0.3, 3, radius=2e-2)
     for k in (1, 2, 3):
         assert np.allclose(l_small[k], l_large[k], atol=1e-10)
     assert np.linalg.norm(l_small[3]) < 1e-10
@@ -93,7 +93,7 @@ def test_laplacian_residues_d1():
     # at -1 only the dtheta block degenerates; analytic residue -2/3 there
     rank, p = residue_rank(fam, -1.0)
     assert (rank, p) == (1, 1)
-    res = laurent_coefficients(fam, -1.0, 1)[0][1]
+    res = laurent_coefficients(fam, -1.0, 1, 1e-2)[1]
     assert abs(res[0, 0]) < 1e-10
     assert abs(res[1, 1] - (-2.0 / 3.0)) < 1e-10
     for lam in (2.0, LAM_PLUS_1, LAM_MINUS_1):
@@ -197,18 +197,30 @@ def test_contour_pole_order_rank_and_projector_rank(make, lam0, m, p, rank, pran
     assert projector_rank(fam, lam0) == prank
 
 
-@pytest.mark.parametrize("k", [5, 6, 7])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
 def test_jordan_block_pole_order_is_block_size(k):
+    # A_-j = (-N)^(j-1) for j = 1..k, so A_-1 = I: residue rank, pole order
+    # and projector rank all equal the block size k
     fam = IndicialFamily(np.stack([-0.2 * np.eye(k) + np.eye(k, k=1), np.eye(k)]))
     assert _denominator(fam) == [(pytest.approx(0.2, abs=1e-12), k)]
     assert pole_order(fam, 0.2) == k
+    assert residue_rank(fam, 0.2) == (k, k)
+    assert projector_rank(fam, 0.2) == k
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_scalar_power_pole_has_residue_only_when_simple(k):
+    # 1/(lam - 1/2)^k has the single coefficient A_-k = 1
+    fam = scalar_family(*np.polynomial.polynomial.polypow([-0.5, 1.0], k))
+    assert residue_rank(fam, 0.5) == (int(k == 1), k)
+    assert projector_rank(fam, 0.5) == k
 
 
 def test_tall_derivative_contour_keeps_full_radius():
     # det(A^T A) has a 6-fold zero at -1 and its other zeros at +-i sqrt(3),
     # so nothing forces the contour below its 1e-2 cap
     fam = indicial_family(sym_derivative_spec(3))
-    assert _contour(fam, -1.0, None)[0] == 1e-2
+    assert _order_and_radius(fam, -1.0) == (6, 1e-2)
 
 
 def test_root_report_reads_one_contour_per_root(monkeypatch):
@@ -234,8 +246,7 @@ def test_zero_of_denominator_without_principal_part_fails(monkeypatch):
     original = residues.laurent_coefficients
 
     def flattened(*args, **kwargs):
-        laurent, floor = original(*args, **kwargs)
-        return {k: 0.0 * a for k, a in laurent.items()}, floor
+        return {k: 0.0 * a for k, a in original(*args, **kwargs).items()}
 
     monkeypatch.setattr(residues, "laurent_coefficients", flattened)
     with pytest.raises(NumericFailureError) as info:

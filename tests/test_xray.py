@@ -159,7 +159,7 @@ def test_grid_one_form_matches_analytic_one_form(word):
     exact = xray_eval(TORUS, one_form, geo, tol=1e-9)
     grid = xray_eval(TORUS, one_form.sample(GRID), geo, tol=1e-9)
     assert exact.value != 0.0
-    assert abs(grid.value - exact.value) <= 1e-8 * one_form.sup_norm_estimate(GRID)
+    assert abs(grid.value - exact.value) <= 1e-8 * one_form.sample(GRID).sup_norm()
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +186,35 @@ def test_grid_annihilation_small():
     assert rep["max_normalized_value"] <= 1e-6
 
 
+def test_grid_annihilation_samples_each_form_once():
+    # the grid path bounds each form by the field it sampled to
+    # differentiate, so each component sees the grid mesh once
+    form = random_bump_one_form(5, center=BUMP_CENTER, r_width=0.45, t_width=0.14)
+    shapes = []
+
+    def counted(comp):
+        def val(r, t):
+            shapes.append(np.shape(r))
+            return comp.val(r, t)
+
+        return Scalar2D(val, comp.d_r, comp.d_t)
+
+    rep = potential_annihilation_suite(
+        TORUS,
+        [AnalyticOneForm(counted(form.a), counted(form.b))],
+        CLASSES[:3],
+        tol=1e-7,
+        path="grid",
+        grid=GRID,
+    )
+    assert shapes == [(GRID.n_r, GRID.n_theta)] * 2
+    assert rep["per_form"][0]["sup_norm"] == form.sample(GRID).sup_norm()
+    assert [r.class_word for r in rep["results"][0]] == [g.word for g in CLASSES[:3]]
+
+
 def test_zero_form_annihilation_trivial():
-    zero = AnalyticOneForm(a=Scalar2D.constant(0.0), b=Scalar2D.constant(0.0))
+    nothing = Scalar2D.bump(*BUMP_CENTER, 0.45, 0.14) * 0.0
+    zero = AnalyticOneForm(a=nothing, b=nothing)
     rep = potential_annihilation_suite(TORUS, [zero], CLASSES[:5], path="symbolic")
     assert rep["max_normalized_value"] == 0.0
 
