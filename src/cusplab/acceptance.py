@@ -6,6 +6,8 @@ once; the pytest acceptance module and the CLI ``suite`` subcommand both run
 exactly this code.
 """
 
+import functools
+
 import numpy as np
 
 from .chart import ChartGrid
@@ -281,26 +283,27 @@ def criterion_8_solenoidal_decomposition():
     }
 
 
-_XRAY_CACHE = {}
+# criterion 9 checks its forms on the first of criterion 10's classes
+_N_FORMS = 10
+_N_CLASSES = 50
 
 
-def _xray_setup(n_classes=50):
-    key = n_classes
-    if key not in _XRAY_CACHE:
-        surface = punctured_torus()
-        classes = enumerate_hyperbolic_classes(surface, 6)[:n_classes]
-        grid = ChartGrid(-2.8, 0.5, 769, 384)
-        _XRAY_CACHE[key] = (surface, classes, grid)
-    return _XRAY_CACHE[key]
+@functools.cache
+def _xray_setup():
+    surface = punctured_torus()
+    classes = enumerate_hyperbolic_classes(surface, 6)
+    grid = ChartGrid(-2.8, 0.5, 769, 384)
+    return surface, classes, grid
 
 
-def criterion_9_potential_annihilation(n_forms=10, n_classes=50):
+def criterion_9_potential_annihilation():
     """X-ray of derivative tensors vanishes: grid pipeline below 1e-6 of
     the form's sup, closed-form route below 1e-8."""
-    surface, classes, grid = _xray_setup(n_classes)
+    surface, classes, grid = _xray_setup()
+    classes = classes[:_N_CLASSES]
     forms = [
         random_bump_one_form(seed, center=(-0.916, 0.0), r_width=0.45, t_width=0.14)
-        for seed in range(n_forms)
+        for seed in range(_N_FORMS)
     ]
     rep_grid = potential_annihilation_suite(
         surface, forms, classes, tol=1e-7, path="grid", grid=grid
@@ -316,14 +319,14 @@ def criterion_9_potential_annihilation(n_forms=10, n_classes=50):
         "grid_max": rep_grid["max_normalized_value"],
         "symbolic_max": rep_sym["max_normalized_value"],
         "n_classes": len(classes),
-        "n_forms": n_forms,
+        "n_forms": _N_FORMS,
     }
 
 
 def criterion_10_xray_normalization():
     """The metric tensor integrates to exactly 1 on every enumerated
     class."""
-    surface, classes, grid = _xray_setup(200)
+    surface, classes, grid = _xray_setup()
     results = xray_suite(surface, SymTensorField.metric(grid), classes, tol=1e-10)
     worst = 0.0
     for res in results:

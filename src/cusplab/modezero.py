@@ -174,9 +174,14 @@ def invert_on_line(fam, f, rho):
     statistics.  The solution only depends on the connected component of rho
     in the complement of the singular weight set.
     """
+    return _invert_on_line(fam, f, rho, indicial_roots(fam))
+
+
+def _invert_on_line(fam, f, rho, roots):
+    """invert_on_line with the family's roots already found; warns at the
+    public caller's line."""
     if not fam.is_square:
         raise InvalidInputError("line inversion needs a square family")
-    roots = indicial_roots(fam)
     gaps = [abs(r.lam.real - rho) for r in roots]
     if gaps and min(gaps) < 1e-12:
         raise InvalidWeightError(f"weight {rho} lies on a root line")
@@ -184,7 +189,7 @@ def invert_on_line(fam, f, rho):
         warnings.warn(
             f"weight {rho} is within {min(gaps):.2e} of a root line; "
             "inversion is ill-conditioned",
-            stacklevel=2,
+            stacklevel=3,
         )
     g = f.with_weight(rho)
     what = g.check_aliasing(_ALIAS_TOL, "invert_on_line data")
@@ -199,18 +204,6 @@ def invert_on_line(fam, f, rho):
         "root_line_distance": float(min(gaps)) if gaps else np.inf,
     }
     return ModeZeroField(g.r0, g.dr, sol, weight=rho), info
-
-
-def l2_norm(fld):
-    """L2(dr) norm of the weighted representative."""
-    return float(np.sqrt(np.sum(np.abs(fld.samples) ** 2) * fld.dr))
-
-
-def spectral_l2_norm(fld):
-    """Same norm computed on the transform side (Plancherel)."""
-    what = np.fft.fft(fld.samples, axis=0)
-    n = what.shape[0]
-    return float(np.sqrt(np.sum(np.abs(what) ** 2) * fld.dr / n))
 
 
 # ---------------------------------------------------------------------------
@@ -279,21 +272,22 @@ def cross_root_correction(fam, f, rho_from, rho_to):
     the two inversions equals the evaluated sum of the contributions, each
     an exponential-polynomial profile attached to a crossed root.
     """
-    u_from, _ = invert_on_line(fam, f, rho_from)
-    u_to, _ = invert_on_line(fam, f, rho_to)
+    roots = indicial_roots(fam)
+    u_from, _ = _invert_on_line(fam, f, rho_from, roots)
+    u_to, _ = _invert_on_line(fam, f, rho_to, roots)
     diff = u_to - u_from.with_weight(rho_to)
 
     lo, hi = sorted((rho_from, rho_to))
     sign = 1.0 if rho_to >= rho_from else -1.0
     contributions = []
     minv = meromorphic_inverse(fam)
-    for root in indicial_roots(fam):
+    for root in roots:
         if not (lo < root.lam.real < hi):
             continue
-        p, _, _, rad = _principal_part(fam, root.lam)
-        phi, lam = _contour_nodes(root.lam, rad)
+        p = _principal_part(fam, root.lam, root)[0]
+        phi, lam = _contour_nodes(root.lam, root.radius)
         g = np.einsum("kij,kj->ki", minv(lam), _finite_transform(f, lam))
-        for k, gk in _contour_moments(g, rad, phi, p).items():
+        for k, gk in _contour_moments(g, root.radius, phi, p).items():
             coeff = sign * gk / math.factorial(k - 1)
             if np.linalg.norm(coeff) < 1e-14 * max(1.0, np.linalg.norm(g)):
                 continue

@@ -16,7 +16,8 @@ s_1/s_0 is their mean; when the count equals the group's size k and every
 central power sum of order 2..k vanishes, the group is one zero of order
 k (Newton's identities).  Otherwise the contour misses part of the group
 or holds distinct zeros, and the group is linked again more tightly.  The
-trapezoidal circle is the one ``residues`` uses for its Laurent data.
+trapezoidal circle is the one ``residues`` uses for its Laurent data, and
+each root carries the radius of its circle there.
 """
 
 from dataclasses import dataclass, field
@@ -220,21 +221,15 @@ def transpose_family(fam):
     return IndicialFamily(np.swapaxes(fam.coeffs, 1, 2))
 
 
-def _denominator(fam):
-    """Zeros, with their orders, of the determinant whose zeros carry all
-    poles of the meromorphic (left-)inverse: det A, or det(A^T A) for tall
-    families."""
-    if fam.is_square:
-        return fam.determinant()
-    return transpose_family(fam).compose(fam).determinant()
-
-
 @dataclass(frozen=True)
 class IndicialRoot:
-    """A point where the family fails to be (left-)invertible."""
+    """A point where the family fails to be (left-)invertible, and the
+    radius of its residue contour: the largest up to 1e-2 that keeps the
+    denominator's other zeros three radii away."""
 
     lam: complex
     multiplicity: int
+    radius: float
 
 
 def indicial_roots(fam, window=None):
@@ -244,16 +239,19 @@ def indicial_roots(fam, window=None):
     families (overdetermined operators): the zeros of det(A^T A) (plain
     transpose) at which A itself drops rank, with half their order; the
     other zeros of det(A^T A) come from cancellation among the squared
-    maximal minors (Cauchy-Binet), not from A.
+    maximal minors (Cauchy-Binet), not from A.  Either determinant is the
+    denominator whose zeros carry all poles of the (left-)inverse, and each
+    root's contour radius keeps every other zero of it three radii away.
     """
     n, m = fam.shape
     if n < m:
         raise InvalidInputError("roots are defined for square and tall families")
-    if fam.is_square:
-        roots = [IndicialRoot(lam, k) for lam, k in fam.determinant()]
-    else:
-        roots = []
-        for lam, k in _denominator(fam):
+    square = fam.is_square
+    zeros = (fam if square else transpose_family(fam).compose(fam)).determinant()
+    roots = []
+    for i, (lam, k) in enumerate(zeros):
+        gap = min((abs(z - lam) for j, (z, _) in enumerate(zeros) if j != i), default=np.inf)
+        if not square:
             if _sv_ratio(fam(lam)) > _ROOT_SV_RTOL:
                 continue
             if k % 2:
@@ -261,7 +259,8 @@ def indicial_roots(fam, window=None):
                     "odd zero order of det(A^T A) at a rank drop of A",
                     {"lambda": lam, "order": k},
                 )
-            roots.append(IndicialRoot(lam, k // 2))
+            k //= 2
+        roots.append(IndicialRoot(lam, k, min(_RADIUS, gap / 3.0)))
     if window is not None:
         lo, hi = window
         if not (np.isfinite(lo) and np.isfinite(hi)):

@@ -4,9 +4,10 @@ The inverse of a matrix polynomial is meromorphic, with its poles at the
 zeros of the denominator: det A, or det(A^T A) for overdetermined (tall)
 families, whose analytic left inverse (A^T A)^{-1} A^T is built with the
 plain transpose so that meromorphy in the spectral parameter is preserved.
-``IndicialFamily.determinant`` lists those zeros with their orders, and
-that one list gives each root's order m and its contour radius: the largest
-up to 1e-2 that keeps the other zeros three radii away.
+``indicial_roots`` takes those zeros with their orders once, and each root
+carries its contour radius: the largest up to 1e-2 that keeps the other
+zeros three radii away.  A root's order m as a zero of the denominator is
+its multiplicity, or twice it for tall families.
 
 Every residue quantity at a root comes from one trapezoidal contour, the
 quadrature that also counts the zeros.  The order m bounds the pole order,
@@ -26,22 +27,13 @@ principal part with block (k, i) divided by radius^(k+i).
 import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
-from .polymat import (
-    _RADIUS,
-    _ROOT_SV_RTOL,
-    IndicialFamily,
-    _contour_moments,
-    _contour_nodes,
-    _denominator,
-    _sv_ratio,
-    indicial_roots,
-)
+from .polymat import IndicialFamily, _contour_moments, _contour_nodes, indicial_roots
 
 # the roundoff floor: multiples of the scaled norm of A_{-(m+1)} and of the
 # largest scaled coefficient (see the module docstring)
 _ROUNDOFF_FACTOR = 1e3
 _FLOOR_RTOL = 1e-14
-# zeros of the denominator this close to a point are that point itself
+# a root this close to a point is that point itself
 _SAME_ZERO = 1e-6
 # index_jump refuses weight endpoints this close to a root line
 _ROOT_GUARD = 1e-9
@@ -61,19 +53,6 @@ def meromorphic_inverse(fam):
     return left_inv
 
 
-def _order_and_radius(fam, lam0):
-    """Order m of lam0 as a zero of the denominator, and the largest contour
-    radius up to _RADIUS that keeps the denominator's other zeros at least
-    three radii from lam0."""
-    m, gap = 0, np.inf
-    for lam, order in _denominator(fam):
-        if abs(lam - lam0) <= _SAME_ZERO:
-            m += order
-        else:
-            gap = min(gap, abs(lam - lam0))
-    return m, min(_RADIUS, gap / 3.0)
-
-
 def laurent_coefficients(fam, lam0, kmax, radius):
     """Principal-part Laurent coefficients {k: A_-k for k = 1..kmax} of the
     (left-)inverse of the family at lam0, by contour quadrature on the
@@ -82,28 +61,24 @@ def laurent_coefficients(fam, lam0, kmax, radius):
     return _contour_moments(meromorphic_inverse(fam)(lam), radius, phi, kmax)
 
 
-def _principal_part(fam, lam0):
-    """(p, {k: A_-k for k = 1..m+1}, floor, radius) at lam0 from one contour,
-    where m is the vanishing order of the denominator, p the pole order and
-    floor the roundoff floor in units of radius^(k-1) (see the module
-    docstring)."""
-    m, rad = _order_and_radius(fam, lam0)
+def _principal_part(fam, lam0, root):
+    """(p, {k: A_-k for k = 1..m+1}, floor) from one contour of the root's
+    radius centred at lam0, where m is the root's vanishing order as a zero
+    of the denominator, p the pole order and floor the roundoff floor in
+    units of radius^(k-1) (see the module docstring)."""
+    m = root.multiplicity * (1 if fam.is_square else 2)
+    rad = root.radius
     laurent = laurent_coefficients(fam, lam0, m + 1, rad)
     scaled = [np.linalg.norm(laurent[k], 2) / rad ** (k - 1) for k in range(1, m + 2)]
     floor = max(_ROUNDOFF_FACTOR * scaled[m], _FLOOR_RTOL * max(scaled))
     p = max((k for k in range(1, m + 1) if scaled[k - 1] > floor), default=0)
-    if m and not p:
+    if not p:
         # a zero of the denominator is always a pole of the (left-)inverse
         raise NumericFailureError(
             "no principal-part coefficient above the contour's roundoff floor",
             {"lambda": complex(lam0), "vanishing_order": m, "radius": rad, "floor": floor},
         )
-    return p, laurent, floor, rad
-
-
-def pole_order(fam, lam0):
-    """Order of lam0 as a pole of the inverse family (0 off the roots)."""
-    return _principal_part(fam, lam0)[0]
+    return p, laurent, floor
 
 
 def _rank(a, floor):
@@ -111,18 +86,17 @@ def _rank(a, floor):
     return int(np.sum(np.linalg.svd(a, compute_uv=False) > floor))
 
 
-def _check_is_root(fam, lam0):
-    ratio = _sv_ratio(fam(lam0))
-    if ratio > _ROOT_SV_RTOL:
-        raise InvalidInputError(
-            f"{lam0} is not an indicial root (sigma_min/sigma_max = {ratio:.2e})"
-        )
+def _root_at(fam, lam0):
+    """The family's root within _SAME_ZERO of lam0, or None."""
+    return next((r for r in indicial_roots(fam) if abs(r.lam - lam0) <= _SAME_ZERO), None)
 
 
 def residue_rank(fam, lam0):
     """(rank of the residue matrix, pole order) at an indicial root."""
-    _check_is_root(fam, lam0)
-    p, laurent, floor, _ = _principal_part(fam, lam0)
+    root = _root_at(fam, lam0)
+    if root is None:
+        raise InvalidInputError(f"{lam0} is not an indicial root")
+    p, laurent, floor = _principal_part(fam, lam0, root)
     return _rank(laurent[1], floor), p
 
 
@@ -153,10 +127,11 @@ def residue_range_profiles(fam, lam0):
     tail lists (k', vector') pairs with k' < k.  The basis is graded by top
     power, so simple poles and diagonal families give pure-power profiles.
     """
-    p, laurent, floor, rad = _principal_part(fam, lam0)
-    dim = _projector_rank(p, laurent, floor, rad)
-    if dim == 0:
+    root = _root_at(fam, lam0)
+    if root is None:
         return []
+    p, laurent, floor = _principal_part(fam, lam0, root)
+    dim = _projector_rank(p, laurent, floor, root.radius)
     m = laurent[1].shape[0]
     # orthonormal basis of the coefficient-tuple space: the leading left
     # singular vectors of the unscaled Hankel matrix, whose row blocks are
@@ -197,13 +172,9 @@ def residue_range_profiles(fam, lam0):
 
 
 def _projector_rank(p, laurent, floor, rad):
-    return _rank(_hankel_block(p, laurent, rad), floor) if p else 0
-
-
-def projector_rank(fam, lam0):
     """Rank of the residue projector as a convolution operator (counts the
     polynomial-in-r profiles as independent directions)."""
-    return _projector_rank(*_principal_part(fam, lam0))
+    return _rank(_hankel_block(p, laurent, rad), floor)
 
 
 def index_jump(fam, rho_from, rho_to):
@@ -230,7 +201,7 @@ def index_jump(fam, rho_from, rho_to):
     total = 0
     for r in roots:
         if lo < r.lam.real < hi:
-            total += projector_rank(fam, r.lam)
+            total += _projector_rank(*_principal_part(fam, r.lam, r), r.radius)
     return sign * total
 
 
@@ -240,15 +211,14 @@ def root_report(fam, window):
     roots = indicial_roots(fam, window=window)
     entries = []
     for r in roots:
-        _check_is_root(fam, r.lam)
-        p, laurent, floor, rad = _principal_part(fam, r.lam)
+        p, laurent, floor = _principal_part(fam, r.lam, r)
         entries.append(
             {
                 "lambda": [r.lam.real, r.lam.imag],
                 "multiplicity": r.multiplicity,
                 "residue_rank": _rank(laurent[1], floor),
                 "pole_order": p,
-                "projector_rank": _projector_rank(p, laurent, floor, rad),
+                "projector_rank": _projector_rank(p, laurent, floor, r.radius),
             }
         )
     sset = sorted({round(r.lam.real, 12) for r in roots})

@@ -16,9 +16,6 @@ from . import _kernels
 from .errors import InvalidInputError, ReductionError
 from .halfplane import BoundaryGeodesic, MobiusMap
 
-_CENTER = 1j  # Dirichlet center
-
-
 def _invert_letter(ch):
     return ch.lower() if ch.isupper() else ch.upper()
 

@@ -226,11 +226,12 @@ def divergence(f, method="fd"):
     raise InvalidInputError("divergence needs a tensor of order 1 or 2")
 
 
-def sym_laplacian(u, method="fd"):
-    """divergence o sym_derivative on 1-forms."""
+def sym_laplacian(u):
+    """divergence o sym_derivative on 1-forms, both with the ``fd`` radial
+    derivative."""
     if u.order != 1:
         raise InvalidInputError("sym_laplacian acts on 1-forms")
-    return divergence(sym_derivative(u, method), method)
+    return divergence(sym_derivative(u))
 
 
 # ---------------------------------------------------------------------------
@@ -308,41 +309,21 @@ def _band_storage(m):
     return ab
 
 
-def _band_matvec(ab, x):
-    """Product of a band-stored square matrix with a vector."""
-    half = _HALF_BAND
-    n = x.size
-    y = np.zeros(n, dtype=np.result_type(ab, x))
-    for k in range(2 * half + 1):
-        d = k - half  # the row index minus the column index
-        lo, hi = max(0, -d), min(n, n - d)
-        y[lo + d : hi + d] += ab[k, lo:hi] * x[lo:hi]
-    return y
-
-
 def _solve_banded_modes(parts, rhs, xis):
     """Solve (B0 + i xi B1 - xi^2 B2) u = rhs[:, k] for each theta mode k,
     one banded LAPACK solve per mode; ``parts`` are the band-stored B0, B1,
-    B2.  Returns the solutions (column k for mode k) and the largest
-    relative residual over the modes."""
+    B2.  Returns the solutions, column k for mode k."""
     b0, b1, b2 = parts
     sol = np.empty(rhs.shape, dtype=complex)
-    residual = 0.0
     for k, xi in enumerate(xis):
         ab = b0 + (1j * xi) * b1 - (xi * xi) * b2
-        rhs_k = rhs[:, k]
         try:
-            u = solve_banded((_HALF_BAND, _HALF_BAND), ab, rhs_k)
+            sol[:, k] = solve_banded((_HALF_BAND, _HALF_BAND), ab, rhs[:, k])
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise NumericFailureError(
                 f"banded solve failed on theta mode {k}", {"mode": k}
             ) from exc
-        residual = max(
-            residual,
-            np.linalg.norm(_band_matvec(ab, u) - rhs_k) / max(np.linalg.norm(rhs_k), 1e-300),
-        )
-        sol[:, k] = u
-    return sol, residual
+    return sol
 
 
 def _solve_modes_least_squares(f, grid):
@@ -369,7 +350,11 @@ def _solve_modes_least_squares(f, grid):
         xis[-1] = 0.0  # the theta-derivative of a real field drops its Nyquist mode
     both = sp.vstack([a0, a1]) @ f_hat
     rhs = both[:m] - 1j * xis * both[m:]
-    sol, residual = _solve_banded_modes([_band_storage(s) for s in systems], rhs, xis)
+    sol = _solve_banded_modes([_band_storage(s) for s in systems], rhs, xis)
+    # every mode's residual from one product of each system with all modes
+    n0, n1, n2 = (s @ sol for s in systems)
+    misfit = np.linalg.norm(n0 + 1j * xis * n1 - xis * xis * n2 - rhs, axis=0)
+    residual = np.max(misfit / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300))
     sol_hat = np.zeros((2, n, xis.size), dtype=complex)
     sol_hat[:, 1:-1, :] = sol.reshape(n - 2, 2, xis.size).transpose(1, 0, 2)
     return sol_hat, residual
@@ -393,8 +378,9 @@ def solenoidal_project(f, support_margin=5, adjoint="exact"):
     xi^2 B2 with real, mode-independent parts, assembled once per call with
     the unknowns interleaved as (a_i, b_i) pairs (half-bandwidth 4) and
     stored in LAPACK band form; each mode then takes one ``solve_banded``
-    call and a band mat-vec for its residual.  ``adjoint`` names this route
-    and accepts only "exact"; it remains for callers that still pass it.
+    call, and one product of each part with all modes gives the residuals.
+    ``adjoint`` names this route and accepts only "exact"; it remains for
+    callers that still pass it.
 
     Returns (f_s, u, info); info reports the solve residual, the divergence
     of f_s measured with an independently discretized operator (the

@@ -11,7 +11,6 @@ from cusplab.acceptance import (
     criterion_3_adjoint_symmetry,
     criterion_5_cross_root_correction,
 )
-from cusplab.polymat import IndicialFamily
 
 
 @pytest.mark.parametrize("name,fn", CRITERIA, ids=[c[0].replace(" ", "-") for c in CRITERIA])
@@ -24,20 +23,12 @@ def test_criterion(name, fn):
 
 @pytest.mark.parametrize(
     "fn, calls",
-    [(criterion_3_adjoint_symmetry, 6), (criterion_5_cross_root_correction, 4)],
+    [(criterion_3_adjoint_symmetry, 6), (criterion_5_cross_root_correction, 1)],
     ids=["criterion-3", "criterion-5"],
 )
-def test_criterion_takes_each_familys_roots_once(monkeypatch, fn, calls):
+def test_criterion_takes_each_familys_roots_once(determinant_calls, fn, calls):
     # criterion 3: one determinant per family and adjoint for d = 1..3;
-    # criterion 5: two line inversions, the crossed-root search and one
-    # principal part
-    counted = []
-    original = IndicialFamily.determinant
-
-    def determinant(self):
-        counted.append(self)
-        return original(self)
-
-    monkeypatch.setattr(IndicialFamily, "determinant", determinant)
+    # criterion 5: one root search serves both line inversions and the
+    # crossed root's principal part
     assert fn()[0]
-    assert len(counted) == calls
+    assert len(determinant_calls) == calls

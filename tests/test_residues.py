@@ -9,13 +9,10 @@ from cusplab.operators import (
     sym_laplacian_spec,
 )
 from cusplab import residues
-from cusplab.polymat import IndicialFamily, _denominator
+from cusplab.polymat import IndicialFamily, indicial_roots
 from cusplab.residues import (
-    _order_and_radius,
     index_jump,
     laurent_coefficients,
-    pole_order,
-    projector_rank,
     residue_range_profiles,
     residue_rank,
     root_report,
@@ -50,6 +47,16 @@ def s_diag_t_family():
     return IndicialFamily(np.einsum("ij,kjl,lm->kim", s, diag, t))
 
 
+def root_entry(fam, lam0):
+    """The ``root_report`` entry of the family's root at lam0."""
+    (entry,) = [
+        e
+        for e in root_report(fam, (lam0 - 1.0, lam0 + 1.0))["roots"]
+        if abs(complex(*e["lambda"]) - lam0) < 1e-6
+    ]
+    return entry
+
+
 def test_simple_scalar_pole():
     fam = scalar_family(-0.7, 1.0)  # lam - 0.7
     rank, p = residue_rank(fam, 0.7)
@@ -63,7 +70,7 @@ def test_double_scalar_pole_and_profiles():
     rank, p = residue_rank(fam, 0.5)
     assert p == 2
     assert rank == 0  # the first Laurent coefficient vanishes
-    assert projector_rank(fam, 0.5) == 2
+    assert root_entry(fam, 0.5)["projector_rank"] == 2
     profiles = residue_range_profiles(fam, 0.5)
     powers = sorted(k for k, _, _ in profiles)
     assert powers == [0, 1]
@@ -79,13 +86,13 @@ def test_jordan_block_pole_versus_contour_oracle():
         assert np.allclose(l_small[k], l_large[k], atol=1e-10)
     assert np.linalg.norm(l_small[3]) < 1e-10
     assert np.linalg.norm(l_small[2]) > 0.5
-    assert pole_order(fam, 0.3) == 2
+    assert residue_rank(fam, 0.3)[1] == 2
     # analytic inverse: [[1/(lam-c), -1/(lam-c)^2], [0, 1/(lam-c)]]
     assert np.allclose(l_small[1], np.eye(2), atol=1e-10)
     assert np.allclose(l_small[2], [[0.0, -1.0], [0.0, 0.0]], atol=1e-10)
     # operator rank of the residue projector is 2 (kernel dimension of the
     # corresponding first-order system), not the naive per-power count 3
-    assert projector_rank(fam, 0.3) == 2
+    assert root_entry(fam, 0.3)["projector_rank"] == 2
 
 
 def test_laplacian_residues_d1():
@@ -169,8 +176,8 @@ def test_divergence_times_derivative_jump_consistency():
         assert index_jump(famC, a, b) == index_jump(famL, a, b)
 
 
-# (family, root, determinant vanishing order m, pole order p, residue rank,
-# projector rank), pinned to the adjugate route's pole orders
+# (family, root, root multiplicity, pole order p, residue rank, projector
+# rank), pinned to the adjugate route's pole orders
 CONTOUR_CASES = [
     ("laplacian d=2", lambda: indicial_family(sym_laplacian_spec(2)), -1.0, 2, 1, 2, 2),
     ("laplacian d=2", lambda: indicial_family(sym_laplacian_spec(2)), 3.0, 2, 1, 2, 2),
@@ -178,23 +185,25 @@ CONTOUR_CASES = [
     ("laplacian d=3", lambda: indicial_family(sym_laplacian_spec(3)), 4.0, 3, 1, 3, 3),
     ("S diag T", s_diag_t_family, 0.5, 2, 1, 2, 2),
     ("jordan 3x3", lambda: jordan3_family(0.2), 0.2, 3, 3, 3, 3),
-    ("derivative d=1", lambda: indicial_family(sym_derivative_spec(1)), -1.0, 2, 1, 1, 1),
-    ("derivative d=2", lambda: indicial_family(sym_derivative_spec(2)), -1.0, 4, 1, 2, 2),
-    ("derivative d=3", lambda: indicial_family(sym_derivative_spec(3)), -1.0, 6, 1, 3, 3),
+    ("derivative d=1", lambda: indicial_family(sym_derivative_spec(1)), -1.0, 1, 1, 1, 1),
+    ("derivative d=2", lambda: indicial_family(sym_derivative_spec(2)), -1.0, 2, 1, 2, 2),
+    ("derivative d=3", lambda: indicial_family(sym_derivative_spec(3)), -1.0, 3, 1, 3, 3),
 ]
 
 
 @pytest.mark.parametrize(
-    "make, lam0, m, p, rank, prank",
+    "make, lam0, mult, p, rank, prank",
     [case[1:] for case in CONTOUR_CASES],
     ids=[f"{case[0]} at {case[2]}" for case in CONTOUR_CASES],
 )
-def test_contour_pole_order_rank_and_projector_rank(make, lam0, m, p, rank, prank):
+def test_contour_pole_order_rank_and_projector_rank(make, lam0, mult, p, rank, prank):
     fam = make()
-    assert [k for lam, k in _denominator(fam) if abs(lam - lam0) < 1e-6] == [m]
-    assert pole_order(fam, lam0) == p
+    entry = root_entry(fam, lam0)
+    assert entry["multiplicity"] == mult
+    assert (entry["pole_order"], entry["residue_rank"], entry["projector_rank"]) == (p, rank, prank)
+    # the same data from contours centred on the caller's point
     assert residue_rank(fam, lam0) == (rank, p)
-    assert projector_rank(fam, lam0) == prank
+    assert len(residue_range_profiles(fam, lam0)) == prank
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
@@ -202,10 +211,11 @@ def test_jordan_block_pole_order_is_block_size(k):
     # A_-j = (-N)^(j-1) for j = 1..k, so A_-1 = I: residue rank, pole order
     # and projector rank all equal the block size k
     fam = IndicialFamily(np.stack([-0.2 * np.eye(k) + np.eye(k, k=1), np.eye(k)]))
-    assert _denominator(fam) == [(pytest.approx(0.2, abs=1e-12), k)]
-    assert pole_order(fam, 0.2) == k
+    assert [(r.lam, r.multiplicity) for r in indicial_roots(fam)] == [
+        (pytest.approx(0.2, abs=1e-12), k)
+    ]
     assert residue_rank(fam, 0.2) == (k, k)
-    assert projector_rank(fam, 0.2) == k
+    assert root_entry(fam, 0.2)["projector_rank"] == k
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -213,17 +223,32 @@ def test_scalar_power_pole_has_residue_only_when_simple(k):
     # 1/(lam - 1/2)^k has the single coefficient A_-k = 1
     fam = scalar_family(*np.polynomial.polynomial.polypow([-0.5, 1.0], k))
     assert residue_rank(fam, 0.5) == (int(k == 1), k)
-    assert projector_rank(fam, 0.5) == k
+    assert root_entry(fam, 0.5)["projector_rank"] == k
 
 
 def test_tall_derivative_contour_keeps_full_radius():
     # det(A^T A) has a 6-fold zero at -1 and its other zeros at +-i sqrt(3),
     # so nothing forces the contour below its 1e-2 cap
     fam = indicial_family(sym_derivative_spec(3))
-    assert _order_and_radius(fam, -1.0) == (6, 1e-2)
+    (root,) = indicial_roots(fam)
+    assert (root.multiplicity, root.radius) == (3, 1e-2)
 
 
-def test_root_report_reads_one_contour_per_root(monkeypatch):
+def test_close_roots_shrink_each_others_contour():
+    # 0.02 apart: each contour keeps the other root three radii away
+    fam = IndicialFamily(np.stack([np.diag([-0.5, -0.52]), np.eye(2)]))
+    roots = indicial_roots(fam)
+    assert [r.lam for r in roots] == [pytest.approx(0.5), pytest.approx(0.52)]
+    assert [r.radius for r in roots] == [pytest.approx(0.02 / 3, rel=1e-12)] * 2
+
+
+def test_index_jump_takes_one_root_search(determinant_calls):
+    fam = indicial_family(sym_laplacian_spec(1))
+    assert index_jump(fam, 0.0, 2.5) == 2
+    assert len(determinant_calls) == 1
+
+
+def test_root_report_reads_one_contour_per_root(monkeypatch, determinant_calls):
     fam = indicial_family(sym_laplacian_spec(2))
     calls = []
     original = residues.laurent_coefficients
@@ -237,6 +262,7 @@ def test_root_report_reads_one_contour_per_root(monkeypatch):
     assert len(calls) == len(rep["roots"]) == 4
     assert [e["pole_order"] for e in rep["roots"]] == [1, 1, 1, 1]
     assert [e["projector_rank"] for e in rep["roots"]] == [2, 1, 1, 2]
+    assert len(determinant_calls) == 1
 
 
 def test_zero_of_denominator_without_principal_part_fails(monkeypatch):
@@ -250,5 +276,5 @@ def test_zero_of_denominator_without_principal_part_fails(monkeypatch):
 
     monkeypatch.setattr(residues, "laurent_coefficients", flattened)
     with pytest.raises(NumericFailureError) as info:
-        pole_order(fam, 0.2)
+        residue_rank(fam, 0.2)
     assert info.value.diagnostics["vanishing_order"] == 3
