@@ -1,8 +1,10 @@
 """Closed-form test fields on the cusp chart.
 
-These carry exact partial derivatives, so symmetric derivatives evaluate
-without grid discretization error: the route used by the quadrature-only
-X-ray experiments and as the reference for grid convergence studies.
+Each scalar carries its value and its 1-jet (the value with its first
+partials), so symmetric derivatives evaluate without grid discretization
+error: the route used by the quadrature-only X-ray experiments and as the
+reference for grid convergence studies.  A jet evaluates each factor once;
+values alone take no derivative work.
 """
 
 from dataclasses import dataclass
@@ -29,11 +31,11 @@ def _wrap(dt):
 
 @dataclass(frozen=True)
 class Scalar2D:
-    """A chart scalar with closed-form value and first partials."""
+    """A chart scalar with its closed-form value and 1-jet: ``jet(r, t)``
+    returns (f, d_r f, d_theta f), evaluating each factor once."""
 
     val: callable
-    d_r: callable
-    d_t: callable
+    jet: callable
 
     def __call__(self, r, t):
         return self.val(r, t)
@@ -49,21 +51,13 @@ class Scalar2D:
         def val(r, t):
             return _bump((r - r0) / r_width) * _bump(_wrap(t - t0) / t_width)
 
-        def d_r(r, t):
-            return (
-                _bump_prime((r - r0) / r_width)
-                / r_width
-                * _bump(_wrap(t - t0) / t_width)
-            )
+        def jet(r, t):
+            x = (r - r0) / r_width
+            y = _wrap(t - t0) / t_width
+            bx, by = _bump(x), _bump(y)
+            return bx * by, _bump_prime(x) / r_width * by, bx * _bump_prime(y) / t_width
 
-        def d_t(r, t):
-            return (
-                _bump((r - r0) / r_width)
-                * _bump_prime(_wrap(t - t0) / t_width)
-                / t_width
-            )
-
-        return Scalar2D(val, d_r, d_t)
+        return Scalar2D(val, jet)
 
     @staticmethod
     def trig(freq_r, freq_t, phase=0.0):
@@ -73,38 +67,39 @@ class Scalar2D:
         def val(r, t):
             return np.cos(freq_r * r + w * t + phase)
 
-        def d_r(r, t):
-            return -freq_r * np.sin(freq_r * r + w * t + phase)
+        def jet(r, t):
+            arg = freq_r * r + w * t + phase
+            sin = np.sin(arg)
+            return np.cos(arg), -freq_r * sin, -w * sin
 
-        def d_t(r, t):
-            return -w * np.sin(freq_r * r + w * t + phase)
-
-        return Scalar2D(val, d_r, d_t)
+        return Scalar2D(val, jet)
 
     def __mul__(self, other):
         if isinstance(other, Scalar2D):
-            return Scalar2D(
-                lambda r, t: self.val(r, t) * other.val(r, t),
-                lambda r, t: self.d_r(r, t) * other.val(r, t)
-                + self.val(r, t) * other.d_r(r, t),
-                lambda r, t: self.d_t(r, t) * other.val(r, t)
-                + self.val(r, t) * other.d_t(r, t),
-            )
+
+            def jet(r, t):
+                f, f_r, f_t = self.jet(r, t)
+                g, g_r, g_t = other.jet(r, t)
+                return f * g, f_r * g + f * g_r, f_t * g + f * g_t
+
+            return Scalar2D(lambda r, t: self.val(r, t) * other.val(r, t), jet)
         c = float(other)
-        return Scalar2D(
-            lambda r, t: c * self.val(r, t),
-            lambda r, t: c * self.d_r(r, t),
-            lambda r, t: c * self.d_t(r, t),
-        )
+
+        def scaled_jet(r, t):
+            f, f_r, f_t = self.jet(r, t)
+            return c * f, c * f_r, c * f_t
+
+        return Scalar2D(lambda r, t: c * self.val(r, t), scaled_jet)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        return Scalar2D(
-            lambda r, t: self.val(r, t) + other.val(r, t),
-            lambda r, t: self.d_r(r, t) + other.d_r(r, t),
-            lambda r, t: self.d_t(r, t) + other.d_t(r, t),
-        )
+        def jet(r, t):
+            f, f_r, f_t = self.jet(r, t)
+            g, g_r, g_t = other.jet(r, t)
+            return f + g, f_r + g_r, f_t + g_t
+
+        return Scalar2D(lambda r, t: self.val(r, t) + other.val(r, t), jet)
 
 
 def random_trig(rng, kmax_r=3.0, kmax_t=3):
@@ -137,18 +132,7 @@ class AnalyticOneForm:
 
     def sym_derivative(self):
         """Exact symmetric derivative via the frame formulas."""
-        a, b = self.a, self.b
-
-        def s_val(r, t):
-            return a.d_r(r, t)
-
-        def t_val(r, t):
-            return np.exp(r) * b.d_t(r, t) - a(r, t)
-
-        def x_val(r, t):
-            return 0.5 * (b.d_r(r, t) + np.exp(r) * a.d_t(r, t) + b(r, t))
-
-        return AnalyticSymTensor(s_val, t_val, x_val)
+        return AnalyticSymTensor(self)
 
     def sample(self, grid):
         return SymTensorField.sample(grid, 1, self.a, self.b)
@@ -156,24 +140,19 @@ class AnalyticOneForm:
 
 @dataclass(frozen=True)
 class AnalyticSymTensor:
-    """Symmetric 2-tensor with closed-form components (s, t, x)."""
+    """Symmetric derivative of a closed-form 1-form, whose components
+    (s, t, x) come from one jet of each of the form's components."""
 
-    s: callable
-    t: callable
-    x: callable
-
-    def components(self, r, t):
-        return np.stack([self.s(r, t), self.t(r, t), self.x(r, t)])
+    form: AnalyticOneForm
 
     def pullback(self, r, t, p_hat, q_hat):
-        return (
-            self.s(r, t) * p_hat**2
-            + self.t(r, t) * q_hat**2
-            + 2.0 * self.x(r, t) * p_hat * q_hat
-        )
-
-    def sample(self, grid):
-        return SymTensorField.sample(grid, 2, self.s, self.t, self.x)
+        a, a_r, a_t = self.form.a.jet(r, t)
+        b, b_r, b_t = self.form.b.jet(r, t)
+        e = np.exp(r)
+        f_s = a_r
+        f_t = e * b_t - a
+        f_x = 0.5 * (b_r + e * a_t + b)
+        return f_s * p_hat**2 + f_t * q_hat**2 + 2.0 * f_x * p_hat * q_hat
 
 
 def random_bump_one_form(seed, center, r_width=0.45, t_width=0.12, kmax_t=3):

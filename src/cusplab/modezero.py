@@ -174,22 +174,16 @@ def invert_on_line(fam, f, rho):
     statistics.  The solution only depends on the connected component of rho
     in the complement of the singular weight set.
     """
-    return _invert_on_line(fam, f, rho, indicial_roots(fam))
-
-
-def _invert_on_line(fam, f, rho, roots):
-    """invert_on_line with the family's roots already found; warns at the
-    public caller's line."""
     if not fam.is_square:
         raise InvalidInputError("line inversion needs a square family")
-    gaps = [abs(r.lam.real - rho) for r in roots]
+    gaps = [abs(r.lam.real - rho) for r in indicial_roots(fam)]
     if gaps and min(gaps) < 1e-12:
         raise InvalidWeightError(f"weight {rho} lies on a root line")
     if gaps and min(gaps) < _NEAR_ROOT_GUARD:
         warnings.warn(
             f"weight {rho} is within {min(gaps):.2e} of a root line; "
             "inversion is ill-conditioned",
-            stacklevel=3,
+            stacklevel=2,
         )
     g = f.with_weight(rho)
     what = g.check_aliasing(_ALIAS_TOL, "invert_on_line data")
@@ -272,16 +266,15 @@ def cross_root_correction(fam, f, rho_from, rho_to):
     the two inversions equals the evaluated sum of the contributions, each
     an exponential-polynomial profile attached to a crossed root.
     """
-    roots = indicial_roots(fam)
-    u_from, _ = _invert_on_line(fam, f, rho_from, roots)
-    u_to, _ = _invert_on_line(fam, f, rho_to, roots)
+    u_from, _ = invert_on_line(fam, f, rho_from)
+    u_to, _ = invert_on_line(fam, f, rho_to)
     diff = u_to - u_from.with_weight(rho_to)
 
     lo, hi = sorted((rho_from, rho_to))
     sign = 1.0 if rho_to >= rho_from else -1.0
     contributions = []
     minv = meromorphic_inverse(fam)
-    for root in roots:
+    for root in indicial_roots(fam):
         if not (lo < root.lam.real < hi):
             continue
         p = _principal_part(fam, root.lam, root)[0]

@@ -21,6 +21,7 @@ each root carries the radius of its circle there.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import math
 
@@ -95,9 +96,11 @@ class IndicialFamily:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        # a read-only copy: the roots are cached on the family
+        c = np.array(self.coeffs, dtype=complex)
         if c.ndim != 3:
             raise InvalidInputError("coeffs must have shape (deg+1, n, m)")
+        c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
         gi = self.gram_in if self.gram_in is not None else np.ones(c.shape[2])
         go = self.gram_out if self.gram_out is not None else np.ones(c.shape[1])
@@ -204,6 +207,29 @@ class IndicialFamily:
             zeros.append((lam, count))
         return sorted(zeros, key=lambda z: (z[0].real, z[0].imag))
 
+    @cached_property
+    def _roots(self):
+        """Every root of the family, found once (see ``indicial_roots``)."""
+        n, m = self.shape
+        if n < m:
+            raise InvalidInputError("roots are defined for square and tall families")
+        square = self.is_square
+        zeros = (self if square else transpose_family(self).compose(self)).determinant()
+        roots = []
+        for i, (lam, k) in enumerate(zeros):
+            gap = min((abs(z - lam) for j, (z, _) in enumerate(zeros) if j != i), default=np.inf)
+            if not square:
+                if _sv_ratio(self(lam)) > _ROOT_SV_RTOL:
+                    continue
+                if k % 2:
+                    raise NumericFailureError(
+                        "odd zero order of det(A^T A) at a rank drop of A",
+                        {"lambda": lam, "order": k},
+                    )
+                k //= 2
+            roots.append(IndicialRoot(lam, k, min(_RADIUS, gap / 3.0)))
+        return tuple(roots)
+
 
 def _one_zero(t):
     """Whether the power sums t_0..t_k of k zeros (see _zero_moments) have
@@ -242,31 +268,14 @@ def indicial_roots(fam, window=None):
     maximal minors (Cauchy-Binet), not from A.  Either determinant is the
     denominator whose zeros carry all poles of the (left-)inverse, and each
     root's contour radius keeps every other zero of it three radii away.
+    The family finds its roots once; each call filters them.
     """
-    n, m = fam.shape
-    if n < m:
-        raise InvalidInputError("roots are defined for square and tall families")
-    square = fam.is_square
-    zeros = (fam if square else transpose_family(fam).compose(fam)).determinant()
-    roots = []
-    for i, (lam, k) in enumerate(zeros):
-        gap = min((abs(z - lam) for j, (z, _) in enumerate(zeros) if j != i), default=np.inf)
-        if not square:
-            if _sv_ratio(fam(lam)) > _ROOT_SV_RTOL:
-                continue
-            if k % 2:
-                raise NumericFailureError(
-                    "odd zero order of det(A^T A) at a rank drop of A",
-                    {"lambda": lam, "order": k},
-                )
-            k //= 2
-        roots.append(IndicialRoot(lam, k, min(_RADIUS, gap / 3.0)))
-    if window is not None:
-        lo, hi = window
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise InvalidInputError("root search window must be finite")
-        roots = [r for r in roots if lo <= r.lam.real <= hi]
-    return roots
+    if window is None:
+        return list(fam._roots)
+    lo, hi = window
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise InvalidInputError("root search window must be finite")
+    return [r for r in fam._roots if lo <= r.lam.real <= hi]
 
 
 def adjoint_family(fam, d):

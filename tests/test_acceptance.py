@@ -9,7 +9,9 @@ import pytest
 from cusplab.acceptance import (
     CRITERIA,
     criterion_3_adjoint_symmetry,
+    criterion_4_mode_zero_inversion,
     criterion_5_cross_root_correction,
+    criterion_6_index_jump_consistency,
 )
 
 
@@ -23,12 +25,19 @@ def test_criterion(name, fn):
 
 @pytest.mark.parametrize(
     "fn, calls",
-    [(criterion_3_adjoint_symmetry, 6), (criterion_5_cross_root_correction, 1)],
-    ids=["criterion-3", "criterion-5"],
+    [
+        (criterion_3_adjoint_symmetry, 6),
+        (criterion_4_mode_zero_inversion, 1),
+        (criterion_5_cross_root_correction, 1),
+        (criterion_6_index_jump_consistency, 2),
+    ],
+    ids=["criterion-3", "criterion-4", "criterion-5", "criterion-6"],
 )
 def test_criterion_takes_each_familys_roots_once(determinant_calls, fn, calls):
     # criterion 3: one determinant per family and adjoint for d = 1..3;
+    # criterion 4: both line inversions share the family's roots;
     # criterion 5: one root search serves both line inversions and the
-    # crossed root's principal part
+    # crossed root's principal part; criterion 6: index jumps and residue
+    # ranks of the Laplacian and the derivative take their family's roots
     assert fn()[0]
     assert len(determinant_calls) == calls

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from cusplab import fields
 from cusplab.acceptance import _projection_test_field
 from cusplab.chart import ChartGrid
 from cusplab.errors import InvalidInputError, NumericFailureError
@@ -371,6 +372,44 @@ def test_flow_derivative_identity_pullback():
         lhs = (pull1(t + h) - pull1(t - h)) / (2 * h)
         rhs = dp.pullback(np.log(z.imag), z.real % 1.0, u.imag, u.real)
         assert abs(lhs - rhs) <= 5e-8
+
+
+_BUMP = Scalar2D.bump(1.5, 0.45, 0.5, 0.15)
+_TRIG = Scalar2D.trig(1.3, 2, 0.4)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [_BUMP, _TRIG, _BUMP + _TRIG, _BUMP * _TRIG, 2.5 * _TRIG],
+    ids=["bump", "trig", "sum", "product", "scalar-multiple"],
+)
+def test_jet_is_the_value_and_its_partials(f):
+    # the mesh runs across the bump's support edges in both coordinates
+    rr, tt = np.meshgrid(np.linspace(0.9, 2.1, 13), np.linspace(0.25, 0.65, 11), indexing="ij")
+    val, d_r, d_t = f.jet(rr, tt)
+    assert np.array_equal(val, f.val(rr, tt))
+    h = 1e-6
+    fd_r = (f.val(rr + h, tt) - f.val(rr - h, tt)) / (2 * h)
+    fd_t = (f.val(rr, tt + h) - f.val(rr, tt - h)) / (2 * h)
+    assert np.max(np.abs(d_r - fd_r)) <= 1e-8
+    assert np.max(np.abs(d_t - fd_t)) <= 1e-8
+
+
+def test_symbolic_pullback_takes_one_jet_of_each_component(monkeypatch):
+    # each component is envelope x trig sum, and its jet evaluates the
+    # envelope's bump once per coordinate
+    calls = []
+    original = fields._bump
+
+    def counted(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(fields, "_bump", counted)
+    p = random_bump_one_form(8, center=(1.5, 0.45), r_width=0.5, t_width=0.15)
+    one = np.array([1.0])
+    p.sym_derivative().pullback(1.5 * one, 0.45 * one, 0.6 * one, 0.8 * one)
+    assert len(calls) == 4
 
 
 def test_linearity_of_interpolation_and_norms():

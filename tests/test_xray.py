@@ -197,7 +197,7 @@ def test_grid_annihilation_samples_each_form_once():
             shapes.append(np.shape(r))
             return comp.val(r, t)
 
-        return Scalar2D(val, comp.d_r, comp.d_t)
+        return Scalar2D(val, comp.jet)
 
     rep = potential_annihilation_suite(
         TORUS,
