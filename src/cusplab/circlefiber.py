@@ -187,15 +187,16 @@ def _ambient_gram(monos, integral):
     return amb
 
 
-def gradient_indicial_roots(d, window=(-10.0, 10.0), lmax=8):
+def gradient_indicial_roots(d):
     """Indicial roots of the tangent-bundle gradient for slice dimension d.
 
-    Fiber functions are decomposed over homogeneous polynomial blocks of the
-    d+1 direction variables.  On each block the derivative part of the
-    family (spherical gradient plus slice rotations) is assembled exactly;
-    its kernel consists of the constants, and the family restricted there
-    reduces to the linear polynomial lam, whose root is 0.  Blocks with a
-    trivial kernel contribute no roots for any parameter value.
+    Fiber functions are decomposed over homogeneous polynomial blocks of
+    degree 0..6 in the d+1 direction variables.  On each block the
+    derivative part of the family (spherical gradient plus slice rotations)
+    is assembled exactly; its kernel consists of the constants, and the
+    family restricted there reduces to the linear polynomial lam, whose root
+    is 0.  Blocks with a trivial kernel contribute no roots for any
+    parameter value.
 
     Returns (roots, certificate): the certificate holds the per-block
     smallest derivative eigenvalue (strictly positive off the constants).
@@ -207,7 +208,7 @@ def gradient_indicial_roots(d, window=(-10.0, 10.0), lmax=8):
     certificate = []
     # the Gram entries of all degrees draw on few distinct exponents
     integral = functools.cache(_sphere_integral)
-    for degree in range(lmax + 1):
+    for degree in range(7):
         monos = _monomials(nvars, degree)
         gram = _poly_gram(monos, integral)
         # Gram of the spherical gradient: the ambient-gradient pairing minus
@@ -240,5 +241,4 @@ def gradient_indicial_roots(d, window=(-10.0, 10.0), lmax=8):
                 "min_positive_eig": float(np.min(positive)) if positive.size else None,
             }
         )
-    found = sorted(r for r in roots if window[0] <= r <= window[1])
-    return found, certificate
+    return sorted(roots), certificate

@@ -305,7 +305,7 @@ def cmd_decompose(cfg, out, args):
 
 
 def cmd_suite(cfg, out, args):
-    results = run_all(printer=print)
+    results = run_all()
     payload = {
         "all_passed": all(r["passed"] for r in results),
         "results": [
@@ -335,18 +335,17 @@ _DISPATCH = {
 def build_parser():
     parser = _Parser(prog="cusplab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
-        p = sub.add_parser(name)
-        p.add_argument("config", nargs="?", default=None, help="INI config path")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+    parser.add_argument("command", choices=list(_DISPATCH))
+    parser.add_argument("config", nargs="?", default=None, help="INI config path")
+    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # intermixed, so the config path may also follow --out or --seed
+    args = parser.parse_intermixed_args(argv)
     out = Path(args.out)
     try:
         cfg = load_config(args.config) if args.config else {}

@@ -16,12 +16,13 @@ from .modezero import bump as _bump
 from .tensorfield import SymTensorField
 
 
-def _bump_prime(t):
+def _bump_prime(t, b):
+    """Derivative of the bump at t, given its values b = _bump(t)."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
     x = t[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - x * x)) * (-2.0 * x / (1.0 - x * x) ** 2)
+    out[inside] = b[inside] * (-2.0 * x / (1.0 - x * x) ** 2)
     return out
 
 
@@ -55,7 +56,7 @@ class Scalar2D:
             x = (r - r0) / r_width
             y = _wrap(t - t0) / t_width
             bx, by = _bump(x), _bump(y)
-            return bx * by, _bump_prime(x) / r_width * by, bx * _bump_prime(y) / t_width
+            return bx * by, _bump_prime(x, bx) / r_width * by, bx * _bump_prime(y, by) / t_width
 
         return Scalar2D(val, jet)
 
@@ -102,12 +103,13 @@ class Scalar2D:
         return Scalar2D(lambda r, t: self.val(r, t) + other.val(r, t), jet)
 
 
-def random_trig(rng, kmax_r=3.0, kmax_t=3):
-    """Random low-frequency trigonometric polynomial (band-limited)."""
+def _random_trig(rng):
+    """Random low-frequency trigonometric polynomial (band-limited): four
+    terms with radial frequency in [-3, 3] and theta frequency in -3..3."""
     terms = []
     for _ in range(4):
-        fr = rng.uniform(-kmax_r, kmax_r)
-        ft = rng.integers(-kmax_t, kmax_t + 1)
+        fr = rng.uniform(-3.0, 3.0)
+        ft = rng.integers(-3, 4)
         amp = rng.normal() / 2.0
         terms.append(amp * Scalar2D.trig(fr, int(ft), rng.uniform(0, 2 * np.pi)))
     out = terms[0]
@@ -155,13 +157,13 @@ class AnalyticSymTensor:
         return f_s * p_hat**2 + f_t * q_hat**2 + 2.0 * f_x * p_hat * q_hat
 
 
-def random_bump_one_form(seed, center, r_width=0.45, t_width=0.12, kmax_t=3):
+def random_bump_one_form(seed, center, r_width=0.45, t_width=0.12):
     """Band-limited compactly supported random 1-form for the X-ray
     experiments; the support box is centered at (r0, theta0)."""
     rng = np.random.default_rng(seed)
     r0, t0 = center
     env = Scalar2D.bump(r0, t0, r_width, t_width)
     return AnalyticOneForm(
-        a=env * random_trig(rng, kmax_t=kmax_t),
-        b=env * random_trig(rng, kmax_t=kmax_t),
+        a=env * _random_trig(rng),
+        b=env * _random_trig(rng),
     )

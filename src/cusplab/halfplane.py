@@ -70,10 +70,11 @@ class MobiusMap:
         return float(self.mat[0, 0] + self.mat[1, 1])
 
     def is_identity(self, tol=1e-12):
-        return bool(
-            np.allclose(self.mat, np.eye(2), atol=tol)
-            or np.allclose(self.mat, -np.eye(2), atol=tol)
-        )
+        """Whether every entry lies within tol of the identity's, or of its
+        negative's (the same map)."""
+        eye = np.eye(2)
+        dev = min(np.max(np.abs(self.mat - eye)), np.max(np.abs(self.mat + eye)))
+        return bool(dev <= tol)
 
     def classify(self):
         """'identity', 'parabolic' (|tr| = 2 within tolerance), 'hyperbolic'

@@ -234,10 +234,10 @@ def kernel_elements(fam, root):
     ]
 
 
-def evaluate_elements(elements, fld_like, weight=None):
+def evaluate_elements(elements, fld_like):
     """Sum asymptotic elements on the grid of a reference field, stored at
-    the requested weight."""
-    rho = fld_like.weight if weight is None else weight
+    that field's weight."""
+    rho = fld_like.weight
     r = fld_like.grid
     total = np.zeros((r.size, elements[0].coefficient_vector.size), dtype=complex)
     for el in elements:

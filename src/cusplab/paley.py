@@ -22,6 +22,9 @@ _ALIAS_TOL = 1e-6
 _HOLDER_DISTANCE_CAP = 2.0
 # block offset j - k of the interaction pairs (B_j, B_k)
 _INTERACTION_GAP = 3
+# relative floor below which a block or interaction norm is roundoff and is
+# left out of the decay fits
+_FIT_FLOOR = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +158,7 @@ def holder_norm(fld, s):
 # ---------------------------------------------------------------------------
 
 
-def interaction_decay_exponent(fld, psi=DEFAULT_PSI, floor=1e-14):
+def interaction_decay_exponent(fld):
     """Fitted exponent N with ||B_j W B_k u|| ~ 2^{-N max(j,k)} along the
     off-diagonal j = k + _INTERACTION_GAP, where W is the cusp window.  The
     bare multipliers of those pairs are disjoint, so what remains measures
@@ -164,13 +167,13 @@ def interaction_decay_exponent(fld, psi=DEFAULT_PSI, floor=1e-14):
     gap = _INTERACTION_GAP
     j_max = max_block_index(fld)
     scale = sup_norm(fld)
-    table = _field_multipliers(fld, psi)
+    table = _field_multipliers(fld, DEFAULT_PSI)
     spec = fld.check_aliasing(_ALIAS_TOL, "dyadic block input")
     # W B_k u for k = 0..j_max - gap, then B_{k + gap} of each
     mid = _apply(spec, table[: max(j_max - gap + 1, 0)]) * window_profile(fld.grid)[:, None]
     pairs = np.fft.ifft(table[gap:, :, None] * np.fft.fft(mid, axis=1), axis=1)
     peaks = np.max(np.abs(pairs), axis=(1, 2))
-    points = [(k + gap, np.log2(val)) for k, val in enumerate(peaks) if val > floor * scale]
+    points = [(k + gap, np.log2(val)) for k, val in enumerate(peaks) if val > _FIT_FLOOR * scale]
     if len(points) < 3:
         raise InvalidInputError("not enough interaction points above the floor")
     xs = np.array([p[0] for p in points])
@@ -179,19 +182,20 @@ def interaction_decay_exponent(fld, psi=DEFAULT_PSI, floor=1e-14):
     return float(-slope), points
 
 
-def block_decay_exponent(norms, j_start=3, floor=1e-14):
-    """Fitted N with ||B_j u|| <= C 2^{-jN} from per-block sup norms."""
+def block_decay_exponent(norms):
+    """Fitted N with ||B_j u|| <= C 2^{-jN} from the per-block sup norms of
+    blocks 3 and up."""
     norms = np.asarray(norms, dtype=float)
     scale = max(norms.max(), 1e-300)
     js = np.arange(len(norms))
-    keep = (js >= j_start) & (norms > floor * scale)
+    keep = (js >= 3) & (norms > _FIT_FLOOR * scale)
     if np.sum(keep) < 2:
         raise InvalidInputError("not enough decaying blocks to fit")
     slope = np.polyfit(js[keep], np.log2(norms[keep]), 1)[0]
     return float(-slope)
 
 
-def norm_equivalence_report(fields, s, psi=DEFAULT_PSI, alt_psi=None):
+def norm_equivalence_report(fields, s, alt_psi=None):
     """Ratio statistics between the dyadic-block norm and the classical
     modulus-of-continuity norm across a family of fields; each field's row
     also holds its block sup norms ("blocks").
@@ -214,7 +218,7 @@ def norm_equivalence_report(fields, s, psi=DEFAULT_PSI, alt_psi=None):
     rows = []
     for fld in fields:
         spec = fld.check_aliasing(_ALIAS_TOL, "dyadic block input")
-        blocks = norms(fld, spec, psi)
+        blocks = norms(fld, spec, DEFAULT_PSI)
         zn = _weighted_sup(blocks, s)
         hn = holder_norm(fld, s)
         row = {"zygmund": zn, "holder": hn, "ratio": zn / hn, "blocks": blocks}
@@ -238,10 +242,12 @@ def norm_equivalence_report(fields, s, psi=DEFAULT_PSI, alt_psi=None):
     return report
 
 
-def random_band_limited_family(count, seed=0, r_half=48.0, n=4096, modes=12):
-    """Windowed random trigonometric fields for norm experiments."""
+def random_band_limited_family(count, seed=0, r_half=48.0, n=4096):
+    """Windowed random trigonometric fields for norm experiments: 12 cosine
+    modes each, frequencies log-uniform in [0.2, 30]."""
     from .modezero import line_grid
 
+    modes = 12
     rng = np.random.default_rng(seed)
     r0, dr = line_grid(r_half, n)
     r = r0 + dr * np.arange(n)

@@ -35,7 +35,7 @@ def _rows(text):
 # every accepted key with the conversion of its value; [operator] also takes
 # term<N> rows (converted by _reals)
 _KEYS = {
-    "surface": {"preset": str, "generators": _rows, "cusp_width": float, "max_word_len": int},
+    "surface": {"preset": str, "generators": _rows, "max_word_len": int},
     "operator": {"name": str, "d": int, "n_out": int, "n_in": int},
     "grid": {
         "r_half": float,
@@ -90,16 +90,15 @@ def config_digest(cfg):
 def build_surface(cfg):
     sec = cfg.get("surface", {})
     preset = sec.get("preset", "punctured-torus")
-    width = sec.get("cusp_width", 1.0)
     if "generators" in sec:
         gens = {}
         for i, vals in enumerate(sec["generators"]):
             if len(vals) != 4:
                 raise InvalidInputError("each generator row needs four reals")
             gens[chr(ord("a") + i)] = np.array(vals).reshape(2, 2)
-        return FuchsianSurface(generators=gens, cusp_width=width)
+        return FuchsianSurface(generators=gens)
     if preset == "punctured-torus":
-        return punctured_torus(width)
+        return punctured_torus()
     raise InvalidInputError(f"unknown surface preset {preset!r}")
 
 

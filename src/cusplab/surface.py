@@ -60,7 +60,6 @@ class FuchsianSurface:
     """Finitely generated free Fuchsian group with one cusp at infinity."""
 
     generators: dict
-    cusp_width: float = 1.0
 
     def __post_init__(self):
         if not self.generators:
@@ -71,8 +70,6 @@ class FuchsianSurface:
                 raise InvalidInputError("generator names are single lowercase letters")
             gens[name] = g if isinstance(g, MobiusMap) else MobiusMap(g)
         object.__setattr__(self, "generators", gens)
-        if self.cusp_width <= 0:
-            raise InvalidInputError("cusp width must be positive")
         if not self._has_parabolic_word(max_len=4):
             raise InvalidInputError("no parabolic word of length <= 4: not a cusped group")
 
@@ -130,9 +127,9 @@ class FuchsianSurface:
         return moves
 
 
-def punctured_torus(width=1.0):
+def punctured_torus():
     """Once-punctured torus group, normalized so the cusp parabolic is the
-    horizontal translation by ``width`` and the slice has covolume width.
+    horizontal translation by 1: the chart's cusp width.
 
     Built from the standard pair of trace-3 hyperbolic matrices whose
     commutator is parabolic, conjugated to put the cusp at infinity.
@@ -142,11 +139,11 @@ def punctured_torus(width=1.0):
     A, B = MobiusMap(a_raw), MobiusMap(b_raw)
     comm = A @ B @ A.inverse() @ B.inverse()
     # the raw commutator fixes 0; send it to infinity, then rescale so the
-    # induced translation has the requested width
+    # induced translation has width 1
     inv0 = MobiusMap(np.array([[0.0, -1.0], [1.0, 0.0]]))
     k1 = (inv0 @ comm @ inv0.inverse()).mat
     shift = abs(k1[0, 1] / k1[0, 0])
-    s = np.sqrt(width / shift)
+    s = np.sqrt(1.0 / shift)
     scale = MobiusMap(np.array([[s, 0.0], [0.0, 1.0 / s]]))
     conj = scale @ inv0
     conj_inv = conj.inverse()
@@ -154,7 +151,7 @@ def punctured_torus(width=1.0):
         "a": conj @ A @ conj_inv,
         "b": conj @ B @ conj_inv,
     }
-    return FuchsianSurface(generators=gens, cusp_width=width)
+    return FuchsianSurface(generators=gens)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +167,6 @@ class ClosedGeodesic:
     matrix: MobiusMap
     length: float
     axis_endpoints: tuple
-    base_point: complex
     _axis: BoundaryGeodesic = field(repr=False, default=None)
 
     @classmethod
@@ -185,7 +181,6 @@ class ClosedGeodesic:
             matrix=m,
             length=m.translation_length(),
             axis_endpoints=(rep, att),
-            base_point=complex(axis.point(0.0)),
             _axis=axis,
         )
 

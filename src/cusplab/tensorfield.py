@@ -20,6 +20,7 @@ the radial boundary.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +28,7 @@ from scipy.linalg import solve_banded
 
 from . import _kernels
 from .chart import ChartGrid
-from .errors import InvalidInputError, NumericFailureError
+from .errors import CoverageError, InvalidInputError, NumericFailureError
 
 _NCOMP = {0: 1, 1: 2, 2: 3}
 
@@ -112,10 +113,34 @@ class SymTensorField:
             self.comps, self.grid.r_min, self.grid.dr, r_pts, t_pts
         )
 
+    @cached_property
+    def _edge_activity(self):
+        """Whether the field is active (above 1e-8 of its largest value) in
+        the 6 radial cells next to the lower and the upper chart edge; read
+        from one radial profile per field."""
+        prof = np.max(np.abs(self.comps), axis=(0, 2))
+        floor = 1e-8 * max(prof.max(), 1e-300)
+        return prof[:6].max() > floor, prof[-6:].max() > floor
+
     def pullback(self, r, t, p_hat, q_hat):
         """pi_m^* of the field at chart points (r, t) along unit directions
         with orthonormal-frame components (vertical p_hat, slice q_hat): the
-        order-m tensor evaluated on the m-fold direction."""
+        order-m tensor evaluated on the m-fold direction.
+
+        Raises CoverageError when a point leaves the chart's radial range on
+        a side where the field is active: interpolation would read zero
+        there instead of the field."""
+        lo_active, hi_active = self._edge_activity
+        if lo_active and np.any(r < self.grid.r_min):
+            raise CoverageError(
+                "geodesic exits the chart below the base height inside the "
+                "tensor support"
+            )
+        if hi_active and np.any(r > self.grid.r_max):
+            raise CoverageError(
+                "geodesic exits the chart above the truncation inside the "
+                "tensor support"
+            )
         vals = self.interpolate(r, t)
         if self.order == 0:
             return vals[0]

@@ -4,15 +4,15 @@ Closed geodesics are integrated by adaptive composite Gauss-Legendre
 quadrature; each node is reduced to the Dirichlet fundamental domain, its
 unit tangent pushed along the reducing deck map, and the tensor's pullback
 evaluated there.  Each tensor type supplies ``pullback(r, theta, p_hat,
-q_hat)``: grid fields by quintic interpolation, analytic fields in closed
-form.  Values are normalized by the class length.
+q_hat)``: grid fields by quintic interpolation behind their coverage guard,
+analytic fields in closed form.  Values are normalized by the class length.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, InvalidInputError, NumericFailureError
+from .errors import InvalidInputError, NumericFailureError
 from .fields import AnalyticOneForm, AnalyticSymTensor
 from .surface import reduce_points
 from .tensorfield import SymTensorField, sym_derivative
@@ -68,59 +68,25 @@ class ArcSampler:
         return self._cache[level]
 
 
-class _Integrand:
-    """Pullback samples (r, theta, p_hat, q_hat) -> values of one tensor.
-
-    Built once per tensor and shared across classes: for a grid field the
-    coverage guard's edge activity comes from a single radial profile.
-    """
-
-    def __init__(self, tensor):
-        if isinstance(tensor, SymTensorField):
-            prof = np.max(np.abs(tensor.comps), axis=(0, 2))
-            floor = 1e-8 * max(prof.max(), 1e-300)
-            self._lo_active = prof[:6].max() > floor
-            self._hi_active = prof[-6:].max() > floor
-        elif not isinstance(tensor, (AnalyticSymTensor, AnalyticOneForm)):
-            raise InvalidInputError(f"unsupported tensor type {type(tensor).__name__}")
-        self.tensor = tensor
-
-    def __call__(self, r, th, p, q):
-        tensor = self.tensor
-        if isinstance(tensor, SymTensorField):
-            grid = tensor.grid
-            if self._lo_active and np.any(r < grid.r_min):
-                raise CoverageError(
-                    "geodesic exits the chart below the base height inside the "
-                    "tensor support"
-                )
-            if self._hi_active and np.any(r > grid.r_max):
-                raise CoverageError(
-                    "geodesic exits the chart above the truncation inside the "
-                    "tensor support"
-                )
-        return tensor.pullback(r, th, p, q)
-
-
 def xray_eval(surface, tensor, geodesic, tol=1e-9, max_level=9, sampler=None, strict=True):
     """Normalized X-ray transform of a tensor over one closed geodesic.
 
     Refines the composite quadrature until two consecutive levels differ by
     at most tol/2; the reported error estimate is that difference.  Without
     ``strict``, an unconverged run returns the ``max_level`` value with the
-    difference from the level below as its error estimate.  ``tensor`` may
-    also be an integrand already built from one, as the suites pass it.
+    difference from the level below as its error estimate.
     """
     if tol <= 0:
         raise InvalidInputError("tolerance must be positive")
     if max_level < 1:
         raise InvalidInputError("max_level must be >= 1: the error estimate needs two levels")
+    if not isinstance(tensor, (SymTensorField, AnalyticSymTensor, AnalyticOneForm)):
+        raise InvalidInputError(f"unsupported tensor type {type(tensor).__name__}")
     sampler = sampler or ArcSampler(surface, geodesic)
-    integrand = tensor if isinstance(tensor, _Integrand) else _Integrand(tensor)
     prev = None
     for level in range(max_level + 1):
         ts, ws, frame = sampler.quadrature(level)
-        vals = integrand(*frame)
+        vals = tensor.pullback(*frame)
         total = float(np.dot(ws, vals)) / geodesic.length
         if prev is not None:
             diff = abs(total - prev)
@@ -137,8 +103,7 @@ def xray_eval(surface, tensor, geodesic, tol=1e-9, max_level=9, sampler=None, st
 
 def xray_suite(surface, tensor, geodesics, tol=1e-9, strict=True):
     """Evaluate one tensor across many classes (deterministic order)."""
-    integrand = _Integrand(tensor)
-    return [xray_eval(surface, integrand, geo, tol=tol, strict=strict) for geo in geodesics]
+    return [xray_eval(surface, tensor, geo, tol=tol, strict=strict) for geo in geodesics]
 
 
 def potential_annihilation_suite(
@@ -173,9 +138,8 @@ def potential_annihilation_suite(
             sup_p = max(sampled.sup_norm(), 1e-300)
         else:
             raise InvalidInputError("path must be 'symbolic' or 'grid'")
-        integrand = _Integrand(dp)
         values = [
-            xray_eval(surface, integrand, geo, tol=tol, sampler=samplers[geo.word], strict=True)
+            xray_eval(surface, dp, geo, tol=tol, sampler=samplers[geo.word], strict=True)
             for geo in geodesics
         ]
         m = max(abs(r.value) for r in values) / sup_p

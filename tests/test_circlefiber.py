@@ -64,7 +64,7 @@ def test_perturbation_scales_linearly():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_gradient_root_is_exactly_zero(d):
-    roots, cert = gradient_indicial_roots(d, window=(-10.0, 10.0), lmax=6)
+    roots, cert = gradient_indicial_roots(d)
     assert roots == [0.0]
     # every block beyond the constants is certified coercive
     for row in cert:
@@ -76,7 +76,7 @@ def test_gradient_root_is_exactly_zero(d):
 def test_circle_blocks_match_fourier_eigenvalues():
     # d=1 oracle: on the n-th circle harmonic the derivative part has
     # squared norm 2 n^2 (vertical + slice rotation each contribute n^2)
-    _, cert = gradient_indicial_roots(1, lmax=5)
+    _, cert = gradient_indicial_roots(1)
     by_degree = {row["degree"]: row for row in cert}
     # degree-l monomial space on the circle contains harmonics n = l, l-2, ...
     # so the smallest positive derivative eigenvalue at degree l is 2*1^2 for

@@ -7,12 +7,20 @@ import numpy as np
 import pytest
 
 from cusplab.cli import main
-from cusplab.runio import load_tensor, write_csv
+from cusplab.runio import (
+    build_chart_grid,
+    build_line_grid,
+    build_operator,
+    build_surface,
+    load_config,
+    load_tensor,
+    write_csv,
+)
+from cusplab.surface import enumerate_hyperbolic_classes
 
 BASE_CONFIG = """
 [surface]
 preset = punctured-torus
-cusp_width = 1.0
 max_word_len = 3
 
 [operator]
@@ -239,6 +247,29 @@ def test_unknown_config_key_is_validation_error(tmp_path):
 def test_missing_config_file_is_validation_error(tmp_path):
     code = main(["roots", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_loads_and_builds(path):
+    cfg = load_config(path)
+    surface = build_surface(cfg)
+    assert enumerate_hyperbolic_classes(surface, 1)
+    build_operator(cfg)
+    r_half, n = build_line_grid(cfg)
+    assert r_half > 0 and n > 0
+    build_chart_grid(cfg)
+
+
+def test_config_naming_the_cusp_width_is_invalid(tmp_path, capsys):
+    # the chart fixes the cusp width to 1, so the key is unknown
+    path = tmp_path / "width.ini"
+    path.write_text("[surface]\npreset = punctured-torus\ncusp_width = 1.0\nmax_word_len = 2\n")
+    code = main(["geodesics", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "cusp_width" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_usage_error(tmp_path):

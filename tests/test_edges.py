@@ -109,7 +109,7 @@ def test_surface_from_explicit_generator_rows(tmp_path):
     b = TORUS.generators["b"].mat
     rows = "; ".join(" ".join(format(x, ".17g") for x in m.ravel()) for m in (a, b))
     path = tmp_path / "surface.ini"
-    path.write_text(f"[surface]\ngenerators = {rows}\ncusp_width = 1.0\n")
+    path.write_text(f"[surface]\ngenerators = {rows}\n")
     surf = build_surface(load_config(path))
     comm = surf.word_matrix("abAB")
     assert abs(abs(comm.trace) - 2.0) < 1e-9

@@ -28,6 +28,17 @@ def test_classification_examples():
     assert MobiusMap([[1, 0], [0, 1]]).classify() == "identity"
 
 
+def test_is_identity_holds_the_diagonal_to_its_tolerance():
+    # entries 5e-6 from I are not the identity at tol 1e-12 or 1e-9: no
+    # relative slack on the unit diagonal
+    near = MobiusMap(np.diag([1.0 + 5e-6, 1.0 / (1.0 + 5e-6)]))
+    assert not near.is_identity()
+    assert not near.is_identity(tol=1e-9)
+    assert near.classify() != "identity"
+    assert MobiusMap(-near.mat).is_identity(tol=1e-5)
+    assert MobiusMap(np.diag([1.0 + 1e-13, 1.0 / (1.0 + 1e-13)])).is_identity()
+
+
 def test_non_positive_determinant_rejected():
     with pytest.raises(InvalidInputError):
         MobiusMap([[1, 2], [2, 1]])  # det = -3
@@ -146,7 +157,9 @@ def test_enumeration_count_covers_fifty_classes_at_length_six():
 def test_arc_endpoints_and_closedness():
     for g in enumerate_hyperbolic_classes(TORUS, 2):
         z0, v0 = g.arc(0.0)
-        assert abs(z0 - g.base_point) < 1e-12
+        # the start point lies on the axis: the semicircle over its endpoints
+        rep, att = g.axis_endpoints
+        assert abs(abs(z0 - 0.5 * (rep + att)) - 0.5 * abs(att - rep)) < 1e-12
         z1, _ = g.arc(g.length)
         assert abs(g.matrix.apply(z0) - z1) < 1e-10
 

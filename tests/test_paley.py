@@ -143,7 +143,7 @@ def test_windowed_constant_block_decay():
     fld = grid_field(window_profile(r))
     _, norms = zygmund_norm(fld, 0.0, return_blocks=True)
     assert np.argmax(norms) == 0
-    fitted = block_decay_exponent(norms, j_start=3)
+    fitted = block_decay_exponent(norms)
     assert fitted >= 4.0
 
 

@@ -412,6 +412,30 @@ def test_symbolic_pullback_takes_one_jet_of_each_component(monkeypatch):
     assert len(calls) == 4
 
 
+def _bump_prime_reference(x):
+    # the derivative with its own exponential, as before the jet reused the
+    # bump's values
+    out = np.zeros_like(x)
+    inside = np.abs(x) < 1.0
+    y = x[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - y * y)) * (-2.0 * y / (1.0 - y * y) ** 2)
+    return out
+
+
+def test_bump_jet_partials_are_bit_identical_to_two_exponentials():
+    r0, t0, r_width, t_width = 1.5, 0.45, 0.5, 0.15
+    edge = 1.0 - 1e-9
+    s = np.array([-2.0, -1.0, -edge, -0.999, -0.6, -1e-3, 0.0, 0.2, 0.999, edge, 1.0, 1.5])
+    rr, tt = np.meshgrid(r0 + r_width * s, t0 + t_width * s, indexing="ij")
+    _, d_r, d_t = Scalar2D.bump(r0, t0, r_width, t_width).jet(rr, tt)
+    x = (rr - r0) / r_width
+    y = fields._wrap(tt - t0) / t_width
+    assert np.any(np.abs(x) >= 1.0) and np.any((np.abs(x) < 1.0) & (np.abs(x) > 0.99))
+    assert np.array_equal(d_r, _bump_prime_reference(x) / r_width * fields._bump(y))
+    assert np.array_equal(d_t, fields._bump(x) * _bump_prime_reference(y) / t_width)
+    assert np.any(d_r != 0.0) and np.any(d_t != 0.0)
+
+
 def test_linearity_of_interpolation_and_norms():
     _, f = _bump_pair(GRID, 2)
     g = 2.5 * f
