@@ -58,8 +58,7 @@ from .xray import potential_annihilation_suite, xray_suite
 
 
 def _laplacian_roots_target(d):
-    half = np.sqrt(d + d * d / 4.0)
-    return sorted([-1.0, float(d + 1), d / 2.0 - half, d / 2.0 + half])
+    return sorted([-1.0, float(d + 1), *laplacian_invertibility_window(d)])
 
 
 def criterion_1_indicial_roots():
@@ -112,11 +111,10 @@ def criterion_3_adjoint_symmetry():
         got = [r.lam.real for r in indicial_roots(fam)]
         adj = sorted(d - r.lam.real for r in indicial_roots(adjoint_family(fam, d)))
         worst = max(worst, max(abs(a - b) for a, b in zip(sorted(got), adj)))
-        half = np.sqrt(d + d * d / 4.0)
-        pair_sum = (d / 2.0 + half) + (d / 2.0 - half)
-        plus = min(got, key=lambda x: abs(x - (d / 2.0 + half)))
-        minus = min(got, key=lambda x: abs(x - (d / 2.0 - half)))
-        worst = max(worst, abs((plus + minus) - d), abs(pair_sum - d))
+        lam_minus, lam_plus = laplacian_invertibility_window(d)
+        plus = min(got, key=lambda x: abs(x - lam_plus))
+        minus = min(got, key=lambda x: abs(x - lam_minus))
+        worst = max(worst, abs((plus + minus) - d))
     return worst <= 1e-12, {"max_error": worst, "tolerance": 1e-12}
 
 
@@ -342,7 +340,7 @@ def criterion_11_fiber_inverse():
     for _ in range(20):
         lam = rng.uniform(0.5, 8.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         worst = max(worst, sphere_fibered_inverse_check(lam))
-    slope, _ = inverse_conditioning_exponent(perturbation=1e-12)
+    slope, _ = inverse_conditioning_exponent()
     ok = worst <= 1e-10 and abs(slope + 1.0) <= 0.1
     return ok, {"max_residual": worst, "conditioning_slope": slope}
 

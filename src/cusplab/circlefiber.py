@@ -96,12 +96,12 @@ def sphere_fibered_inverse_check(lam, perturbation=0.0):
     return worst
 
 
-def inverse_conditioning_exponent(perturbation=1e-12):
-    """Fitted slope of log residual against log |lam| under a fixed
-    perturbation, over lam = 1e-1 .. 1e-5; the canonical left inverse
+def inverse_conditioning_exponent():
+    """Fitted slope of log residual against log |lam| under the fixed
+    perturbation 1e-12, over lam = 1e-1 .. 1e-5; the canonical left inverse
     carries a 1/lam factor, so the slope is -1."""
     lams = 10.0 ** np.arange(-1.0, -6.0, -1.0)
-    res = [sphere_fibered_inverse_check(lam, perturbation=perturbation) for lam in lams]
+    res = [sphere_fibered_inverse_check(lam, perturbation=1e-12) for lam in lams]
     slope = np.polyfit(np.log10(np.abs(lams)), np.log10(res), 1)[0]
     return float(slope), list(zip([float(x) for x in lams], res))
 

@@ -12,7 +12,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
 from .errors import InvalidInputError, ReductionError
 from .halfplane import BoundaryGeodesic, MobiusMap
 
@@ -75,8 +74,7 @@ class FuchsianSurface:
 
     def _has_parabolic_word(self, max_len):
         for w in self.words(max_len):
-            m = self.word_matrix(w)
-            if not m.is_identity() and abs(abs(m.trace) - 2.0) < 1e-9:
+            if self.word_matrix(w).classify() == "parabolic":
                 return True
         return False
 
@@ -216,20 +214,57 @@ def enumerate_hyperbolic_classes(surface, max_word_len):
 # ---------------------------------------------------------------------------
 
 
+_IMPROVE_RTOL = 1e-14
+
+
+def _cosh_dist_to_i(w):
+    # cosh of the hyperbolic distance from w to i
+    return 1.0 + (w.real * w.real + (w.imag - 1.0) ** 2) / (2.0 * w.imag)
+
+
 def reduce_points(surface, zs, max_iter=10000):
     """Batch greedy reduction toward the Dirichlet domain centered at i.
 
-    Returns (reduced points, deck matrices); raises ReductionError when the
-    iteration cap is hit.
+    Repeatedly applies whichever of the surface's reduction moves decreases
+    the hyperbolic distance to i the most (the first one on ties), and stops
+    once the best move improves by less than a relative ``_IMPROVE_RTOL``.
+    All points still moving are stepped together, in the operation order of
+    a scalar loop over the points.  Returns (reduced points, deck matrices);
+    raises ReductionError when the iteration cap is hit.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(zs.imag <= 0):
         raise InvalidInputError("points must lie in the upper half-plane")
-    zred, mats, iters = _kernels.reduce_points(zs, surface.reduction_moves, max_iter)
-    if np.any(iters < 0):
-        bad = zs[iters < 0]
+    moves = surface.reduction_moves
+    zred = zs.copy()
+    n = zred.shape[0]
+    a, b = moves[:, 0, 0], moves[:, 0, 1]
+    c, d = moves[:, 1, 0], moves[:, 1, 1]
+    g00, g01 = np.ones(n), np.zeros(n)
+    g10, g11 = np.zeros(n), np.ones(n)
+    live = np.arange(n)
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        w = zred[live][:, None]
+        cand = (a * w + b) / (c * w + d)
+        cost = _cosh_dist_to_i(cand)
+        best = np.argmin(cost, axis=1)
+        rows = np.arange(live.size)
+        moved = cost[rows, best] < _cosh_dist_to_i(w[:, 0]) * (1.0 - _IMPROVE_RTOL)
+        live, rows, m = live[moved], rows[moved], best[moved]
+        zred[live] = cand[rows, m]
+        am, bm, cm, dm = a[m], b[m], c[m], d[m]
+        h00, h01, h10, h11 = g00[live], g01[live], g10[live], g11[live]
+        g00[live] = am * h00 + bm * h10
+        g01[live] = am * h01 + bm * h11
+        g10[live] = cm * h00 + dm * h10
+        g11[live] = cm * h01 + dm * h11
+    # the points still live after the loop are exactly those that hit the cap
+    if live.size:
         raise ReductionError(
             f"Dirichlet reduction hit the {max_iter}-step cap",
-            diagnostics={"points": bad[:8].tolist(), "count": int(np.sum(iters < 0))},
+            diagnostics={"points": zs[live[:8]].tolist(), "count": int(live.size)},
         )
+    mats = np.stack([g00, g01, g10, g11], axis=-1).reshape(n, 2, 2)
     return zred, mats

@@ -26,11 +26,22 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
-from . import _kernels
 from .chart import ChartGrid
 from .errors import CoverageError, InvalidInputError, NumericFailureError
 
 _NCOMP = {0: 1, 1: 2, 2: 3}
+
+
+def _lagrange_weights(s):
+    # 6-point stencil at offsets 0..5, local coordinates s in [2, 3]
+    w = []
+    for i in range(6):
+        p = np.ones_like(s)
+        for j in range(6):
+            if j != i:
+                p *= (s - j) / (i - j)
+        w.append(p)
+    return w
 
 
 @dataclass(frozen=True)
@@ -107,11 +118,41 @@ class SymTensorField:
         return int(min(nz[0], self.grid.n_r - 1 - nz[-1]))
 
     def interpolate(self, r_pts, t_pts):
-        """Component values at scattered chart points (quintic Lagrange in r,
-        periodic in theta; zero outside the radial range)."""
-        return _kernels.interp2d(
-            self.comps, self.grid.r_min, self.grid.dr, r_pts, t_pts
-        )
+        """Component values at scattered chart points: quintic (6-point)
+        separable Lagrange interpolation, periodic in theta with period 1,
+        zero outside the radial range (fields are compactly supported inside
+        the chart).
+
+        Returns (ncomp, npts).  Each point's value is the sum over r offsets
+        of the theta-interpolated grid rows, in the operation order of a
+        scalar loop over the points.
+        """
+        r_pts = np.asarray(r_pts, dtype=np.float64)
+        t_pts = np.asarray(t_pts, dtype=np.float64)
+        ncomp, rn, tn = self.comps.shape
+        out = np.zeros((ncomp, r_pts.shape[0]))
+        x = (r_pts - self.grid.r_min) / self.grid.dr
+        if np.isnan(x).any() or not np.isfinite(t_pts).all():
+            raise ValueError("interpolation points need a non-NaN r and a finite theta")
+        inside = np.nonzero((x >= -0.5) & (x <= rn - 0.5))[0]
+        x = x[inside]
+        i0 = np.clip(np.floor(x).astype(np.int64) - 2, 0, rn - 6)
+        dt = 1.0 / tn
+        y = (t_pts[inside] % 1.0) / dt
+        j0 = np.floor(y).astype(np.int64) - 2
+        wr = _lagrange_weights(x - i0)
+        wt = _lagrange_weights(y - j0)
+        cols = [(j0 + j) % tn for j in range(6)]
+        flat = self.comps.reshape(ncomp, rn * tn)
+        acc = np.zeros((ncomp, inside.size))
+        for i in range(6):
+            base = (i0 + i) * tn
+            row = np.zeros((ncomp, inside.size))
+            for j in range(6):
+                row += wt[j] * flat[:, base + cols[j]]
+            acc += wr[i] * row
+        out[:, inside] = acc
+        return out
 
     @cached_property
     def _edge_activity(self):
@@ -280,11 +321,13 @@ def model_derivative_image(grid, lam, a0, b0):
     return SymTensorField(grid, 2, np.stack([s, t, x]))
 
 
-def model_laplacian_image(grid, lam, a0, b0, d=1):
+def model_laplacian_image(grid, lam, a0, b0):
+    """Closed form of the symmetric Laplacian applied to the exponential
+    model 1-form (the surface case, d = 1)."""
     er = np.exp(lam * grid.r)[:, None]
     ones = np.ones((grid.n_r, grid.n_theta))
-    ca = (lam**2 - lam * d - d) * a0
-    cb = 0.5 * (lam + 1.0) * (lam - (d + 1.0)) * b0
+    ca = (lam**2 - lam - 1) * a0
+    cb = 0.5 * (lam + 1.0) * (lam - 2.0) * b0
     return SymTensorField(grid, 1, np.stack([ca * er * ones, cb * er * ones]))
 
 

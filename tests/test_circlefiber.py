@@ -51,7 +51,7 @@ def test_left_inverse_rejected_at_root():
 
 
 def test_conditioning_blowup_rate_is_inverse_lambda():
-    slope, points = inverse_conditioning_exponent(perturbation=1e-12)
+    slope, points = inverse_conditioning_exponent()
     assert len(points) >= 4
     assert abs(slope + 1.0) <= 0.05
 

@@ -1,15 +1,20 @@
-"""The vectorised kernels against per-point oracles.
+"""The vectorised numeric kernels against per-point oracles.
 
-The reduction and interpolation kernels must agree bit for bit with the
-scalar loops below, which step one point at a time in the same operation
-order; the Hoelder kernel is checked against a brute-force pair supremum.
+``surface.reduce_points`` and ``SymTensorField.interpolate`` must agree bit
+for bit with the scalar loops below, which step one point at a time in the
+same operation order; the Hoelder seminorm inside ``paley.holder_norm`` is
+checked against a brute-force pair supremum.
 """
 
 import numpy as np
 import pytest
 
-from cusplab import _kernels, surface
+from cusplab import surface
+from cusplab.chart import ChartGrid
 from cusplab.errors import ReductionError
+from cusplab.modezero import ModeZeroField
+from cusplab.paley import holder_norm
+from cusplab.tensorfield import SymTensorField
 
 RNG = np.random.default_rng(99)
 TORUS = surface.punctured_torus()
@@ -37,7 +42,7 @@ def reduce_point_loop(z, moves, max_iter):
                 if cn < best:
                     best = cn
                     bi = m
-            if bi < 0 or best >= cur * (1.0 - _kernels._IMPROVE_RTOL):
+            if bi < 0 or best >= cur * (1.0 - surface._IMPROVE_RTOL):
                 break
             a, b = moves[bi, 0, 0], moves[bi, 0, 1]
             c, d = moves[bi, 1, 0], moves[bi, 1, 1]
@@ -93,38 +98,53 @@ def random_upper_points(n):
     return RNG.uniform(-2, 2, n) + 1j * np.exp(RNG.uniform(np.log(0.05), np.log(3), n))
 
 
+def grid_field(comps, r_max):
+    """The component grid as a tensor field on the chart [0, r_max] x R/Z."""
+    ncomp, rn, tn = comps.shape
+    return SymTensorField(ChartGrid(0.0, r_max, rn, tn), ncomp - 1, comps)
+
+
 def assert_bitwise(got, want):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
 
 
+def assert_cap_diagnostics(zs, max_iter, niter):
+    """The ReductionError of a capped run names the points the loop marks -1."""
+    capped = zs[niter == -1]
+    assert capped.size > 0
+    with pytest.raises(ReductionError) as info:
+        surface.reduce_points(TORUS, zs, max_iter=max_iter)
+    assert info.value.diagnostics["count"] == capped.size
+    assert info.value.diagnostics["points"] == capped[:8].tolist()
+
+
 @pytest.mark.parametrize("max_iter", [10000, 3, 1, 0])
 def test_reduce_points_matches_point_loop(max_iter):
     zs = random_upper_points(2000)
-    moves = TORUS.reduction_moves
-    got = _kernels.reduce_points(zs, moves, max_iter)
-    assert_bitwise(got, reduce_point_loop(zs, moves, max_iter))
+    zred, mats, niter = reduce_point_loop(zs, TORUS.reduction_moves, max_iter)
     if max_iter == 10000:
-        assert np.all(got[2] >= 0) and np.max(got[2]) > 3
+        assert np.all(niter >= 0) and np.max(niter) > 3
+        assert_bitwise(surface.reduce_points(TORUS, zs, max_iter), (zred, mats))
     else:
-        assert np.any(got[2] == -1)
+        assert_cap_diagnostics(zs, max_iter, niter)
 
 
 def test_reduce_points_cap_on_20k_points_matches_point_loop():
     rng = np.random.default_rng(0)
     zs = rng.uniform(-2, 2, 20000) + 1j * np.exp(rng.uniform(np.log(0.05), np.log(3.0), 20000))
-    got = _kernels.reduce_points(zs, TORUS.reduction_moves, 3)
-    assert_bitwise(got, reduce_point_loop(zs, TORUS.reduction_moves, 3))
-    assert int(np.sum(got[2] < 0)) == 1216
+    _, _, niter = reduce_point_loop(zs, TORUS.reduction_moves, 3)
+    assert int(np.sum(niter < 0)) == 1216
+    assert_cap_diagnostics(zs, 3, niter)
 
 
 def test_surface_reduction_cap_raises_with_count():
     zs = random_upper_points(500)
-    _, _, iters = _kernels.reduce_points(zs, TORUS.reduction_moves, 2)
+    _, _, niter = reduce_point_loop(zs, TORUS.reduction_moves, 2)
     with pytest.raises(ReductionError) as info:
         surface.reduce_points(TORUS, zs, max_iter=2)
-    assert info.value.diagnostics["count"] == int(np.sum(iters < 0)) > 0
+    assert info.value.diagnostics["count"] == int(np.sum(niter < 0)) > 0
     assert len(info.value.diagnostics["points"]) == 8
 
 
@@ -137,12 +157,13 @@ def test_reduction_moves_built_once_per_surface():
 
 def test_interp2d_matches_point_loop_inside_and_outside_ranges():
     grid = RNG.normal(size=(3, 64, 48))
-    dr = 1.0 / 63
+    fld = grid_field(grid, 1.0)
+    dr = fld.grid.dr
     pts_r = RNG.uniform(-0.1, 1.1, 600)
     pts_t = RNG.uniform(-2.0, 3.0, 600)
     pts_t[:6] = [-1e-20, -0.0, 0.0, 1.0, 1.0 - 1e-17, -3.0]
     pts_r[:2] = [-0.5 * dr, 1.0 + 0.5 * dr]  # both range edges count as inside
-    got = _kernels.interp2d(grid, 0.0, dr, pts_r, pts_t)
+    got = fld.interpolate(pts_r, pts_t)
     want = interp_point_loop(grid, 0.0, dr, pts_r, pts_t)
     assert got.tobytes() == want.tobytes()
     outside = (pts_r < -0.5 * dr) | (pts_r > 1.0 + 0.5 * dr)
@@ -154,9 +175,10 @@ def test_interp2d_is_periodic_in_theta():
     grid = RNG.normal(size=(2, 16, 24))
     pts_r = RNG.uniform(0.2, 0.8, 50)
     pts_t = RNG.uniform(0.0, 1.0, 50)
-    base = _kernels.interp2d(grid, 0.0, 1.0 / 15, pts_r, pts_t)
+    fld = grid_field(grid, 1.0)
+    base = fld.interpolate(pts_r, pts_t)
     for shift in (-2.0, 1.0, 5.0):
-        moved = _kernels.interp2d(grid, 0.0, 1.0 / 15, pts_r, pts_t + shift)
+        moved = fld.interpolate(pts_r, pts_t + shift)
         assert np.max(np.abs(moved - base)) < 1e-12
 
 
@@ -175,27 +197,27 @@ def test_interp2d_reproduces_quintic_polynomials():
     grid = poly[None]
     pts_r = RNG.uniform(0.1, 0.9, 100)
     pts_t = RNG.uniform(0.0, 1.0, 100)
-    vals = _kernels.interp2d(grid, 0.0, r[1] - r[0], pts_r, pts_t)
+    vals = grid_field(grid, 1.0).interpolate(pts_r, pts_t)
     want = 1.0 + 2.0 * pts_r - pts_r**3 + 0.25 * pts_r**5
     assert np.max(np.abs(vals[0] - want)) < 1e-12
 
 
 def test_interp2d_zero_outside_radial_range():
-    grid = np.ones((1, 16, 8))
-    vals = _kernels.interp2d(grid, 0.0, 0.1, np.array([-1.0, 5.0]), np.array([0.2, 0.3]))
+    fld = grid_field(np.ones((1, 16, 8)), 1.5)
+    vals = fld.interpolate(np.array([-1.0, 5.0]), np.array([0.2, 0.3]))
     assert np.all(vals == 0.0)
 
 
 @pytest.mark.parametrize("r, t", [(np.nan, 0.2), (0.5, np.inf), (0.5, np.nan)])
 def test_interp2d_rejects_points_without_a_position(r, t):
     with pytest.raises(ValueError):
-        _kernels.interp2d(np.ones((1, 16, 8)), 0.0, 0.1, np.array([0.3, r]), np.array([0.1, t]))
+        grid_field(np.ones((1, 16, 8)), 1.5).interpolate(np.array([0.3, r]), np.array([0.1, t]))
 
 
 def test_holder_matches_bruteforce():
     u = RNG.normal(size=257)
-    dr, s, cap = 0.05, 0.5, 40
-    got = _kernels.holder_seminorm(u, dr, s, cap)
+    dr, s, cap = 0.05, 0.5, 40  # holder_norm's offset cap: |r - r'| <= 2
+    got = holder_norm(ModeZeroField(0.0, dr, u), s) - np.max(np.abs(u))
     brute = max(
         abs(u[i + k] - u[i]) / (k * dr) ** s
         for k in range(1, cap + 1)
