@@ -24,6 +24,7 @@ from .modezero import (
     evaluate_elements,
     fit_decay_rate,
     invert_on_line,
+    line_grid,
     make_field,
 )
 from .operators import (
@@ -77,9 +78,11 @@ def criterion_1_indicial_roots():
         if len(got) != 4:
             return False, {"reason": f"laplacian root count wrong at d={d}"}
         worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
-        roots_g, _ = gradient_indicial_roots(d)
-        if len(roots_g) != 1:
-            return False, {"reason": f"gradient root count wrong at d={d}"}
+        roots_g, certificate = gradient_indicial_roots(d)
+        # the derivative part's kernel is the constants: one dimension in
+        # each even-degree block, none in the odd ones
+        if any(block["kernel_dim"] != 1 - block["degree"] % 2 for block in certificate):
+            return False, {"reason": f"gradient kernel is not the constants at d={d}"}
         worst = max(worst, abs(roots_g[0]))
     return worst <= 1e-10, {"max_root_error": worst, "tolerance": 1e-10}
 
@@ -349,8 +352,6 @@ def criterion_12_littlewood_paley():
     """Partition of unity to 1e-12, off-diagonal block interaction decaying
     with fitted exponent >= 4, Hoelder/Zygmund ratio interval stable within
     10% under family doubling at s = 1/2."""
-    from .modezero import line_grid
-
     r0, dr = line_grid(48.0, 4096)
     xi = 2 * np.pi * np.fft.fftfreq(4096, d=dr)
     j_max = int(np.ceil(np.log2(bracket(xi).max()))) + 1

@@ -226,12 +226,11 @@ def gradient_indicial_roots(d):
         a_red = basis.T @ ((a + a.T) / 2.0) @ basis
         eigvals = np.linalg.eigvalsh(a_red)
         scale = max(np.max(np.abs(eigvals)), 1.0)
-        # kernel block: the family there is lam * (injection); its only zero
-        # is the root of the linear polynomial lam itself
         kernel_dim = int(np.sum(np.abs(eigvals) < 1e-8 * scale))
         if kernel_dim > 0:
-            root = float(np.real(np.roots([1.0, 0.0])[0]))  # linear family lam
-            roots.add(root)
+            # on the kernel block the family is lam * (injection), whose
+            # only zero is lam = 0
+            roots.add(0.0)
         positive = eigvals[np.abs(eigvals) >= 1e-8 * scale]
         certificate.append(
             {

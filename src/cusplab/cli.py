@@ -1,13 +1,15 @@
 """Batch command-line front-end.
 
-Every subcommand reads one INI config, writes its outputs under --out, and
-finishes with a manifest recording the command, config digest, tool
-version, produced files and wall time.  Exit codes: 0 success, 2 invalid
-input, 3 numeric failure, 64 usage errors.
+Every subcommand reads the filled config (an INI file's values over the
+defaults in ``runio._KEYS``, or the defaults alone when no file is given),
+writes its outputs under --out, and finishes with a manifest recording the
+command, config digest, tool version, produced files and wall time.  Exit
+codes: 0 success, 2 invalid input, 3 numeric failure, 64 usage errors.
 """
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +19,17 @@ from .acceptance import run_all
 from .errors import InvalidInputError, NumericFailureError
 from .fields import Scalar2D, random_bump_one_form
 from .modezero import (
+    ModeZeroField,
     apply_indicial,
     bump,
     fit_decay_rate,
     invert_on_line,
     kernel_elements,
     make_field,
+    window_profile,
 )
-from .operators import indicial_family
 from .paley import (
+    block_decay_exponent,
     interaction_decay_exponent,
     norm_equivalence_report,
     random_band_limited_family,
@@ -34,9 +38,7 @@ from .paley import (
 from .polymat import indicial_roots
 from .residues import index_jump, root_report
 from .runio import (
-    ManifestWriter,
     build_chart_grid,
-    build_line_grid,
     build_operator,
     build_surface,
     load_config,
@@ -44,6 +46,7 @@ from .runio import (
     save_tensor,
     write_csv,
     write_json,
+    write_manifest,
 )
 from .surface import enumerate_hyperbolic_classes
 from .tensorfield import SymTensorField, solenoidal_project
@@ -56,24 +59,15 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(64)
 
 
-def _tolerances(cfg):
-    return cfg.get("tolerances", {})
-
-
-def _window(cfg):
-    tol = _tolerances(cfg)
-    return (tol.get("window_lo", -10.0), tol.get("window_hi", 10.0))
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies (each returns a list of written paths)
 # ---------------------------------------------------------------------------
 
 
 def cmd_indicial(cfg, out, args):
-    fam = indicial_family(build_operator(cfg))
+    fam = build_operator(cfg)
     payload = {
-        "name": fam.meta.get("name", ""),
+        "name": cfg["operator"]["name"],
         "shape": list(fam.shape),
         "degree": fam.degree,
         "coefficients": [c.real.tolist() for c in fam.coeffs],
@@ -84,17 +78,16 @@ def cmd_indicial(cfg, out, args):
 
 
 def cmd_roots(cfg, out, args):
-    fam = indicial_family(build_operator(cfg))
-    report = root_report(fam, _window(cfg))
+    tol = cfg["tolerances"]
+    report = root_report(build_operator(cfg), (tol["window_lo"], tol["window_hi"]))
     return [write_json(out / "roots.json", report)]
 
 
 def cmd_index_jump(cfg, out, args):
-    tol = _tolerances(cfg)
-    if "weight_from" not in tol or "weight_to" not in tol:
+    a, b = cfg["tolerances"]["weight_from"], cfg["tolerances"]["weight_to"]
+    if a is None or b is None:
         raise InvalidInputError("index-jump needs weight_from and weight_to")
-    fam = indicial_family(build_operator(cfg))
-    a, b = tol["weight_from"], tol["weight_to"]
+    fam = build_operator(cfg)
     jump = index_jump(fam, a, b)
     crossed = [
         {"lambda": [r.lam.real, r.lam.imag], "multiplicity": r.multiplicity}
@@ -106,19 +99,17 @@ def cmd_index_jump(cfg, out, args):
 
 
 def cmd_mode0_solve(cfg, out, args):
-    fam = indicial_family(build_operator(cfg))
+    fam = build_operator(cfg)
     if not fam.is_square:
         raise InvalidInputError("mode0-solve needs a square operator")
-    r_half, n = build_line_grid(cfg)
-    tol = _tolerances(cfg)
-    rho = tol.get("weight", 0.0)
+    rho = cfg["tolerances"]["weight"]
     ncomp = fam.shape[0]
 
     def rhs(r):
         b = bump(r / 4.0)
         return np.stack([b * 0.7**k for k in range(ncomp)], axis=1)
 
-    f = make_field(rhs, r_half=r_half, n=n)
+    f = make_field(rhs, r_half=cfg["grid"]["r_half"], n=cfg["grid"]["n"])
     u, info = invert_on_line(fam, f, rho)
     back = apply_indicial(fam, u)
     # u and back carry weight rho: compare with f's weight-rho representative
@@ -147,11 +138,11 @@ def cmd_mode0_solve(cfg, out, args):
 
 
 def cmd_mode0_kernel(cfg, out, args):
-    fam = indicial_family(build_operator(cfg))
-    tol = _tolerances(cfg)
-    if "root" not in tol:
+    fam = build_operator(cfg)
+    root = cfg["tolerances"]["root"]
+    if root is None:
         raise InvalidInputError("mode0-kernel needs a root in [tolerances]")
-    lam0 = complex(tol["root"], 0.0)
+    lam0 = complex(root, 0.0)
     els = kernel_elements(fam, lam0)
     rows = []
     for i, el in enumerate(els):
@@ -173,18 +164,14 @@ def cmd_mode0_kernel(cfg, out, args):
 
 
 def cmd_lp_norm(cfg, out, args):
-    tol = _tolerances(cfg)
-    s = tol.get("s", 0.5)
-    r_half, n = build_line_grid(cfg)
-    fam = random_band_limited_family(16, seed=args.seed, r_half=r_half, n=n)
+    s = cfg["tolerances"]["s"]
+    grid = cfg["grid"]
+    fam = random_band_limited_family(16, seed=args.seed, r_half=grid["r_half"], n=grid["n"])
     fld = fam[0]
     equivalence = norm_equivalence_report(fam, s)
     first = equivalence["fields"][0]
     value, block_norms = first["zygmund"], first["blocks"]
     exponent, points = interaction_decay_exponent(fld)
-    from .modezero import ModeZeroField, window_profile
-    from .paley import block_decay_exponent
-
     const = ModeZeroField(fld.r0, fld.dr, window_profile(fld.grid)[:, None])
     _, const_blocks = zygmund_norm(const, 0.0, return_blocks=True)
     report = {
@@ -201,13 +188,8 @@ def cmd_lp_norm(cfg, out, args):
     ]
 
 
-def _classes(cfg, surface):
-    max_len = cfg.get("surface", {}).get("max_word_len", 6)
-    return enumerate_hyperbolic_classes(surface, max_len)
-
-
 def cmd_geodesics(cfg, out, args):
-    geos = _classes(cfg, build_surface(cfg))
+    geos = enumerate_hyperbolic_classes(build_surface(cfg), cfg["surface"]["max_word_len"])
     rows = [
         [
             g.word,
@@ -230,24 +212,26 @@ def cmd_geodesics(cfg, out, args):
 def cmd_xray(cfg, out, args):
     surface = build_surface(cfg)
     grid = build_chart_grid(cfg)
-    sec = cfg.get("xray", {})
-    mode = sec.get("mode", "metric")
-    tol = _tolerances(cfg).get("xray", 1e-9)
-    classes = _classes(cfg, surface)[: sec.get("class_cap", 50)]
+    sec = cfg["xray"]
+    mode = sec["mode"]
+    tol = cfg["tolerances"]["xray"]
+    classes = enumerate_hyperbolic_classes(surface, cfg["surface"]["max_word_len"])
+    classes = classes[: sec["class_cap"]]
     summary = {"mode": mode, "n_classes": len(classes)}
     if mode == "metric":
         tensor = SymTensorField.metric(grid)
         results = xray_suite(surface, tensor, classes, tol=tol)
     elif mode == "tensor-file":
+        if sec["tensor_file"] is None:
+            raise InvalidInputError("[xray] tensor_file: mode tensor-file needs a tensor file")
         tensor = load_tensor(Path(sec["tensor_file"]))
         results = xray_suite(surface, tensor, classes, tol=tol, strict=False)
     elif mode == "potential":
-        n_forms = sec.get("forms", 3)
         forms = [
             random_bump_one_form(
                 args.seed + i, center=(-0.916, 0.0), r_width=0.45, t_width=0.14
             )
-            for i in range(n_forms)
+            for i in range(sec["forms"])
         ]
         rep = potential_annihilation_suite(
             surface, forms, classes, tol=max(tol, 1e-7), path="grid", grid=grid
@@ -282,9 +266,9 @@ def cmd_xray(cfg, out, args):
 
 def cmd_decompose(cfg, out, args):
     grid = build_chart_grid(cfg)
-    sec = cfg.get("xray", {})
-    if "tensor_file" in sec:
-        f = load_tensor(Path(sec["tensor_file"]))
+    tensor_file = cfg["xray"]["tensor_file"]
+    if tensor_file is not None:
+        f = load_tensor(Path(tensor_file))
     else:
         mid = 0.5 * (grid.r_min + grid.r_max)
         sf = Scalar2D.bump(mid, 0.4, 0.3 * (grid.r_max - grid.r_min), 0.2)
@@ -348,12 +332,11 @@ def main(argv=None):
     args = parser.parse_intermixed_args(argv)
     out = Path(args.out)
     try:
-        cfg = load_config(args.config) if args.config else {}
+        cfg = load_config(args.config)
         out.mkdir(parents=True, exist_ok=True)
-        manifest = ManifestWriter(args.command, cfg, out, __version__)
-        for path in _DISPATCH[args.command](cfg, out, args):
-            manifest.track(path)
-        manifest.finalize()
+        t0 = time.perf_counter()
+        paths = _DISPATCH[args.command](cfg, out, args)
+        write_manifest(out, args.command, cfg, paths, t0)
         return 0
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

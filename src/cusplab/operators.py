@@ -22,7 +22,7 @@ reproduce the closed-form one-parameter actions
     D^*D:   diag(lam^2 - lam*d - d,  (lam+1)(lam-(d+1))/2 * Id_d)
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,6 @@ class OperatorSpec:
     terms: tuple
     gram_in: np.ndarray = None
     gram_out: np.ndarray = None
-    name: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.terms:
@@ -73,12 +71,7 @@ def indicial_family(spec):
     coeffs = np.zeros((deg + 1, n_out, n_in), dtype=complex)
     for k, mat in spec.terms:
         coeffs[k] += mat
-    return IndicialFamily(
-        coeffs,
-        gram_in=spec.gram_in,
-        gram_out=spec.gram_out,
-        meta={"name": spec.name, **spec.meta},
-    )
+    return IndicialFamily(coeffs, gram_in=spec.gram_in, gram_out=spec.gram_out)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +100,6 @@ def sym_derivative_spec(d=1):
         terms=((0, c0), (1, c1)),
         gram_in=np.ones(n_in),
         gram_out=_gram_sym2(d),
-        name="sym-derivative",
-        meta={"d": d},
     )
 
 
@@ -129,8 +120,6 @@ def divergence_spec(d=1):
         terms=((0, c0), (1, c1)),
         gram_in=_gram_sym2(d),
         gram_out=np.ones(n_out),
-        name="divergence",
-        meta={"d": d},
     )
 
 
@@ -152,13 +141,11 @@ def sym_laplacian_spec(d=1):
         terms=((0, c0), (1, c1), (2, c2)),
         gram_in=np.ones(n),
         gram_out=np.ones(n),
-        name="sym-laplacian",
-        meta={"d": d},
     )
 
 
 def identity_spec(n=1):
-    return OperatorSpec(terms=((0, np.eye(n)),), name="identity")
+    return OperatorSpec(terms=((0, np.eye(n)),))
 
 
 def laplacian_invertibility_window(d):
@@ -198,4 +185,4 @@ def spec_from_terms(rows, n_out, n_in):
                 f"term row has {mat.size} entries, expected {n_out * n_in}"
             )
         terms[k] = terms.get(k, 0) + mat.reshape(n_out, n_in)
-    return OperatorSpec(terms=tuple(sorted(terms.items())), name="custom")
+    return OperatorSpec(terms=tuple(sorted(terms.items())))

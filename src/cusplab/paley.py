@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .modezero import ModeZeroField, window_profile
+from .modezero import ModeZeroField, line_grid, window_profile
 
 # rough fields (finite Hoelder regularity) carry slowly decaying spectra, so
 # the aliasing guard here is looser than the line solver's
@@ -250,8 +250,6 @@ def norm_equivalence_report(fields, s, alt_psi=None):
 def random_band_limited_family(count, seed=0, r_half=48.0, n=4096):
     """Windowed random trigonometric fields for norm experiments: 12 cosine
     modes each, frequencies log-uniform in [0.2, 30]."""
-    from .modezero import line_grid
-
     modes = 12
     rng = np.random.default_rng(seed)
     r0, dr = line_grid(r_half, n)

@@ -20,7 +20,7 @@ trapezoidal circle is the one ``residues`` uses for its Laurent data, and
 each root carries the radius of its circle there.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import math
@@ -93,7 +93,6 @@ class IndicialFamily:
     coeffs: np.ndarray
     gram_in: np.ndarray = None
     gram_out: np.ndarray = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # a read-only copy: the roots are cached on the family

@@ -1,11 +1,12 @@
 """Run configuration, serialization and manifests for the batch front-end.
 
 Configs are INI files with sections [surface], [operator], [grid],
-[tolerances] (plus the optional [xray]); unknown sections or keys are
-rejected so a config never silently drifts, and every value is converted
-to its type on load.  Tensor fields are dumped as a flat float64 binary
-alongside a JSON header carrying the order, grid spec and frame
-convention.
+[tolerances] and [xray]; unknown sections or keys are rejected so a config
+never silently drifts, and every value is converted to its type on load.
+Each key's conversion and default live once, in ``_KEYS``: a key the
+config omits takes its default.  Tensor fields are dumped as a flat
+float64 binary alongside a JSON header carrying the order, grid spec and
+frame convention.
 """
 
 import configparser
@@ -18,10 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .chart import ChartGrid
 from .errors import InvalidInputError
-from .operators import builtin_spec, spec_from_terms
+from .operators import builtin_spec, indicial_family, spec_from_terms
 from .surface import FuchsianSurface, punctured_torus
+from .tensorfield import _NCOMP, SymTensorField
 
 
 def _reals(text):
@@ -32,30 +35,66 @@ def _rows(text):
     return [_reals(row) for row in text.split(";") if row.strip()]
 
 
-# every accepted key with the conversion of its value; [operator] also takes
-# term<N> rows (converted by _reals)
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
+
+# every accepted key as (conversion of its value, default); None marks a key
+# with no default, which the subcommand that needs it asks for.  [operator]
+# also takes term<N> rows (converted by _reals)
 _KEYS = {
-    "surface": {"preset": str, "generators": _rows, "max_word_len": int},
-    "operator": {"name": str, "d": int, "n_out": int, "n_in": int},
-    "grid": {
-        "r_half": float,
-        "n": int,
-        "r_min": float,
-        "r_max": float,
-        "n_r": int,
-        "n_theta": int,
+    "surface": {
+        "preset": (str, "punctured-torus"),
+        "generators": (_rows, None),
+        "max_word_len": (int, 6),
     },
-    "tolerances": dict.fromkeys(
-        ("xray", "weight", "weight_from", "weight_to", "root", "s", "window_lo", "window_hi"),
-        float,
-    ),
-    "xray": {"mode": str, "class_cap": int, "tensor_file": str, "forms": int},
+    "operator": {
+        "name": (str, "sym-laplacian"),
+        "d": (int, 1),
+        "n_out": (int, None),
+        "n_in": (int, None),
+    },
+    "grid": {
+        "r_half": (float, 48.0),
+        "n": (int, 4096),
+        "r_min": (float, -2.8),
+        "r_max": (float, 0.5),
+        "n_r": (int, 529),
+        "n_theta": (int, 256),
+    },
+    "tolerances": {
+        "xray": (float, 1e-9),
+        "weight": (float, 0.0),
+        "weight_from": (float, None),
+        "weight_to": (float, None),
+        "root": (float, None),
+        "s": (float, 0.5),
+        "window_lo": (float, -10.0),
+        "window_hi": (float, 10.0),
+    },
+    "xray": {
+        "mode": (str, "metric"),
+        "class_cap": (_positive_int, 50),
+        "tensor_file": (str, None),
+        "forms": (int, 3),
+    },
 }
 
 
 def load_config(path):
-    """Parsed config: {section: {key: value}} with every value converted to
-    its type, so malformed numbers fail here as invalid input."""
+    """Filled config: {section: {key: value}} for every section and key of
+    ``_KEYS``, each value the one the INI file at ``path`` gives, converted
+    to its type, or else the key's default.  ``path`` None reads no file
+    and gives the defaults.  Malformed numbers fail here as invalid input."""
+    cfg = {
+        section: {key: default for key, (_, default) in keys.items()}
+        for section, keys in _KEYS.items()
+    }
+    if path is None:
+        return cfg
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -63,16 +102,15 @@ def load_config(path):
         raise InvalidInputError(f"malformed config {path}: {exc}") from None
     if not read:
         raise InvalidInputError(f"config file {path} not found or unreadable")
-    cfg = {}
     for section in parser.sections():
         if section not in _KEYS:
             raise InvalidInputError(f"unknown config section [{section}]")
-        cfg[section] = {}
         for key, value in parser.items(section):
-            convert = _KEYS[section].get(key)
-            if convert is None and section == "operator" and key.startswith("term"):
+            if key in _KEYS[section]:
+                convert = _KEYS[section][key][0]
+            elif section == "operator" and key.startswith("term"):
                 convert = _reals
-            if convert is None:
+            else:
                 raise InvalidInputError(f"unknown key {key!r} in section [{section}]")
             try:
                 cfg[section][key] = convert(value.strip())
@@ -82,50 +120,42 @@ def load_config(path):
 
 
 def config_digest(cfg):
-    """Stable hash of the parsed configuration."""
+    """Stable hash of the filled configuration: a config that spells out a
+    default and one that omits it hash alike."""
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
 def build_surface(cfg):
-    sec = cfg.get("surface", {})
-    preset = sec.get("preset", "punctured-torus")
-    if "generators" in sec:
+    sec = cfg["surface"]
+    if sec["generators"] is not None:
         gens = {}
         for i, vals in enumerate(sec["generators"]):
             if len(vals) != 4:
                 raise InvalidInputError("each generator row needs four reals")
             gens[chr(ord("a") + i)] = np.array(vals).reshape(2, 2)
         return FuchsianSurface(generators=gens)
-    if preset == "punctured-torus":
+    if sec["preset"] == "punctured-torus":
         return punctured_torus()
-    raise InvalidInputError(f"unknown surface preset {preset!r}")
+    raise InvalidInputError(f"unknown surface preset {sec['preset']!r}")
 
 
 def build_operator(cfg):
-    sec = cfg.get("operator", {})
-    name = sec.get("name", "sym-laplacian")
-    d = sec.get("d", 1)
-    if name != "custom":
-        return builtin_spec(name, d)
-    if "n_out" not in sec or "n_in" not in sec:
+    """Indicial family of the configured operator."""
+    sec = cfg["operator"]
+    if sec["name"] != "custom":
+        return indicial_family(builtin_spec(sec["name"], sec["d"]))
+    if sec["n_out"] is None or sec["n_in"] is None:
         raise InvalidInputError("custom operator needs n_out and n_in")
     rows = [v for k, v in sorted(sec.items()) if k.startswith("term")]
     if not rows:
         raise InvalidInputError("custom operator needs term rows")
-    return spec_from_terms(rows, sec["n_out"], sec["n_in"])
-
-
-def build_line_grid(cfg):
-    sec = cfg.get("grid", {})
-    return sec.get("r_half", 48.0), sec.get("n", 4096)
+    return indicial_family(spec_from_terms(rows, sec["n_out"], sec["n_in"]))
 
 
 def build_chart_grid(cfg):
-    sec = cfg.get("grid", {})
-    return ChartGrid(
-        sec.get("r_min", -2.8), sec.get("r_max", 0.5), sec.get("n_r", 529), sec.get("n_theta", 256)
-    )
+    sec = cfg["grid"]
+    return ChartGrid(sec["r_min"], sec["r_max"], sec["n_r"], sec["n_theta"])
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +218,6 @@ def save_tensor(path_base, field):
 def load_tensor(path_base):
     """Read a tensor written by save_tensor; a header that does not match
     the package's orders or the binary's size is invalid input."""
-    from .tensorfield import _NCOMP, SymTensorField
-
     base = Path(path_base)
     try:
         header = json.loads(base.with_suffix(".json").read_text())
@@ -210,27 +238,15 @@ def load_tensor(path_base):
     return SymTensorField(grid, order, data.reshape(shape))
 
 
-class ManifestWriter:
-    """Collects outputs and timing for one CLI run."""
-
-    def __init__(self, command, cfg, out_dir, version):
-        self.command = command
-        self.digest = config_digest(cfg)
-        self.out_dir = Path(out_dir)
-        self.version = version
-        self.outputs = []
-        self._t0 = time.perf_counter()
-
-    def track(self, path):
-        self.outputs.append(str(Path(path).name))
-        return path
-
-    def finalize(self):
-        payload = {
-            "command": self.command,
-            "config_digest": self.digest,
-            "tool_version": self.version,
-            "outputs": sorted(self.outputs),
-            "wall_time_seconds": round(time.perf_counter() - self._t0, 3),
-        }
-        return write_json(self.out_dir / "manifest.json", payload)
+def write_manifest(out_dir, command, cfg, outputs, t0):
+    """manifest.json of one CLI run: the command, the filled config's
+    digest, the tool version, the names of the files written and the wall
+    time since ``t0``, a time.perf_counter() reading."""
+    payload = {
+        "command": command,
+        "config_digest": config_digest(cfg),
+        "tool_version": __version__,
+        "outputs": sorted(Path(path).name for path in outputs),
+        "wall_time_seconds": round(time.perf_counter() - t0, 3),
+    }
+    return write_json(Path(out_dir) / "manifest.json", payload)

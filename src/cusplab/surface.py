@@ -7,7 +7,7 @@ whose length comes from the trace of the word matrix.
 """
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -165,22 +165,22 @@ class ClosedGeodesic:
     matrix: MobiusMap
     length: float
     axis_endpoints: tuple
-    _axis: BoundaryGeodesic = field(repr=False, default=None)
 
     @classmethod
     def from_word(cls, surface, word):
         m = surface.word_matrix(word)
         if m.classify() != "hyperbolic":
             raise InvalidInputError(f"word {word!r} is not hyperbolic")
-        rep, att = m.fixed_points()
-        axis = BoundaryGeodesic(rep, att)
         return cls(
             word=word,
             matrix=m,
             length=m.translation_length(),
-            axis_endpoints=(rep, att),
-            _axis=axis,
+            axis_endpoints=m.fixed_points(),
         )
+
+    @cached_property
+    def _axis(self):
+        return BoundaryGeodesic(*self.axis_endpoints)
 
     def arc(self, t):
         """Position and unit tangent at arc-length parameter t in [0, length]."""

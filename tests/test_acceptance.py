@@ -4,10 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion; the same code backs the ``cusplab suite`` subcommand.
 """
 
+import numpy as np
 import pytest
 
+from cusplab import circlefiber
 from cusplab.acceptance import (
     CRITERIA,
+    criterion_1_indicial_roots,
     criterion_3_adjoint_symmetry,
     criterion_4_mode_zero_inversion,
     criterion_5_cross_root_correction,
@@ -41,3 +44,14 @@ def test_criterion_takes_each_familys_roots_once(determinant_calls, fn, calls):
     # ranks of the Laplacian and the derivative take their family's roots
     assert fn()[0]
     assert len(determinant_calls) == calls
+
+
+def test_criterion_1_fails_when_the_gradient_kernel_is_not_the_constants(monkeypatch):
+    # without the ambient-gradient pairing every block of degree >= 1 gains
+    # kernel directions; the gradient's root is the literal 0 either way
+    monkeypatch.setattr(
+        circlefiber, "_ambient_gram", lambda monos, integral: np.zeros((len(monos),) * 2)
+    )
+    passed, details = criterion_1_indicial_roots()
+    assert not passed
+    assert details == {"reason": "gradient kernel is not the constants at d=1"}

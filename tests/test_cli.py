@@ -8,8 +8,8 @@ import pytest
 
 from cusplab.cli import main
 from cusplab.runio import (
+    _KEYS,
     build_chart_grid,
-    build_line_grid,
     build_operator,
     build_surface,
     load_config,
@@ -258,9 +258,46 @@ def test_shipped_config_loads_and_builds(path):
     surface = build_surface(cfg)
     assert enumerate_hyperbolic_classes(surface, 1)
     build_operator(cfg)
-    r_half, n = build_line_grid(cfg)
-    assert r_half > 0 and n > 0
+    assert cfg["grid"]["r_half"] > 0 and cfg["grid"]["n"] > 0
     build_chart_grid(cfg)
+
+
+def test_every_default_converts_to_itself():
+    for section, keys in _KEYS.items():
+        for key, (convert, default) in keys.items():
+            if default is not None:
+                assert convert(str(default)) == default, (section, key)
+
+
+def test_omitted_keys_take_their_defaults(tmp_path):
+    # one config names a single key, the other spells out every default:
+    # both fill to the same config, so data files and digest agree
+    sparse = tmp_path / "sparse.ini"
+    sparse.write_text("[operator]\nname = sym-laplacian\n")
+    full = tmp_path / "full.ini"
+    full.write_text(
+        "[surface]\npreset = punctured-torus\nmax_word_len = 6\n"
+        "[operator]\nname = sym-laplacian\nd = 1\n"
+        "[grid]\nr_half = 48.0\nn = 4096\nr_min = -2.8\nr_max = 0.5\nn_r = 529\nn_theta = 256\n"
+        "[tolerances]\nxray = 1e-9\nweight = 0.0\ns = 0.5\nwindow_lo = -10\nwindow_hi = 10\n"
+        "[xray]\nmode = metric\nclass_cap = 50\nforms = 3\n"
+    )
+    for cmd in ("roots", "geodesics", "lp-norm"):
+        outs = [tmp_path / f"{cmd}_{cfg.stem}" for cfg in (sparse, full)]
+        for cfg, out in zip((sparse, full), outs):
+            assert main([cmd, str(cfg), "--out", str(out), "--seed", "2"]) == 0
+        manifests = [json.loads((out / "manifest.json").read_text()) for out in outs]
+        assert manifests[0]["config_digest"] == manifests[1]["config_digest"]
+        assert manifests[0]["outputs"] == manifests[1]["outputs"]
+        for name in manifests[0]["outputs"]:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_tensor_file_mode_without_a_file_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "xray.ini"
+    path.write_text(BASE_CONFIG + "\n[xray]\nmode = tensor-file\n")
+    assert main(["xray", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "[xray] tensor_file:" in capsys.readouterr().err
 
 
 def test_config_naming_the_cusp_width_is_invalid(tmp_path, capsys):
@@ -322,6 +359,8 @@ def test_keys_nothing_reads_are_rejected(tmp_path, section, key):
         ("surface", "generators", "2 1 1 x ; 2 -1 -1 1"),
         ("tolerances", "weight_to", "1.7.0"),
         ("xray", "class_cap", "many"),
+        ("xray", "class_cap", "0"),
+        ("xray", "class_cap", "-1"),
     ],
 )
 def test_malformed_number_is_invalid_input_naming_its_key(tmp_path, capsys, section, key, value):

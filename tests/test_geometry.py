@@ -204,6 +204,15 @@ def test_arc_against_runge_kutta_geodesic_oracle():
     assert abs(complex(state[0], state[1]) - z_mid) < 1e-9
 
 
+def test_public_constructor_gives_the_same_arc():
+    # arc needs only the public fields: the axis comes from axis_endpoints
+    g = enumerate_hyperbolic_classes(TORUS, 2)[-1]
+    ts = np.linspace(0.0, g.length, 33)
+    rebuilt = ClosedGeodesic(g.word, g.matrix, g.length, g.axis_endpoints)
+    for got, want in zip(rebuilt.arc(ts), g.arc(ts)):
+        assert np.array_equal(got, want)
+
+
 def test_arc_rejects_out_of_range_parameter():
     g = enumerate_hyperbolic_classes(TORUS, 1)[0]
     with pytest.raises(InvalidInputError):
