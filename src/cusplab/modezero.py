@@ -277,7 +277,7 @@ def cross_root_correction(fam, f, rho_from, rho_to):
     for root in indicial_roots(fam):
         if not (lo < root.lam.real < hi):
             continue
-        p = _principal_part(fam, root.lam, root)[0]
+        p = _principal_part(fam, root)[0]
         phi, lam = _contour_nodes(root.lam, root.radius)
         g = np.einsum("kij,kj->ki", minv(lam), _finite_transform(f, lam))
         for k, gk in _contour_moments(g, root.radius, phi, p).items():

@@ -7,17 +7,21 @@ polynomial once y*d/dy is replaced by the spectral parameter.
 
 The zeros of a square family's determinant are the finite eigenvalues of
 its block-companion pencil (Gohberg, Lancaster and Rodman, Matrix
-Polynomials, 1982).  Eigenvalues closer than 1e-2 relative are linked into
-groups, and each group is counted by the argument principle: the moments
-s_p = (1/2 pi i) \\oint (lam - c)^p tr(P^-1 P')(lam) dlam, p = 0..k, on a
-circle around the group's centre c are the power sums of the zeros inside
-(Delves and Lyness, Math. Comp. 21, 1967).  s_0 counts them and c +
-s_1/s_0 is their mean; when the count equals the group's size k and every
-central power sum of order 2..k vanishes, the group is one zero of order
-k (Newton's identities).  Otherwise the contour misses part of the group
-or holds distinct zeros, and the group is linked again more tightly.  The
-trapezoidal circle is the one ``residues`` uses for its Laurent data, and
-each root carries the radius of its circle there.
+Polynomials, 1982), found by shift and invert with numpy alone: at a point
+sigma where the family is regular, each eigenvalue mu of (sigma b - a)^-1 b
+gives the zero sigma - 1/mu, and mu = 0, split off with its Jordan chains
+before the eigenvalue solve, is a zero at infinity.  Eigenvalues closer
+than 1e-2 relative are linked into groups, and each group is counted by
+the argument principle: the moments s_p = (1/2 pi i) \\oint (lam - c)^p
+tr(P^-1 P')(lam) dlam, p = 0..k, on a circle around the group's centre c
+are the power sums of the zeros inside (Delves and Lyness, Math. Comp. 21,
+1967).  s_0 counts them and c + s_1/s_0 is their mean; when the count
+equals the group's size k and every central power sum of order 2..k
+vanishes, the group is one zero of order k (Newton's identities).
+Otherwise the contour misses part of the group or holds distinct zeros,
+and the group is linked again more tightly.  The trapezoidal circle is the
+one ``residues`` uses for its Laurent data, and each root carries the
+radius of its circle there.
 """
 
 from dataclasses import dataclass
@@ -34,9 +38,9 @@ _NODES = 64
 _RADIUS = 1e-2
 # eigenvalues this close, relative to max(1, |lam|), form one group
 _LINK = 1e-2
-# a pencil eigenvalue (alpha, beta) is infinite when |beta| <= _PENCIL_RTOL
-# |alpha|; a family singular to _PENCIL_RTOL at both _GENERIC points is
-# singular everywhere
+# singular values of the shift-inverted pencil m = (sigma b - a)^-1 b at or
+# below _PENCIL_RTOL ||m|| are eigenvalues at infinity; a family singular to
+# _PENCIL_RTOL at both _GENERIC points is singular everywhere
 _PENCIL_RTOL = 1e-12
 _GENERIC = np.exp(1j * np.array([1.0, 2.0]))
 # largest distance of a zero count from an integer, and of a group's
@@ -143,8 +147,13 @@ class IndicialFamily:
 
     def _eigenvalues(self):
         """Finite eigenvalues of the block-companion pencil (a, b), whose
-        determinant det(lam b - a) is det(self(lam))."""
-        if all(_sv_ratio(self(lam)) <= _PENCIL_RTOL for lam in _GENERIC):
+        determinant det(lam b - a) is det(self(lam)), by shift and invert
+        at the first _GENERIC point where the family is regular (see the
+        module docstring).  Splitting off the kernel of m by an orthonormal
+        change of basis leaves m block upper triangular with a zero first
+        block column, so the other eigenvalues are the remaining block's."""
+        sigma = next((lam for lam in _GENERIC if _sv_ratio(self(lam)) > _PENCIL_RTOL), None)
+        if sigma is None:
             raise DegenerateOperatorError("determinant vanishes identically")
         deg, n = self.degree, self.shape[0]
         size = n * max(deg, 1)
@@ -152,13 +161,17 @@ class IndicialFamily:
         b = np.eye(size, dtype=complex)
         a[-n:] = -np.hstack(list(self.coeffs[:-1])) if deg else -self.coeffs[0]
         b[-n:, -n:] = self.coeffs[-1] if deg else 0.0
-        # imported on first use: ahead of tensorfield's scipy imports it made
-        # `import cusplab.cli` ~60 ms slower (of 0.55 s, 2-vCPU x86-64 VM)
-        import scipy.linalg
-
-        alpha, beta = scipy.linalg.eigvals(a, b, homogeneous_eigvals=True)
-        finite = np.abs(beta) > _PENCIL_RTOL * np.abs(alpha)
-        return alpha[finite] / beta[finite]
+        m = np.linalg.solve(sigma * b - a, b)
+        tol = _PENCIL_RTOL * np.linalg.norm(m)
+        # deflate the kernel of m, then the kernel of m on its complement,
+        # until none is left: one pass per link of a Jordan chain at infinity
+        while m.size:
+            _, sv, vh = np.linalg.svd(m)
+            rank = int(np.sum(sv > tol))
+            if rank == sv.size:
+                break
+            m = vh[:rank] @ m @ vh[:rank].conj().T
+        return sigma - 1.0 / np.linalg.eigvals(m)
 
     def _zero_moments(self, center, rad, kmax):
         """Power sums t_p, p = 0..kmax-1, of the zeros inside the circle of

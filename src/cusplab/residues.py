@@ -9,13 +9,15 @@ carries its contour radius: the largest up to 1e-2 that keeps the other
 zeros three radii away.  A root's order m as a zero of the denominator is
 its multiplicity, or twice it for tall families.
 
-Every residue quantity at a root comes from one trapezoidal contour, the
-quadrature that also counts the zeros.  The order m bounds the pole order,
-so the contour returns A_{-1}..A_{-(m+1)}, and A_{-(m+1)}, zero in exact
-arithmetic, measures the quadrature's own roundoff.  That roundoff in A_{-k}
-scales like radius^k, so each A_{-k} is compared in units of radius^(k-1)
-with one floor: 1e3 times the scaled norm of A_{-(m+1)}, and at least
-1e-14 of the largest scaled norm.  The pole order p is the largest k whose
+Every residue quantity at a root comes from one trapezoidal contour
+centred at the root, the quadrature that also counts the zeros.  The order
+m bounds the pole order, so the contour returns A_{-1}..A_{-(m+1)}, and
+A_{-(m+1)}, zero in exact arithmetic, measures the quadrature's own
+roundoff.  That roundoff in A_{-k} scales like radius^k, so each A_{-k} is
+compared in units of radius^(k-1) with one floor: 1e3 times the scaled
+norm of A_{-(m+1)}, and at least 1e-14 of the largest scaled norm, plus
+what an error of 10 eps max(1, |lam|) in the root's own position leaks
+from A_{-1} into A_{-2}.  The pole order p is the largest k whose
 scaled A_{-k} lies strictly above the floor: the order of a pole of the
 inverse is its largest partial multiplicity, the index of the last nonzero
 principal-part coefficient (Gohberg, Lancaster and Rodman, Matrix
@@ -33,6 +35,8 @@ from .polymat import IndicialFamily, _contour_moments, _contour_nodes, indicial_
 # largest scaled coefficient (see the module docstring)
 _ROUNDOFF_FACTOR = 1e3
 _FLOOR_RTOL = 1e-14
+# a root's position is trusted to _LOCATION_RTOL max(1, |lam|)
+_LOCATION_RTOL = 10.0 * np.finfo(float).eps
 # a root this close to a point is that point itself
 _SAME_ZERO = 1e-6
 # index_jump refuses weight endpoints this close to a root line
@@ -61,22 +65,24 @@ def laurent_coefficients(fam, lam0, kmax, radius):
     return _contour_moments(meromorphic_inverse(fam)(lam), radius, phi, kmax)
 
 
-def _principal_part(fam, lam0, root):
+def _principal_part(fam, root):
     """(p, {k: A_-k for k = 1..m+1}, floor) from one contour of the root's
-    radius centred at lam0, where m is the root's vanishing order as a zero
-    of the denominator, p the pole order and floor the roundoff floor in
-    units of radius^(k-1) (see the module docstring)."""
+    radius centred at the root, where m is the root's vanishing order as a
+    zero of the denominator, p the pole order and floor the roundoff floor
+    in units of radius^(k-1) (see the module docstring)."""
     m = root.multiplicity * (1 if fam.is_square else 2)
     rad = root.radius
-    laurent = laurent_coefficients(fam, lam0, m + 1, rad)
+    laurent = laurent_coefficients(fam, root.lam, m + 1, rad)
     scaled = [np.linalg.norm(laurent[k], 2) / rad ** (k - 1) for k in range(1, m + 2)]
-    floor = max(_ROUNDOFF_FACTOR * scaled[m], _FLOOR_RTOL * max(scaled))
+    # a centre delta off the pole moves scaled A_-1 into A_-2 times delta/rad
+    location = _LOCATION_RTOL * max(1.0, abs(root.lam)) / rad * scaled[0]
+    floor = max(_ROUNDOFF_FACTOR * scaled[m], _FLOOR_RTOL * max(scaled)) + location
     p = max((k for k in range(1, m + 1) if scaled[k - 1] > floor), default=0)
     if not p:
         # a zero of the denominator is always a pole of the (left-)inverse
         raise NumericFailureError(
             "no principal-part coefficient above the contour's roundoff floor",
-            {"lambda": complex(lam0), "vanishing_order": m, "radius": rad, "floor": floor},
+            {"lambda": root.lam, "vanishing_order": m, "radius": rad, "floor": floor},
         )
     return p, laurent, floor
 
@@ -96,7 +102,7 @@ def residue_rank(fam, lam0):
     root = _root_at(fam, lam0)
     if root is None:
         raise InvalidInputError(f"{lam0} is not an indicial root")
-    p, laurent, floor = _principal_part(fam, lam0, root)
+    p, laurent, floor = _principal_part(fam, root)
     return _rank(laurent[1], floor), p
 
 
@@ -130,7 +136,7 @@ def residue_range_profiles(fam, lam0):
     root = _root_at(fam, lam0)
     if root is None:
         return []
-    p, laurent, floor = _principal_part(fam, lam0, root)
+    p, laurent, floor = _principal_part(fam, root)
     dim = _projector_rank(p, laurent, floor, root.radius)
     m = laurent[1].shape[0]
     # orthonormal basis of the coefficient-tuple space: the leading left
@@ -201,7 +207,7 @@ def index_jump(fam, rho_from, rho_to):
     total = 0
     for r in roots:
         if lo < r.lam.real < hi:
-            total += _projector_rank(*_principal_part(fam, r.lam, r), r.radius)
+            total += _projector_rank(*_principal_part(fam, r), r.radius)
     return sign * total
 
 
@@ -211,7 +217,7 @@ def root_report(fam, window):
     roots = indicial_roots(fam, window=window)
     entries = []
     for r in roots:
-        p, laurent, floor = _principal_part(fam, r.lam, r)
+        p, laurent, floor = _principal_part(fam, r)
         entries.append(
             {
                 "lambda": [r.lam.real, r.lam.imag],

@@ -35,11 +35,20 @@ def _rows(text):
     return [_reals(row) for row in text.split(";") if row.strip()]
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"must be at least 1, got {value}")
-    return value
+def _checked(convert, valid, rule):
+    """The conversion ``convert``, rejecting a value that fails ``valid``
+    as not ``rule``."""
+
+    def check(text):
+        value = convert(text)
+        if not valid(value):
+            raise ValueError(f"must be {rule}, got {value}")
+        return value
+
+    return check
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "at least 1")
 
 
 # every accepted key as (conversion of its value, default); None marks a key
@@ -53,13 +62,13 @@ _KEYS = {
     },
     "operator": {
         "name": (str, "sym-laplacian"),
-        "d": (int, 1),
+        "d": (_checked(int, lambda v: v >= 0, "at least 0"), 1),
         "n_out": (int, None),
         "n_in": (int, None),
     },
     "grid": {
-        "r_half": (float, 48.0),
-        "n": (int, 4096),
+        "r_half": (_checked(float, lambda v: 0 < v < math.inf, "positive and finite"), 48.0),
+        "n": (_positive_int, 4096),
         "r_min": (float, -2.8),
         "r_max": (float, 0.5),
         "n_r": (int, 529),

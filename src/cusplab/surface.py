@@ -171,6 +171,11 @@ class ClosedGeodesic:
         m = surface.word_matrix(word)
         if m.classify() != "hyperbolic":
             raise InvalidInputError(f"word {word!r} is not hyperbolic")
+        return cls._from_matrix(word, m)
+
+    @classmethod
+    def _from_matrix(cls, word, m):
+        """The geodesic of the word whose hyperbolic matrix is m."""
         return cls(
             word=word,
             matrix=m,
@@ -202,9 +207,8 @@ def enumerate_hyperbolic_classes(surface, max_word_len):
         if not is_cyclically_reduced(word) or canonical_class_word(word) != word:
             continue
         m = surface.word_matrix(word)
-        if m.classify() != "hyperbolic":
-            continue
-        geodesics.append(ClosedGeodesic.from_word(surface, word))
+        if m.classify() == "hyperbolic":
+            geodesics.append(ClosedGeodesic._from_matrix(word, m))
     geodesics.sort(key=lambda g: (g.length, g.word))
     return geodesics
 

@@ -1,11 +1,15 @@
 import configparser
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cusplab
 from cusplab.cli import main
 from cusplab.runio import (
     _KEYS,
@@ -182,6 +186,35 @@ def test_xray_metric_subcommand(config, tmp_path):
     for row in rows:
         assert abs(float(row["value"]) - 1.0) <= 1e-8
         assert int(row["nodes"]) > 0
+
+
+def test_runs_outside_the_projection_load_no_scipy(tmp_path):
+    # scipy serves only the solenoidal projection, so importing the CLI and
+    # running subcommands that never project leaves it unloaded
+    default = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
+    script = (
+        "import sys\n"
+        "from cusplab.cli import main\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "print('import', scipy_modules())\n"
+        "for cmd in ('roots', 'lp-norm', 'xray'):\n"
+        f"    code = main([cmd, {str(default)!r}, '--out', {str(tmp_path)!r} + '/' + cmd])\n"
+        "    print(cmd, code, scipy_modules())\n"
+    )
+    src = str(Path(cusplab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines() == [
+        "import []",
+        "roots 0 []",
+        "lp-norm 0 []",
+        "xray 0 []",
+    ]
+    assert json.loads((tmp_path / "xray" / "xray_summary.json").read_text())["mode"] == "metric"
 
 
 def test_write_csv_bytes(tmp_path):
@@ -367,6 +400,30 @@ def test_malformed_number_is_invalid_input_naming_its_key(tmp_path, capsys, sect
     path = _config_with(tmp_path, section, key, value)
     assert main(["roots", str(path), "--out", str(tmp_path / "o")]) == 2
     assert f"[{section}] {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value, cmd",
+    [
+        ("grid", "n", "0", "lp-norm"),
+        ("grid", "r_half", "-1", "lp-norm"),
+        ("grid", "r_half", "0", "lp-norm"),
+        ("operator", "d", "-2", "roots"),
+    ],
+)
+def test_out_of_range_value_is_invalid_input_naming_its_key(
+    tmp_path, capsys, section, key, value, cmd
+):
+    # each once reached the numerics: a ZeroDivisionError, a report on a
+    # reversed or empty line grid, a negative array dimension
+    path = _config_with(tmp_path, section, key, value)
+    assert main([cmd, str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"[{section}] {key}:" in capsys.readouterr().err
+
+
+def test_zero_slice_dimension_still_runs(tmp_path):
+    path = _config_with(tmp_path, "operator", "d", "0")
+    assert main(["roots", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_malformed_custom_term_row_is_invalid_input(tmp_path):

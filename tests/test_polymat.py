@@ -9,7 +9,13 @@ from cusplab.operators import (
     sym_derivative_spec,
     sym_laplacian_spec,
 )
-from cusplab.polymat import IndicialFamily, adjoint_family, indicial_roots, transpose_family
+from cusplab.polymat import (
+    _GENERIC,
+    IndicialFamily,
+    adjoint_family,
+    indicial_roots,
+    transpose_family,
+)
 from cusplab.residues import root_report
 
 RNG = np.random.default_rng(20240811)
@@ -64,12 +70,61 @@ def test_generic_quadratic_roots_are_rank_drops():
     assert max(sv_ratio(fam(r.lam)) for r in roots) <= 1e-12
 
 
-@pytest.mark.parametrize("k", [5, 6, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
 def test_jordan_block_is_one_root_of_full_multiplicity(k):
     roots = indicial_roots(jordan_family(k, 0.2))
     assert len(roots) == 1
     assert roots[0].multiplicity == k
     assert abs(roots[0].lam - 0.2) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_scalar_power_is_one_root_of_its_order(k):
+    # (lam - 1/2)^k from its expanded coefficients: the companion
+    # eigenvalues scatter up to ~1e-3, the contour gathers them
+    fam = IndicialFamily(np.polynomial.polynomial.polypow([-0.5, 1.0], k).reshape(-1, 1, 1))
+    ((lam, order),) = fam.determinant()
+    assert order == k
+    assert abs(lam - 0.5) < 1e-9
+
+
+def test_root_at_the_first_shift_falls_back_to_the_second():
+    # the family is singular at _GENERIC[0], so the pencil is inverted at
+    # _GENERIC[1]
+    sigma = _GENERIC[0]
+    fam = IndicialFamily(np.stack([np.diag([-sigma, -0.3]), np.eye(2)]))
+    assert sv_ratio(fam(sigma)) == 0.0
+    zeros = fam.determinant()
+    assert [k for _, k in zeros] == [1, 1]
+    assert np.allclose([z for z, _ in zeros], [0.3, sigma], rtol=0.0, atol=1e-14)
+
+
+def test_singular_leading_coefficient_keeps_the_finite_roots():
+    # [[lam^2 - 3 lam + 2, lam], [0, lam - 4]]: leading coefficient
+    # diag(1, 0), determinant (lam - 1)(lam - 2)(lam - 4)
+    c = np.zeros((3, 2, 2))
+    c[0] = [[2.0, 0.0], [0.0, -4.0]]
+    c[1] = [[-3.0, 1.0], [0.0, 1.0]]
+    c[2] = [[1.0, 0.0], [0.0, 0.0]]
+    zeros = IndicialFamily(c).determinant()
+    assert [k for _, k in zeros] == [1, 1, 1]
+    assert np.allclose([z for z, _ in zeros], [1.0, 2.0, 4.0], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("deg", [1, 2, 3, 4])
+def test_jordan_chain_at_infinity_leaves_the_finite_roots(deg):
+    # [[1, lam^deg], [0, 1]] diag(lam - 0.3, lam + 0.7): the unimodular
+    # factor keeps the determinant and puts a chain of infinite eigenvalues
+    # into the linearization, which must not surface as finite ones
+    unimodular = np.zeros((deg + 1, 2, 2))
+    unimodular[0] = np.eye(2)
+    unimodular[deg, 0, 1] = 1.0
+    fam = IndicialFamily(unimodular).compose(
+        IndicialFamily(np.stack([np.diag([-0.3, 0.7]), np.eye(2)]))
+    )
+    zeros = fam.determinant()
+    assert [k for _, k in zeros] == [1, 1]
+    assert np.allclose([z for z, _ in zeros], [-0.7, 0.3], rtol=0.0, atol=1e-12)
 
 
 def test_close_simple_roots_are_split():

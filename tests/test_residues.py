@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -201,9 +203,42 @@ def test_contour_pole_order_rank_and_projector_rank(make, lam0, mult, p, rank, p
     entry = root_entry(fam, lam0)
     assert entry["multiplicity"] == mult
     assert (entry["pole_order"], entry["residue_rank"], entry["projector_rank"]) == (p, rank, prank)
-    # the same data from contours centred on the caller's point
+    # the same data through the caller's point, which names the root
     assert residue_rank(fam, lam0) == (rank, p)
     assert len(residue_range_profiles(fam, lam0)) == prank
+
+
+OFF_ROOT_CASES = [
+    ("derivative d=1", lambda: indicial_family(sym_derivative_spec(1)), 1),
+    ("laplacian d=2", lambda: indicial_family(sym_laplacian_spec(2)), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "make, rank", [case[1:] for case in OFF_ROOT_CASES], ids=[case[0] for case in OFF_ROOT_CASES]
+)
+def test_point_near_a_root_reads_the_root_itself(make, rank):
+    # -1 + 1e-12 names the simple pole at -1; a contour centred there
+    # instead of at the root read a spurious A_-2 and pole order 2
+    fam = make()
+    assert residue_rank(fam, -1.0 + 1e-12) == (rank, 1)
+
+
+@pytest.mark.parametrize(
+    "make, rank", [case[1:] for case in OFF_ROOT_CASES], ids=[case[0] for case in OFF_ROOT_CASES]
+)
+def test_pole_order_does_not_hang_on_the_roots_last_bits(monkeypatch, make, rank):
+    # the root at -1 as found up to 12 ulp either way: its own position
+    # error leaks A_-1 into A_-2, which the floor must absorb
+    fam = make()
+    (root,) = [r for r in indicial_roots(fam) if abs(r.lam + 1.0) < 1e-6]
+    for toward in (-2.0, 0.0):
+        lam = -1.0
+        for _ in range(12):
+            lam = np.nextafter(lam, toward)
+            off = replace(root, lam=complex(lam, 0.0))
+            monkeypatch.setattr(residues, "indicial_roots", lambda fam, window=None: [off])
+            assert residue_rank(fam, off.lam) == (rank, 1), off.lam
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
