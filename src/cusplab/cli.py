@@ -144,10 +144,12 @@ def cmd_mode0_kernel(cfg, out, args):
         raise InvalidInputError("mode0-kernel needs a root in [tolerances]")
     lam0 = complex(root, 0.0)
     els = kernel_elements(fam, lam0)
+    # one row per (element, power, component): the top power, then the tail's
     rows = []
     for i, el in enumerate(els):
-        for j, c in enumerate(el.coefficient_vector):
-            rows.append([i, el.lam.real, el.lam.imag, el.k, j, float(c.real), float(c.imag)])
+        for power, vec in ((el.k, el.coefficient_vector), *el.tail):
+            for j, c in enumerate(vec):
+                rows.append([i, el.lam.real, el.lam.imag, power, j, float(c.real), float(c.imag)])
     payload = {
         "root": [lam0.real, lam0.imag],
         "count": len(els),

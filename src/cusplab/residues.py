@@ -23,8 +23,12 @@ inverse is its largest partial multiplicity, the index of the last nonzero
 principal-part coefficient (Gohberg, Lancaster and Rodman, Matrix
 Polynomials, 1982).  Ranks count singular values strictly above the same
 floor: those of A_{-1}, and those of the block-Hankel matrix of the
-principal part with block (k, i) divided by radius^(k+i).
+principal part with block (k, i) divided by radius^(k+i).  That one SVD
+gives the projector rank, and its kept left singular vectors give the
+graded basis of the projector's range.
 """
+
+import math
 
 import numpy as np
 
@@ -108,13 +112,14 @@ def residue_rank(fam, lam0):
 
 def _hankel_block(p, laurent, rad):
     """Block-Hankel matrix H[k, i] = A_{-(k+i+1)} / rad^(k+i) (k+i < pole
-    order p); rad = 1 gives the unscaled matrix.
+    order p).
 
     Writing the residue convolution kernel as
     e^{lam0 (r-r')} sum_j A_{-j} (r-r')^{j-1}/(j-1)! and separating powers of
     r against moments of the input, the operator's range is exactly the set
-    of coefficient tuples (c_0, ..., c_{p-1}) in the column space of H; its
-    dimension is the operator rank.
+    of profiles e^{lam0 r} sum_k c_k r^k whose coefficients c_k are
+    rad^k / k! times the row blocks k of a vector in the column space of H;
+    its dimension is the operator rank.
     """
     m, n = laurent[1].shape
     h = np.zeros((p * m, p * n), dtype=complex)
@@ -124,6 +129,16 @@ def _hankel_block(p, laurent, rad):
     return h
 
 
+def _range_basis(p, laurent, floor, rad):
+    """(q, tol): orthonormal basis q of the column space of the Hankel
+    matrix, its left singular vectors whose singular values lie above the
+    floor, and tol = floor / the smallest of those, the accuracy to which
+    the floor lets the SVD fix that space (Wedin's bound)."""
+    u, s, _ = np.linalg.svd(_hankel_block(p, laurent, rad))
+    dim = int(np.sum(s > floor))
+    return u[:, :dim], floor / s[dim - 1]
+
+
 def residue_range_profiles(fam, lam0):
     """Basis of the range of the residue projector as exponential-polynomial
     profiles.
@@ -131,56 +146,34 @@ def residue_range_profiles(fam, lam0):
     Each basis element is a tuple (k, vector, tail): the corresponding
     kernel-type profile is e^{lam0 r} (r^k vector + lower-order tail), where
     tail lists (k', vector') pairs with k' < k.  The basis is graded by top
-    power, so simple poles and diagonal families give pure-power profiles.
+    power and has one element per unit of projector rank: from the top power
+    down, the Hankel basis's block-k rows split the remaining directions into
+    those with top power k (singular values above the basis's accuracy) and
+    the rest; power 0 takes all that remain.  So simple poles and diagonal
+    families give pure-power profiles.
     """
     root = _root_at(fam, lam0)
     if root is None:
         return []
     p, laurent, floor = _principal_part(fam, root)
-    dim = _projector_rank(p, laurent, floor, root.radius)
+    q, tol = _range_basis(p, laurent, floor, root.radius)
     m = laurent[1].shape[0]
-    # orthonormal basis of the coefficient-tuple space: the leading left
-    # singular vectors of the unscaled Hankel matrix, whose row blocks are
-    # the coefficients c_k themselves
-    q = np.linalg.svd(_hankel_block(p, laurent, 1.0))[0][:, :dim]
+    scale = np.repeat([root.radius**j / math.factorial(j) for j in range(p)], m)
     profiles = []
-    prev = np.zeros((q.shape[0], 0), dtype=complex)
-    for k in range(p):
-        # subspace of tuples with top power <= k: components above k vanish
-        top = q[(k + 1) * m :, :]
-        if top.shape[0] == 0:
-            kern = np.eye(dim, dtype=complex)
-        else:
-            _, s2, vh = np.linalg.svd(top, full_matrices=True)
-            nkeep = int(np.sum(s2 > 1e-10)) if s2.size else 0
-            kern = vh.conj().T[:, nkeep:]
-        w_k = q @ kern
-        # directions new at grade k (orthogonal complement of the previous grade)
-        if prev.shape[1]:
-            w_k = w_k - prev @ (prev.conj().T @ w_k)
-        qn, rn = np.linalg.qr(w_k)
-        keep = np.abs(np.diag(rn)) > 1e-10 if rn.size else []
-        new = qn[:, : len(keep)][:, keep] if w_k.shape[1] else w_k
-        for idx in range(new.shape[1]):
-            col = new[:, idx]
-            parts = [col[j * m : (j + 1) * m] for j in range(p)]
-            scale = np.linalg.norm(parts[k])
-            if scale < 1e-12:
-                continue
+    for k in range(p - 1, -1, -1):
+        top = q
+        if k:
+            _, s, vh = np.linalg.svd(q[k * m : (k + 1) * m])
+            n_top = int(np.sum(s > tol))
+            top, q = q @ vh[:n_top].conj().T, q @ vh[n_top:].conj().T
+        for col in (top * scale[:, None]).T:
+            parts = col.reshape(p, m)
+            norm = np.linalg.norm(parts[k])
             tail = [
-                (j, parts[j] / scale)
-                for j in range(k)
-                if np.linalg.norm(parts[j]) > 1e-10 * scale
+                (j, parts[j] / norm) for j in range(k) if np.linalg.norm(parts[j]) > 1e-10 * norm
             ]
-            profiles.append((k, parts[k] / scale, tail))
-        prev = np.hstack([prev, new]) if new.shape[1] else prev
+            profiles.append((k, parts[k] / norm, tail))
     return profiles
-
-
-def _projector_rank(p, laurent, floor, rad):
-    """Rank of the residue projector as a convolution operator (counts the
-    polynomial-in-r profiles as independent directions)."""
-    return _rank(_hankel_block(p, laurent, rad), floor)
 
 
 def index_jump(fam, rho_from, rho_to):
@@ -207,7 +200,7 @@ def index_jump(fam, rho_from, rho_to):
     total = 0
     for r in roots:
         if lo < r.lam.real < hi:
-            total += _projector_rank(*_principal_part(fam, r), r.radius)
+            total += _range_basis(*_principal_part(fam, r), r.radius)[0].shape[1]
     return sign * total
 
 
@@ -224,7 +217,7 @@ def root_report(fam, window):
                 "multiplicity": r.multiplicity,
                 "residue_rank": _rank(laurent[1], floor),
                 "pole_order": p,
-                "projector_rank": _projector_rank(p, laurent, floor, r.radius),
+                "projector_rank": _range_basis(p, laurent, floor, r.radius)[0].shape[1],
             }
         )
     sset = sorted({round(r.lam.real, 12) for r in roots})

@@ -167,15 +167,9 @@ class ClosedGeodesic:
     axis_endpoints: tuple
 
     @classmethod
-    def from_word(cls, surface, word):
-        m = surface.word_matrix(word)
-        if m.classify() != "hyperbolic":
-            raise InvalidInputError(f"word {word!r} is not hyperbolic")
-        return cls._from_matrix(word, m)
-
-    @classmethod
-    def _from_matrix(cls, word, m):
-        """The geodesic of the word whose hyperbolic matrix is m."""
+    def from_matrix(cls, word, m):
+        """The geodesic of the word whose hyperbolic matrix is m; a matrix
+        that is not hyperbolic raises InvalidInputError."""
         return cls(
             word=word,
             matrix=m,
@@ -208,7 +202,7 @@ def enumerate_hyperbolic_classes(surface, max_word_len):
             continue
         m = surface.word_matrix(word)
         if m.classify() == "hyperbolic":
-            geodesics.append(ClosedGeodesic._from_matrix(word, m))
+            geodesics.append(ClosedGeodesic.from_matrix(word, m))
     geodesics.sort(key=lambda g: (g.length, g.word))
     return geodesics
 

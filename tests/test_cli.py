@@ -159,6 +159,62 @@ def test_mode0_kernel_subcommand(config, tmp_path):
     assert payload["powers"] == [0]
 
 
+# J_2(0.3) = [[lam - 0.3, 1], [0, lam - 0.3]]: projector rank 2 at 0.3, one
+# element of which is e^{0.3 r} (r v_1 + v_0)
+J2_OPERATOR = """
+[operator]
+name = custom
+n_out = 2
+n_in = 2
+term0 = 0 -0.3 1 0 -0.3
+term1 = 1 1 0 0 1
+"""
+
+
+def test_mode0_kernel_rows_rebuild_each_element(tmp_path, annihilation_residual):
+    path = tmp_path / "j2.ini"
+    path.write_text(J2_OPERATOR + "\n[tolerances]\nroot = 0.3\n")
+    out = tmp_path / "o"
+    assert main(["mode0-kernel", str(path), "--out", str(out)]) == 0
+    elements = {}
+    with open(out / "kernel_elements.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            powers = elements.setdefault(int(row["element"]), {})
+            vec = powers.setdefault(int(row["power"]), np.zeros(2, dtype=complex))
+            vec[int(row["component"])] = complex(float(row["re"]), float(row["im"]))
+            assert complex(float(row["lambda_re"]), float(row["lambda_im"])) == 0.3
+    assert json.loads((out / "kernel_report.json").read_text())["count"] == len(elements) == 2
+    assert sorted(sorted(powers) for powers in elements.values()) == [[0], [0, 1]]
+    fam = build_operator(load_config(path))
+    for powers in elements.values():
+        k = max(powers)
+        tail = tuple((j, v) for j, v in powers.items() if j < k)
+        assert annihilation_residual(fam, 0.3, k, powers[k], tail) <= 1e-8
+
+
+BUILTINS = [(name, d) for name in ("sym-laplacian", "sym-derivative") for d in (1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "operator",
+    [f"[operator]\nname = {name}\nd = {d}\n" for name, d in BUILTINS] + [J2_OPERATOR],
+    ids=[f"{name} d={d}" for name, d in BUILTINS] + ["J2"],
+)
+def test_mode0_kernel_count_is_the_projector_rank(tmp_path, operator):
+    path = tmp_path / "op.ini"
+    path.write_text(operator)
+    assert main(["roots", str(path), "--out", str(tmp_path / "roots")]) == 0
+    entries = json.loads((tmp_path / "roots" / "roots.json").read_text())["roots"]
+    real = [e for e in entries if abs(e["lambda"][1]) < 1e-9]
+    assert real
+    for i, entry in enumerate(real):
+        path.write_text(operator + f"\n[tolerances]\nroot = {entry['lambda'][0]!r}\n")
+        out = tmp_path / f"kernel{i}"
+        assert main(["mode0-kernel", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "kernel_report.json").read_text())
+        assert report["count"] == entry["projector_rank"], entry
+
+
 def test_lp_norm_subcommand(config, tmp_path):
     code, out = run("lp-norm", config, tmp_path)
     assert code == 0

@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -141,12 +144,30 @@ def test_parabolic_class_excluded():
     geos = enumerate_hyperbolic_classes(TORUS, 4)
     assert "abAB" not in {g.word for g in geos}
     with pytest.raises(InvalidInputError):
-        ClosedGeodesic.from_word(TORUS, "abAB")
+        ClosedGeodesic.from_matrix("abAB", TORUS.word_matrix("abAB"))
 
 
 def test_enumeration_count_covers_fifty_classes_at_length_six():
     geos = enumerate_hyperbolic_classes(TORUS, 6)
     assert len(geos) >= 50
+
+
+def test_enumeration_counts_hyperbolic_classes_by_word_length():
+    # conjugacy classes of cyclically reduced words of length n in F_2:
+    # N(n) = (1/n) sum_{d | n} phi(n/d) c(d), with c(d) = 3^d + 1 + (1 + (-1)^d)
+    # cyclically reduced words of length d; no class is its own inverse, and
+    # the commutator's class (length 4) is the cusp
+    def phi(k):
+        return sum(math.gcd(i, k) == 1 for i in range(1, k + 1))
+
+    def classes(n):
+        terms = (phi(n // d) * (3**d + 1 + (1 + (-1) ** d)) for d in range(1, n + 1) if n % d == 0)
+        return sum(terms) // n
+
+    want = [classes(n) // 2 - (n % 4 == 0) for n in range(1, 9)]
+    assert want == [2, 4, 6, 12, 26, 66, 158, 417]
+    lengths = Counter(len(g.word) for g in enumerate_hyperbolic_classes(TORUS, 8))
+    assert [lengths[n] for n in range(1, 9)] == want
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +204,7 @@ def test_arc_length_property_between_parameters():
 def test_arc_against_runge_kutta_geodesic_oracle():
     # integrate the geodesic ODE x'' = 2 x' y'/y, y'' = (y'^2 - x'^2)/y
     # from the base point with the arc's initial tangent
-    g = ClosedGeodesic.from_word(TORUS, "ab")
+    g = ClosedGeodesic.from_matrix("ab", TORUS.word_matrix("ab"))
     z0, v0 = g.arc(0.0)
     state = np.array([z0.real, z0.imag, v0.real, v0.imag], dtype=float)
 

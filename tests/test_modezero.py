@@ -21,7 +21,8 @@ from cusplab.operators import (
     sym_derivative_spec,
     sym_laplacian_spec,
 )
-from cusplab.polymat import IndicialFamily
+from cusplab.polymat import IndicialFamily, indicial_roots
+from cusplab.residues import root_report
 
 LAM_PLUS = 0.5 + np.sqrt(1.25)
 LAM_MINUS = 0.5 - np.sqrt(1.25)
@@ -209,6 +210,63 @@ def test_kernel_elements_annihilated_in_interior():
             resid = np.max(np.abs(out.samples[interior]))
             scale = np.max(np.abs(fld.samples))
             assert resid <= 1e-8 * scale
+
+
+def jordan_family(k):
+    # lam - 0.3 on the diagonal of a k x k block, ones on the superdiagonal
+    return IndicialFamily(np.stack([-0.3 * np.eye(k) + np.eye(k, k=1), np.eye(k)]))
+
+
+def similar_jordan_pair():
+    # J_2(0.3) + J_1(0.3) under a random similarity
+    s = np.random.default_rng(7).normal(size=(3, 3))
+    j = np.stack([-0.3 * np.eye(3) + np.diag([1.0, 0.0], 1), np.eye(3)])
+    return IndicialFamily(np.einsum("ij,kjl,lm->kim", s, j, np.linalg.inv(s)))
+
+
+def builtin_roots():
+    cases = []
+    for name, spec in (("sym-laplacian", sym_laplacian_spec), ("sym-derivative", sym_derivative_spec)):
+        for d in (1, 2, 3):
+            fam = indicial_family(spec(d))
+            cases += [(f"{name} d={d} at {r.lam.real:.4f}", fam, r.lam) for r in indicial_roots(fam)]
+    return cases
+
+
+BUILTIN_ROOTS = builtin_roots()
+JORDAN_ROOTS = [(f"J{k}", jordan_family(k), 0.3) for k in range(1, 8)]
+JORDAN_ROOTS.append(("J2+J1 similar", similar_jordan_pair(), 0.3))
+
+
+def projector_rank(fam, lam0):
+    (entry,) = [
+        e
+        for e in root_report(fam, (lam0.real - 1.0, lam0.real + 1.0))["roots"]
+        if abs(complex(*e["lambda"]) - lam0) < 1e-6
+    ]
+    return entry["projector_rank"]
+
+
+@pytest.mark.parametrize(
+    "fam, lam0",
+    [case[1:] for case in JORDAN_ROOTS + BUILTIN_ROOTS],
+    ids=[case[0] for case in JORDAN_ROOTS + BUILTIN_ROOTS],
+)
+def test_kernel_element_count_is_the_projector_rank(fam, lam0):
+    assert len(kernel_elements(fam, lam0)) == projector_rank(fam, lam0)
+
+
+EXACT_ROOTS = JORDAN_ROOTS[:4] + JORDAN_ROOTS[-1:] + BUILTIN_ROOTS
+
+
+@pytest.mark.parametrize(
+    "fam, lam0", [case[1:] for case in EXACT_ROOTS], ids=[case[0] for case in EXACT_ROOTS]
+)
+def test_kernel_elements_are_exactly_annihilated(fam, lam0, annihilation_residual):
+    # the finite-difference window test above cannot see a wrong lower-order
+    # term; the Taylor coefficients of P at the root can
+    for el in kernel_elements(fam, lam0):
+        assert annihilation_residual(fam, el.lam, el.k, el.coefficient_vector, el.tail) <= 1e-8
 
 
 def test_derivative_kernel_element_is_slice_direction():

@@ -67,7 +67,7 @@ def test_simple_scalar_pole():
     assert abs(res[0, 0] - 1.0) < 1e-12
 
 
-def test_double_scalar_pole_and_profiles():
+def test_double_scalar_pole_and_profiles(annihilation_residual):
     fam = scalar_family(0.25, -1.0, 1.0)  # (lam - 0.5)^2
     rank, p = residue_rank(fam, 0.5)
     assert p == 2
@@ -76,6 +76,8 @@ def test_double_scalar_pole_and_profiles():
     profiles = residue_range_profiles(fam, 0.5)
     powers = sorted(k for k, _, _ in profiles)
     assert powers == [0, 1]
+    for profile in profiles:
+        assert annihilation_residual(fam, 0.5, *profile) <= 1e-8
 
 
 def test_jordan_block_pole_versus_contour_oracle():
@@ -198,14 +200,19 @@ CONTOUR_CASES = [
     [case[1:] for case in CONTOUR_CASES],
     ids=[f"{case[0]} at {case[2]}" for case in CONTOUR_CASES],
 )
-def test_contour_pole_order_rank_and_projector_rank(make, lam0, mult, p, rank, prank):
+def test_contour_pole_order_rank_and_projector_rank(
+    make, lam0, mult, p, rank, prank, annihilation_residual
+):
     fam = make()
     entry = root_entry(fam, lam0)
     assert entry["multiplicity"] == mult
     assert (entry["pole_order"], entry["residue_rank"], entry["projector_rank"]) == (p, rank, prank)
     # the same data through the caller's point, which names the root
     assert residue_rank(fam, lam0) == (rank, p)
-    assert len(residue_range_profiles(fam, lam0)) == prank
+    profiles = residue_range_profiles(fam, lam0)
+    assert len(profiles) == prank
+    for profile in profiles:
+        assert annihilation_residual(fam, lam0, *profile) <= 1e-8
 
 
 OFF_ROOT_CASES = [

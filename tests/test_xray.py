@@ -123,8 +123,8 @@ def test_linearity_at_fixed_quadrature_nodes():
 
 
 def test_reparametrization_invariance_under_word_rotation():
-    geo1 = ClosedGeodesic.from_word(TORUS, "aab")
-    rotated = ClosedGeodesic.from_word(TORUS, "aba")
+    geo1 = ClosedGeodesic.from_matrix("aab", TORUS.word_matrix("aab"))
+    rotated = ClosedGeodesic.from_matrix("aba", TORUS.word_matrix("aba"))
     f = bump_two_tensor()
     v1 = xray_eval(TORUS, f, geo1, tol=1e-10)
     v2 = xray_eval(TORUS, f, rotated, tol=1e-10)
@@ -133,8 +133,9 @@ def test_reparametrization_invariance_under_word_rotation():
 
 def test_orientation_parity():
     # abaBAb meets both supports, so the parities compare nonzero values
-    geo = ClosedGeodesic.from_word(TORUS, "abaBAb")
-    rev = ClosedGeodesic.from_word(TORUS, invert_word("abaBAb"))
+    geo = ClosedGeodesic.from_matrix("abaBAb", TORUS.word_matrix("abaBAb"))
+    inverse = invert_word("abaBAb")
+    rev = ClosedGeodesic.from_matrix(inverse, TORUS.word_matrix(inverse))
     one_form = random_bump_one_form(2, center=BUMP_CENTER, r_width=0.45, t_width=0.14)
     f2 = bump_two_tensor()
     v1 = xray_eval(TORUS, one_form, geo, tol=1e-11)
