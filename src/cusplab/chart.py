@@ -52,7 +52,9 @@ class ChartGrid:
         return np.exp(self.r)
 
     def theta_frequencies(self):
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_theta, d=self.dtheta)
+        """Angular frequencies 2 pi k of the rfft modes k = 0..n_theta // 2
+        of a real field sampled on the theta nodes."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.n_theta, d=self.dtheta)
 
     def radial_weights(self):
         """Trapezoidal weights in r times the area density e^{-r}."""

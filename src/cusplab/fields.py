@@ -4,7 +4,10 @@ Each scalar carries its value and its 1-jet (the value with its first
 partials), so symmetric derivatives evaluate without grid discretization
 error: the route used by the quadrature-only X-ray experiments and as the
 reference for grid convergence studies.  A jet evaluates each factor once;
-values alone take no derivative work.
+values alone take no derivative work.  A product evaluates its right factor
+only where its left factor is nonzero, and a bump its theta factor only
+where its radial factor is, so sampling a compactly supported field costs
+little off its support.
 """
 
 from dataclasses import dataclass
@@ -30,6 +33,29 @@ def _wrap(dt):
     return (np.asarray(dt, dtype=float) + 0.5) % 1.0 - 0.5
 
 
+def _on_support(lead, rest, r, t):
+    """The arrays ``rest(r, t, *lead(r, t))``, evaluated only at the points
+    where some array of ``lead(r, t)`` is nonzero and set to 0 elsewhere.
+
+    Precondition: each output of ``rest`` is a sum of products of lead's
+    arrays with factors that are finite at every point (bumps, trigs and
+    constants are), so it is 0 wherever lead's arrays all are.  The result
+    then equals the plain formula value for value, and off lead's support it
+    costs lead alone.
+    """
+    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+    parts = [np.broadcast_to(x, r.shape) for x in lead(r, t)]
+    on = parts[0] != 0
+    for x in parts[1:]:
+        on |= x != 0
+    outs = []
+    for y in rest(r[on], t[on], *(x[on] for x in parts)):
+        full = np.zeros(r.shape, dtype=np.result_type(y))
+        full[on] = y
+        outs.append(full)
+    return outs
+
+
 @dataclass(frozen=True)
 class Scalar2D:
     """A chart scalar with its closed-form value and 1-jet: ``jet(r, t)``
@@ -50,7 +76,12 @@ class Scalar2D:
             raise InvalidInputError("theta half-width must lie in (0, 1/2)")
 
         def val(r, t):
-            return _bump((r - r0) / r_width) * _bump(_wrap(t - t0) / t_width)
+            return _on_support(
+                lambda r, t: (_bump((r - r0) / r_width),),
+                lambda r, t, bx: (bx * _bump(_wrap(t - t0) / t_width),),
+                r,
+                t,
+            )[0]
 
         def jet(r, t):
             x = (r - r0) / r_width
@@ -76,14 +107,24 @@ class Scalar2D:
         return Scalar2D(val, jet)
 
     def __mul__(self, other):
+        """Product with another scalar or a constant.  A product of scalars
+        evaluates its right factor only where the left factor's value (or,
+        for the jet, its 1-jet) is nonzero, so both factors must be finite."""
         if isinstance(other, Scalar2D):
 
-            def jet(r, t):
-                f, f_r, f_t = self.jet(r, t)
+            def val(r, t):
+                return _on_support(
+                    lambda r, t: (self.val(r, t),),
+                    lambda r, t, f: (f * other.val(r, t),),
+                    r,
+                    t,
+                )[0]
+
+            def rest(r, t, f, f_r, f_t):
                 g, g_r, g_t = other.jet(r, t)
                 return f * g, f_r * g + f * g_r, f_t * g + f * g_t
 
-            return Scalar2D(lambda r, t: self.val(r, t) * other.val(r, t), jet)
+            return Scalar2D(val, lambda r, t: tuple(_on_support(self.jet, rest, r, t)))
         c = float(other)
 
         def scaled_jet(r, t):

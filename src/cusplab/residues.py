@@ -151,6 +151,11 @@ def residue_range_profiles(fam, lam0):
     those with top power k (singular values above the basis's accuracy) and
     the rest; power 0 takes all that remain.  So simple poles and diagonal
     families give pure-power profiles.
+
+    Each profile is scaled so that the largest-modulus component of its
+    top-power vector (the first, on ties) is real and positive, which fixes
+    the phase the SVD leaves free.  A group of two or more profiles with one
+    top power still spans its space in a basis chosen by the SVD.
     """
     root = _root_at(fam, lam0)
     if root is None:
@@ -168,6 +173,9 @@ def residue_range_profiles(fam, lam0):
             top, q = q @ vh[:n_top].conj().T, q @ vh[n_top:].conj().T
         for col in (top * scale[:, None]).T:
             parts = col.reshape(p, m)
+            j = np.argmax(np.abs(parts[k]))
+            parts = parts * (abs(parts[k, j]) / parts[k, j])
+            parts[k, j] = parts[k, j].real  # real up to the product's roundoff
             norm = np.linalg.norm(parts[k])
             tail = [
                 (j, parts[j] / norm) for j in range(k) if np.linalg.norm(parts[j]) > 1e-10 * norm

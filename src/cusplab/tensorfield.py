@@ -232,20 +232,24 @@ def _dr_fd4(arr, dr):
     return out
 
 
+# Spectral derivatives take real transforms of real data: irfft ignores the
+# imaginary part of the Nyquist bin, so an even-length Nyquist mode
+# differentiates to 0, as the real part of a full complex transform made it.
+
+
 def _dr_spectral(arr, grid):
     n = grid.n_r - 1
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dr)
-    spec = np.fft.fft(arr[..., :-1, :], axis=-2) * (1j * xi)[:, None]
+    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.dr)
+    spec = np.fft.rfft(arr[..., :-1, :], axis=-2) * (1j * xi)[:, None]
     out = np.empty_like(arr)
-    out[..., :-1, :] = np.fft.ifft(spec, axis=-2).real
+    out[..., :-1, :] = np.fft.irfft(spec, n=n, axis=-2)
     out[..., -1, :] = out[..., 0, :]
     return out
 
 
 def _dtheta(arr, grid):
-    xi = grid.theta_frequencies()
-    spec = np.fft.fft(arr, axis=-1) * (1j * xi)
-    return np.fft.ifft(spec, axis=-1).real
+    spec = np.fft.rfft(arr, axis=-1) * (1j * grid.theta_frequencies())
+    return np.fft.irfft(spec, n=grid.n_theta, axis=-1)
 
 
 def _dr(arr, grid, method):
@@ -426,7 +430,7 @@ def _solve_modes_least_squares(f, grid):
     # f is real, so mode -xi is the conjugate of mode xi: every mode xi >= 0
     # takes its right-hand side D(xi)^H W f_hat from one sparse product
     f_hat = np.fft.rfft(f.comps, axis=2).reshape(3 * n, -1)
-    xis = 2.0 * np.pi * np.fft.rfftfreq(grid.n_theta, d=grid.dtheta)
+    xis = grid.theta_frequencies()
     if grid.n_theta % 2 == 0:
         xis[-1] = 0.0  # the theta-derivative of a real field drops its Nyquist mode
     both = sp.vstack([a0, a1]) @ f_hat

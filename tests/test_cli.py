@@ -159,6 +159,22 @@ def test_mode0_kernel_subcommand(config, tmp_path):
     assert payload["powers"] == [0]
 
 
+def test_mode0_kernel_phase_is_canonical(tmp_path):
+    # each element's largest-modulus top-power component is real and positive
+    default = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
+    assert main(["mode0-kernel", str(default), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "kernel_elements.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    count = json.loads((tmp_path / "kernel_report.json").read_text())["count"]
+    assert count == len({row["element"] for row in rows}) >= 1
+    for i in range(count):
+        own = [row for row in rows if int(row["element"]) == i]
+        k = max(int(row["power"]) for row in own)
+        top = [complex(float(row["re"]), float(row["im"])) for row in own if int(row["power"]) == k]
+        lead = top[int(np.argmax(np.abs(top)))]
+        assert lead.imag == 0.0 and lead.real > 0.0
+
+
 # J_2(0.3) = [[lam - 0.3, 1], [0, lam - 0.3]]: projector rank 2 at 0.3, one
 # element of which is e^{0.3 r} (r v_1 + v_0)
 J2_OPERATOR = """

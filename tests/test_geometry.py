@@ -42,6 +42,30 @@ def test_is_identity_holds_the_diagonal_to_its_tolerance():
     assert MobiusMap(np.diag([1.0 + 1e-13, 1.0 / (1.0 + 1e-13)])).is_identity()
 
 
+@pytest.mark.parametrize("delta", [5e-6, 3e-5])
+def test_near_unit_diagonal_is_hyperbolic(delta):
+    # |tr| - 2 = delta^2 / (1 + delta), far above the trace's roundoff
+    assert MobiusMap(np.diag([1.0 + delta, 1.0 / (1.0 + delta)])).classify() == "hyperbolic"
+
+
+def _is_peripheral(word):
+    # conjugates of powers of the commutator abAB: the cyclically reduced
+    # core is a power of one of its rotations or of its inverse's
+    while len(word) > 1 and word[0] == word[-1].swapcase():
+        word = word[1:-1]
+    k, rest = divmod(len(word), 4)
+    cores = {c[i:] + c[:i] for c in ("abAB", "baBA") for i in range(4)}
+    return k > 0 and rest == 0 and any(word == c * k for c in cores)
+
+
+def test_conjugates_of_commutator_powers_stay_parabolic():
+    # every other word up to length 8 is hyperbolic: the class counts by
+    # word length are pinned in test_enumeration_counts_hyperbolic_classes_by_word_length
+    words = [w for w in TORUS.words(8) if _is_peripheral(w)]
+    assert len(words) == 80
+    assert all(TORUS.word_matrix(w).classify() == "parabolic" for w in words)
+
+
 def test_non_positive_determinant_rejected():
     with pytest.raises(InvalidInputError):
         MobiusMap([[1, 2], [2, 1]])  # det = -3

@@ -213,6 +213,9 @@ def test_contour_pole_order_rank_and_projector_rank(
     assert len(profiles) == prank
     for profile in profiles:
         assert annihilation_residual(fam, lam0, *profile) <= 1e-8
+        # canonical phase: the largest top-power component is real, positive
+        lead = profile[1][np.argmax(np.abs(profile[1]))]
+        assert lead.imag == 0.0 and lead.real > 0.0
 
 
 OFF_ROOT_CASES = [

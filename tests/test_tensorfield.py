@@ -14,6 +14,8 @@ from cusplab.tensorfield import (
     _band_storage,
     _dr_fd,
     _dr_matrix,
+    _dr_spectral,
+    _dtheta,
     _solve_modes_least_squares,
     divergence,
     l2_inner,
@@ -256,7 +258,7 @@ def _sparse_least_squares(f, grid):
     )
     f_hat = np.fft.fft(f.comps, axis=2)
     sol_hat = np.zeros((2, n, grid.n_theta), dtype=complex)
-    xis = grid.theta_frequencies()
+    xis = 2.0 * np.pi * np.fft.fftfreq(grid.n_theta, d=grid.dtheta)
     xis[grid.n_theta // 2] = 0.0  # a real field's theta-derivative drops this mode
     for k, xi in enumerate(xis):
         d_m = _sparse_mode_derivative(grid, xi) @ inject
@@ -434,6 +436,92 @@ def test_bump_jet_partials_are_bit_identical_to_two_exponentials():
     assert np.array_equal(d_r, _bump_prime_reference(x) / r_width * fields._bump(y))
     assert np.array_equal(d_t, fields._bump(x) * _bump_prime_reference(y) / t_width)
     assert np.any(d_r != 0.0) and np.any(d_t != 0.0)
+
+
+def _plain_product(f, g):
+    # the reference: a product's value and jet with both factors evaluated
+    # at every point
+    def jet(r, t):
+        a, a_r, a_t = f.jet(r, t)
+        b, b_r, b_t = g.jet(r, t)
+        return a * b, a_r * b + a * b_r, a_t * b + a * b_t
+
+    return Scalar2D(lambda r, t: f.val(r, t) * g.val(r, t), jet)
+
+
+# vanishes at r = 0 where its r-partial does not: the product's jet must
+# evaluate the right factor there
+_RAMP = Scalar2D(lambda r, t: r, lambda r, t: (r, 1.0 + 0.0 * r, 0.0 * r))
+
+
+def test_masked_products_equal_the_plain_formula():
+    rng = np.random.default_rng(0)
+    env = Scalar2D.bump(-0.916, 0.0, 0.45, 0.14)
+    trig = fields._random_trig(rng)
+    cases = [(env, trig), (trig, env), (_RAMP, trig), (env, env * trig)]
+    on_zero = (np.zeros(64), rng.uniform(0.0, 1.0, 64))
+    samples = [
+        ChartGrid(-2.8, 0.5, 769, 384).mesh,
+        (rng.uniform(-2.8, 0.5, 5000), rng.uniform(-0.5, 1.5, 5000)),
+        on_zero,
+    ]
+    for r, t in samples:
+        for f, g in cases:
+            masked, plain = f * g, _plain_product(f, g)
+            # equal value for value; the sign of a zero is not compared
+            assert np.array_equal(masked.val(r, t), plain.val(r, t))
+            for got, want in zip(masked.jet(r, t), plain.jet(r, t)):
+                assert np.array_equal(got, want)
+        plain_bump = fields._bump((r + 0.916) / 0.45) * fields._bump(fields._wrap(t) / 0.14)
+        assert np.array_equal(env.val(r, t), plain_bump)
+    # on r = 0 the ramp's value vanishes but the product's r-partial does not
+    _, d_r, _ = (_RAMP * trig).jet(*on_zero)
+    assert np.all(d_r != 0.0)
+
+
+def _dtheta_complex(arr, grid):
+    xi = 2.0 * np.pi * np.fft.fftfreq(grid.n_theta, d=grid.dtheta)
+    return np.fft.ifft(np.fft.fft(arr, axis=-1) * (1j * xi), axis=-1).real
+
+
+def _dr_spectral_complex(arr, grid):
+    n = grid.n_r - 1
+    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dr)
+    out = np.empty_like(arr)
+    spec = np.fft.fft(arr[..., :-1, :], axis=-2) * (1j * xi)[:, None]
+    out[..., :-1, :] = np.fft.ifft(spec, axis=-2).real
+    out[..., -1, :] = out[..., 0, :]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(33, 16), (34, 15), (65, 33), (66, 64)])
+def test_real_fft_derivatives_match_the_complex_transform(shape):
+    grid = ChartGrid(-1.0, 2.0, *shape)
+    arr = np.random.default_rng(sum(shape)).normal(size=(2, *shape))
+    for fast, oracle in ((_dtheta, _dtheta_complex), (_dr_spectral, _dr_spectral_complex)):
+        want = oracle(arr, grid)
+        assert np.max(np.abs(fast(arr, grid) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", [(33, 16), (65, 64)])
+def test_nyquist_modes_differentiate_to_zero(shape):
+    # even transform lengths in both directions: n_r - 1 radial, n_theta
+    grid = ChartGrid(-1.0, 2.0, *shape)
+    along_t = np.ones(shape) * (-1.0) ** np.arange(grid.n_theta)
+    along_r = np.ones(shape) * ((-1.0) ** np.arange(grid.n_r))[:, None]
+    assert np.max(np.abs(_dtheta(along_t, grid))) <= 1e-12
+    assert np.max(np.abs(_dr_spectral(along_r, grid))) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(33, 16), (34, 15), (66, 64)])
+def test_spectral_derivatives_of_a_band_limited_trig_are_exact(shape):
+    grid = ChartGrid(-1.0, 2.0, *shape)
+    # periodic in r over the radial period and in theta over 1
+    f = Scalar2D.trig(2.0 * np.pi * 3 / (grid.r_max - grid.r_min), 5, 0.7)
+    rr, tt = grid.mesh
+    val, d_r, d_t = f.jet(rr, tt)
+    assert np.max(np.abs(_dtheta(val, grid) - d_t)) <= 1e-10 * np.max(np.abs(d_t))
+    assert np.max(np.abs(_dr_spectral(val, grid) - d_r)) <= 1e-10 * np.max(np.abs(d_r))
 
 
 def test_linearity_of_interpolation_and_norms():
