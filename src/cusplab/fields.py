@@ -4,10 +4,8 @@ Each scalar carries its value and its 1-jet (the value with its first
 partials), so symmetric derivatives evaluate without grid discretization
 error: the route used by the quadrature-only X-ray experiments and as the
 reference for grid convergence studies.  A jet evaluates each factor once;
-values alone take no derivative work.  A product evaluates its right factor
-only where its left factor is nonzero, and a bump its theta factor only
-where its radial factor is, so sampling a compactly supported field costs
-little off its support.
+values alone take no derivative work.  Products and bumps skip their
+zero set (see ``_on_support``).
 """
 
 from dataclasses import dataclass
@@ -107,9 +105,8 @@ class Scalar2D:
         return Scalar2D(val, jet)
 
     def __mul__(self, other):
-        """Product with another scalar or a constant.  A product of scalars
-        evaluates its right factor only where the left factor's value (or,
-        for the jet, its 1-jet) is nonzero, so both factors must be finite."""
+        """Product with another scalar or a constant; the right scalar is
+        evaluated only where the left one's value (or 1-jet) is nonzero."""
         if isinstance(other, Scalar2D):
 
             def val(r, t):

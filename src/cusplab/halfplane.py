@@ -81,15 +81,16 @@ class MobiusMap:
         (|tr| > 2) or 'elliptic' (|tr| < 2).
 
         The trace of a product of matrices is exact only to about
-        eps ||M||_F^2, the floor the determinant check also scales with, so
-        |tr| - 2 is read against 16 eps ||M||_F^2: the punctured torus's 80
-        parabolic words up to length 8 read at most 3.3 eps ||M||_F^2, and
-        diag(1 + 5e-6, 1 / (1 + 5e-6)), with |tr| - 2 = 2.5e-11, is
-        hyperbolic."""
+        eps ||M||_F^2, so |tr| - 2 is read against max(1e-12,
+        16 eps ||M||_F^2), the determinant check's pattern: the punctured
+        torus's 80 parabolic words up to length 8 read at most
+        3.3 eps ||M||_F^2, its commutator from generators typed to 14
+        significant digits 2.4e-13, and diag(1 + 5e-6, 1 / (1 + 5e-6)), with
+        |tr| - 2 = 2.5e-11, is hyperbolic."""
         if self.is_identity(tol=_IDENTITY_TOL):
             return "identity"
         t = abs(self.trace)
-        tol = 16 * np.finfo(float).eps * float(np.sum(self.mat * self.mat))
+        tol = max(_DET_TOL, 16 * np.finfo(float).eps * float(np.sum(self.mat * self.mat)))
         if abs(t - 2.0) <= tol:
             return "parabolic"
         return "hyperbolic" if t > 2.0 else "elliptic"

@@ -154,8 +154,9 @@ def residue_range_profiles(fam, lam0):
 
     Each profile is scaled so that the largest-modulus component of its
     top-power vector (the first, on ties) is real and positive, which fixes
-    the phase the SVD leaves free.  A group of two or more profiles with one
-    top power still spans its space in a basis chosen by the SVD.
+    the phase the SVD leaves free; zero parts are +0.  A group of two or more
+    profiles with one top power still spans its space in a basis chosen by
+    the SVD.
     """
     root = _root_at(fam, lam0)
     if root is None:
@@ -174,7 +175,7 @@ def residue_range_profiles(fam, lam0):
         for col in (top * scale[:, None]).T:
             parts = col.reshape(p, m)
             j = np.argmax(np.abs(parts[k]))
-            parts = parts * (abs(parts[k, j]) / parts[k, j])
+            parts = parts * (abs(parts[k, j]) / parts[k, j]) + 0.0  # no -0 parts
             parts[k, j] = parts[k, j].real  # real up to the product's roundoff
             norm = np.linalg.norm(parts[k])
             tail = [

@@ -70,7 +70,10 @@ class FuchsianSurface:
             gens[name] = g if isinstance(g, MobiusMap) else MobiusMap(g)
         object.__setattr__(self, "generators", gens)
         if not self._has_parabolic_word(max_len=4):
-            raise InvalidInputError("no parabolic word of length <= 4: not a cusped group")
+            raise InvalidInputError(
+                "no parabolic word of length <= 4 (|tr| within 1e-12 of 2): not a cusped"
+                " group, or generators given to fewer than 14 significant digits"
+            )
 
     def _has_parabolic_word(self, max_len):
         for w in self.words(max_len):

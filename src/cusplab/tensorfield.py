@@ -232,14 +232,10 @@ def _dr_fd4(arr, dr):
     return out
 
 
-# Spectral derivatives take real transforms of real data: irfft ignores the
-# imaginary part of the Nyquist bin, so an even-length Nyquist mode
-# differentiates to 0, as the real part of a full complex transform made it.
-
-
 def _dr_spectral(arr, grid):
     n = grid.n_r - 1
     xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.dr)
+    # irfft drops the Nyquist bin's imaginary part: that mode differentiates to 0
     spec = np.fft.rfft(arr[..., :-1, :], axis=-2) * (1j * xi)[:, None]
     out = np.empty_like(arr)
     out[..., :-1, :] = np.fft.irfft(spec, n=n, axis=-2)

@@ -160,11 +160,13 @@ def test_mode0_kernel_subcommand(config, tmp_path):
 
 
 def test_mode0_kernel_phase_is_canonical(tmp_path):
-    # each element's largest-modulus top-power component is real and positive
+    # each element's largest-modulus top-power component is real and positive,
+    # and no zero carries a roundoff sign
     default = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
     assert main(["mode0-kernel", str(default), "--out", str(tmp_path)]) == 0
     with open(tmp_path / "kernel_elements.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
+    assert not any(v.startswith("-0") and float(v) == 0.0 for row in rows for v in row.values())
     count = json.loads((tmp_path / "kernel_report.json").read_text())["count"]
     assert count == len({row["element"] for row in rows}) >= 1
     for i in range(count):

@@ -6,6 +6,7 @@ import pytest
 
 from cusplab.errors import InvalidInputError
 from cusplab.halfplane import MobiusMap, hyperbolic_distance
+from cusplab.runio import build_surface, load_config
 from cusplab.surface import (
     ClosedGeodesic,
     canonical_class_word,
@@ -64,6 +65,31 @@ def test_conjugates_of_commutator_powers_stay_parabolic():
     words = [w for w in TORUS.words(8) if _is_peripheral(w)]
     assert len(words) == 80
     assert all(TORUS.word_matrix(w).classify() == "parabolic" for w in words)
+
+
+def _typed_generators_config(tmp_path, digits):
+    rows = "; ".join(
+        " ".join(format(x, f".{digits}g") for x in TORUS.generators[n].mat.ravel())
+        for n in ("a", "b")
+    )
+    path = tmp_path / "surface.ini"
+    path.write_text(f"[surface]\ngenerators = {rows}\n")
+    return load_config(path)
+
+
+@pytest.mark.parametrize("digits", [14, 15, 16])
+def test_generator_rows_typed_to_14_digits_keep_the_cusp(tmp_path, digits):
+    # every conjugate of a commutator power up to length 8 stays parabolic
+    surf = build_surface(_typed_generators_config(tmp_path, digits))
+    words = [w for w in surf.words(8) if _is_peripheral(w)]
+    assert len(words) == 80
+    assert all(surf.word_matrix(w).classify() == "parabolic" for w in words)
+
+
+def test_generator_rows_typed_to_12_digits_name_the_precision(tmp_path):
+    # the commutator's |tr| - 2 reads 2.4e-11, above the 1e-12 trace floor
+    with pytest.raises(InvalidInputError, match="14 significant digits"):
+        build_surface(_typed_generators_config(tmp_path, 12))
 
 
 def test_non_positive_determinant_rejected():
