@@ -44,10 +44,6 @@ class ChartGrid:
         return np.arange(self.n_theta) * self.dtheta
 
     @property
-    def mesh(self):
-        return np.meshgrid(self.r, self.theta, indexing="ij")
-
-    @property
     def exp_r(self):
         return np.exp(self.r)
 
@@ -63,12 +59,7 @@ class ChartGrid:
         wr[-1] *= 0.5
         return wr * np.exp(-self.r)
 
-    def quadrature_weights(self):
-        """Weights for the hyperbolic area element e^{-r} dr dtheta,
-        trapezoidal in r and exact (uniform) in theta."""
-        return np.outer(self.radial_weights(), np.full(self.n_theta, self.dtheta))
-
-    def refine(self, factor=2):
+    def refine(self, factor):
         return ChartGrid(
             self.r_min,
             self.r_max,

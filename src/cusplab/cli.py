@@ -219,7 +219,9 @@ def cmd_xray(cfg, out, args):
     tol = cfg["tolerances"]["xray"]
     classes = enumerate_hyperbolic_classes(surface, cfg["surface"]["max_word_len"])
     classes = classes[: sec["class_cap"]]
-    summary = {"mode": mode, "n_classes": len(classes)}
+    # potential and probe modes raise the tolerance to their floors
+    tol = {"potential": max(tol, 1e-7), "probe": max(tol, 1e-6)}.get(mode, tol)
+    summary = {"mode": mode, "n_classes": len(classes), "tolerance": tol}
     if mode == "metric":
         tensor = SymTensorField.metric(grid)
         results = xray_suite(surface, tensor, classes, tol=tol)
@@ -236,7 +238,7 @@ def cmd_xray(cfg, out, args):
             for i in range(sec["forms"])
         ]
         rep = potential_annihilation_suite(
-            surface, forms, classes, tol=max(tol, 1e-7), path="grid", grid=grid
+            surface, forms, classes, tol=tol, path="grid", grid=grid
         )
         results = rep.pop("results")[0]
         summary["annihilation"] = rep
@@ -246,7 +248,7 @@ def cmd_xray(cfg, out, args):
             grid, 2, lambda r, t: 0.0 * r, phi, lambda r, t: 0.0 * r
         )
         f_s, _, info = solenoidal_project(f_raw)
-        rep = solenoidal_probe(surface, f_s, classes, tol=max(tol, 1e-6))
+        rep = solenoidal_probe(surface, f_s, classes, tol=tol)
         summary["projection"] = info
         summary["probe"] = {
             "flag": rep["flag"],

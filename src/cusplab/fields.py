@@ -32,8 +32,10 @@ def _wrap(dt):
 
 
 def _on_support(lead, rest, r, t):
-    """The arrays ``rest(r, t, *lead(r, t))``, evaluated only at the points
-    where some array of ``lead(r, t)`` is nonzero and set to 0 elsewhere.
+    """The arrays ``rest(r, t, *lead(r, t))`` on the common shape of r, t and
+    lead's arrays: lead sees r and t as given (on broadcastable axes a factor
+    of r alone runs once per row), rest only the points where some array of
+    lead is nonzero, and the result is 0 elsewhere.
 
     Precondition: each output of ``rest`` is a sum of products of lead's
     arrays with factors that are finite at every point (bumps, trigs and
@@ -41,14 +43,16 @@ def _on_support(lead, rest, r, t):
     then equals the plain formula value for value, and off lead's support it
     costs lead alone.
     """
-    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-    parts = [np.broadcast_to(x, r.shape) for x in lead(r, t)]
+    r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
+    parts = lead(r, t)
+    shape = np.broadcast_shapes(r.shape, t.shape, *(np.shape(x) for x in parts))
+    r, t, *parts = (np.broadcast_to(x, shape) for x in (r, t, *parts))
     on = parts[0] != 0
     for x in parts[1:]:
         on |= x != 0
     outs = []
     for y in rest(r[on], t[on], *(x[on] for x in parts)):
-        full = np.zeros(r.shape, dtype=np.result_type(y))
+        full = np.zeros(shape, dtype=np.result_type(y))
         full[on] = y
         outs.append(full)
     return outs
@@ -163,12 +167,8 @@ class AnalyticOneForm:
     a: Scalar2D
     b: Scalar2D
 
-    def components(self, r, t):
-        return np.stack([self.a(r, t), self.b(r, t)])
-
     def pullback(self, r, t, p_hat, q_hat):
-        comps = self.components(r, t)
-        return comps[0] * p_hat + comps[1] * q_hat
+        return self.a(r, t) * p_hat + self.b(r, t) * q_hat
 
     def sym_derivative(self):
         """Exact symmetric derivative via the frame formulas."""
@@ -195,7 +195,7 @@ class AnalyticSymTensor:
         return f_s * p_hat**2 + f_t * q_hat**2 + 2.0 * f_x * p_hat * q_hat
 
 
-def random_bump_one_form(seed, center, r_width=0.45, t_width=0.12):
+def random_bump_one_form(seed, center, r_width, t_width):
     """Band-limited compactly supported random 1-form for the X-ray
     experiments; the support box is centered at (r0, theta0)."""
     rng = np.random.default_rng(seed)

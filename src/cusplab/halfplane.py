@@ -86,13 +86,20 @@ class MobiusMap:
         torus's 80 parabolic words up to length 8 read at most
         3.3 eps ||M||_F^2, its commutator from generators typed to 14
         significant digits 2.4e-13, and diag(1 + 5e-6, 1 / (1 + 5e-6)), with
-        |tr| - 2 = 2.5e-11, is hyperbolic."""
+        |tr| - 2 = 2.5e-11, is hyperbolic.  A trace between that tolerance
+        and 1e-11 of +-2 is ambiguous and raises InvalidInputError: typed to
+        13 digits, that commutator reads 2.4e-12 in some rotations."""
         if self.is_identity(tol=_IDENTITY_TOL):
             return "identity"
         t = abs(self.trace)
         tol = max(_DET_TOL, 16 * np.finfo(float).eps * float(np.sum(self.mat * self.mat)))
         if abs(t - 2.0) <= tol:
             return "parabolic"
+        if abs(t - 2.0) <= 1e-11:
+            raise InvalidInputError(
+                f"ambiguous trace: |tr| - 2 = {t - 2.0:.2g}, above the roundoff tolerance "
+                f"{tol:.2g} but within 1e-11 (matrices given to fewer than 14 digits?)"
+            )
         return "hyperbolic" if t > 2.0 else "elliptic"
 
     def translation_length(self):

@@ -223,10 +223,10 @@ class AsymptoticElement:
         return out
 
 
-def kernel_elements(fam, root):
-    """Basis of the asymptotic kernel attached to an indicial root, as
+def kernel_elements(fam, lam):
+    """Basis of the asymptotic kernel attached to the indicial root lam, as
     exponential-polynomial profiles annihilated by the operator."""
-    lam0 = complex(getattr(root, "lam", root))
+    lam0 = complex(lam)
     profiles = residue_range_profiles(fam, lam0)
     return [
         AsymptoticElement(lam0, k, vec, tuple((k2, v2) for k2, v2 in tail))

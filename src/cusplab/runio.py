@@ -226,7 +226,8 @@ def save_tensor(path_base, field):
 
 def load_tensor(path_base):
     """Read a tensor written by save_tensor; a header that does not match
-    the package's orders or the binary's size is invalid input."""
+    the package's orders or the binary's size, or a NaN or infinite value,
+    is invalid input."""
     base = Path(path_base)
     try:
         header = json.loads(base.with_suffix(".json").read_text())
@@ -244,6 +245,9 @@ def load_tensor(path_base):
             f"{base.with_suffix('.bin')} holds {data.size} values; "
             f"order {order} on a {grid.n_r} x {grid.n_theta} grid needs {math.prod(shape)}"
         )
+    bad = int(np.count_nonzero(~np.isfinite(data)))
+    if bad:
+        raise InvalidInputError(f"{base.with_suffix('.bin')} holds {bad} non-finite values")
     return SymTensorField(grid, order, data.reshape(shape))
 
 

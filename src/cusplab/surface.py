@@ -216,6 +216,7 @@ def enumerate_hyperbolic_classes(surface, max_word_len):
 
 
 _IMPROVE_RTOL = 1e-14
+_MAX_ITER = 10000
 
 
 def _cosh_dist_to_i(w):
@@ -223,7 +224,7 @@ def _cosh_dist_to_i(w):
     return 1.0 + (w.real * w.real + (w.imag - 1.0) ** 2) / (2.0 * w.imag)
 
 
-def reduce_points(surface, zs, max_iter=10000):
+def reduce_points(surface, zs):
     """Batch greedy reduction toward the Dirichlet domain centered at i.
 
     Repeatedly applies whichever of the surface's reduction moves decreases
@@ -231,7 +232,7 @@ def reduce_points(surface, zs, max_iter=10000):
     once the best move improves by less than a relative ``_IMPROVE_RTOL``.
     All points still moving are stepped together, in the operation order of
     a scalar loop over the points.  Returns (reduced points, deck matrices);
-    raises ReductionError when the iteration cap is hit.
+    raises ReductionError after ``_MAX_ITER`` steps.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(zs.imag <= 0):
@@ -244,7 +245,7 @@ def reduce_points(surface, zs, max_iter=10000):
     g00, g01 = np.ones(n), np.zeros(n)
     g10, g11 = np.zeros(n), np.ones(n)
     live = np.arange(n)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if live.size == 0:
             break
         w = zred[live][:, None]
@@ -264,7 +265,7 @@ def reduce_points(surface, zs, max_iter=10000):
     # the points still live after the loop are exactly those that hit the cap
     if live.size:
         raise ReductionError(
-            f"Dirichlet reduction hit the {max_iter}-step cap",
+            f"Dirichlet reduction hit the {_MAX_ITER}-step cap",
             diagnostics={"points": zs[live[:8]].tolist(), "count": int(live.size)},
         )
     mats = np.stack([g00, g01, g10, g11], axis=-1).reshape(n, 2, 2)

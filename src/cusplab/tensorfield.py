@@ -28,6 +28,7 @@ from .chart import ChartGrid
 from .errors import CoverageError, InvalidInputError, NumericFailureError
 
 _NCOMP = {0: 1, 1: 2, 2: 3}
+_GRAM = {0: [1.0], 1: [1.0, 1.0], 2: [1.0, 1.0, 2.0]}
 
 
 def _lagrange_weights(s):
@@ -65,10 +66,13 @@ class SymTensorField:
 
     @classmethod
     def sample(cls, grid, order, *funcs):
+        """Samples of elementwise callables f(r, theta), one per component,
+        each called once on the axes r (n_r, 1) and theta (1, n_theta)."""
         if len(funcs) != _NCOMP[order]:
             raise InvalidInputError("one sampling function per component")
-        rr, tt = grid.mesh
-        comps = np.stack([np.asarray(f(rr, tt), dtype=float) for f in funcs])
+        r, t = grid.r[:, None], grid.theta[None, :]
+        shape = (grid.n_r, grid.n_theta)
+        comps = np.stack([np.broadcast_to(np.asarray(f(r, t), dtype=float), shape) for f in funcs])
         return cls(grid, order, comps)
 
     @classmethod
@@ -97,17 +101,19 @@ class SymTensorField:
         if self.order != other.order or self.grid != other.grid:
             raise InvalidInputError("tensor fields live on different grids/orders")
 
-    def gram_weights(self):
-        return {0: [1.0], 1: [1.0, 1.0], 2: [1.0, 1.0, 2.0]}[self.order]
-
     def sup_norm(self):
         return float(np.max(np.abs(self.comps)))
+
+    @cached_property
+    def _radial_profile(self):
+        """Largest |component| on each radial row."""
+        return np.max(np.abs(self.comps), axis=(0, 2))
 
     def support_margin(self):
         """Number of radial boundary cells on each side where the field is
         numerically zero (below 1e-12 of its largest finite value); a cell
         holding a non-finite value counts as support."""
-        prof = np.max(np.abs(self.comps), axis=(0, 2))
+        prof = self._radial_profile
         finite = prof[np.isfinite(prof)]
         floor = 1e-12 * max(finite.max(initial=0.0), 1e-300)
         nz = np.nonzero(~(prof <= floor))[0]
@@ -155,9 +161,8 @@ class SymTensorField:
     @cached_property
     def _edge_activity(self):
         """Whether the field is active (above 1e-8 of its largest value) in
-        the 6 radial cells next to the lower and the upper chart edge; read
-        from one radial profile per field."""
-        prof = np.max(np.abs(self.comps), axis=(0, 2))
+        the 6 radial cells next to the lower and the upper chart edge."""
+        prof = self._radial_profile
         floor = 1e-8 * max(prof.max(), 1e-300)
         return prof[:6].max() > floor, prof[-6:].max() > floor
 
@@ -189,10 +194,10 @@ class SymTensorField:
 
 
 def l2_inner(f, g):
-    """Hyperbolic L2 pairing with the fiberwise Gram weights."""
+    """Hyperbolic L2 pairing: trapezoid-in-r area weights, fiberwise Gram weights."""
     f._compat(g)
-    w = f.grid.quadrature_weights()
-    gw = f.gram_weights()
+    w = f.grid.radial_weights()[:, None] * f.grid.dtheta
+    gw = _GRAM[f.order]
     return float(sum(gw[i] * np.sum(w * f.comps[i] * g.comps[i]) for i in range(len(gw))))
 
 
@@ -304,29 +309,26 @@ def sym_laplacian(u):
 
 
 def model_one_form(grid, lam, a0, b0):
-    er = np.exp(lam * grid.r)[:, None]
-    ones = np.ones((grid.n_r, grid.n_theta))
-    return SymTensorField(grid, 1, np.stack([a0 * er * ones, b0 * er * ones]))
+    er = np.exp(lam * grid.r)[:, None] * np.ones(grid.n_theta)
+    return SymTensorField(grid, 1, np.stack([a0 * er, b0 * er]))
 
 
 def model_derivative_image(grid, lam, a0, b0):
     """Closed form of D applied to the exponential model 1-form."""
-    er = np.exp(lam * grid.r)[:, None]
-    ones = np.ones((grid.n_r, grid.n_theta))
-    s = lam * a0 * er * ones
-    t = -a0 * er * ones
-    x = 0.5 * (lam + 1.0) * b0 * er * ones
+    er = np.exp(lam * grid.r)[:, None] * np.ones(grid.n_theta)
+    s = lam * a0 * er
+    t = -a0 * er
+    x = 0.5 * (lam + 1.0) * b0 * er
     return SymTensorField(grid, 2, np.stack([s, t, x]))
 
 
 def model_laplacian_image(grid, lam, a0, b0):
     """Closed form of the symmetric Laplacian applied to the exponential
     model 1-form (the surface case, d = 1)."""
-    er = np.exp(lam * grid.r)[:, None]
-    ones = np.ones((grid.n_r, grid.n_theta))
+    er = np.exp(lam * grid.r)[:, None] * np.ones(grid.n_theta)
     ca = (lam**2 - lam - 1) * a0
     cb = 0.5 * (lam + 1.0) * (lam - 2.0) * b0
-    return SymTensorField(grid, 1, np.stack([ca * er * ones, cb * er * ones]))
+    return SymTensorField(grid, 1, np.stack([ca * er, cb * er]))
 
 
 # ---------------------------------------------------------------------------

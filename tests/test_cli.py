@@ -115,16 +115,17 @@ def test_mode0_solve_off_zero_weight_round_trips(tmp_path):
 
 
 def test_numeric_failure_leaves_diagnostics_on_disk(config, tmp_path, monkeypatch):
-    from cusplab import cli
+    from cusplab import cli, xray
     from cusplab.tensorfield import SymTensorField
     from cusplab.xray import xray_eval
 
     def one_level_suite(surface, tensor, classes, tol, strict=True):
         # a theta-modulated metric cannot meet 1e-12 after one refinement
-        _, tt = tensor.grid.mesh
-        wavy = SymTensorField(tensor.grid, 2, tensor.comps * (1.5 + np.cos(2 * np.pi * tt)))
-        return [xray_eval(surface, wavy, classes[0], tol=1e-12, max_level=1, strict=True)]
+        wavy_t = 1.5 + np.cos(2 * np.pi * tensor.grid.theta)
+        wavy = SymTensorField(tensor.grid, 2, tensor.comps * wavy_t)
+        return [xray_eval(surface, wavy, classes[0], tol=1e-12, strict=True)]
 
+    monkeypatch.setattr(xray, "_MAX_LEVEL", 1)
     monkeypatch.setattr(cli, "xray_suite", one_level_suite)
     code, out = run("xray", config, tmp_path)
     assert code == 3
@@ -137,12 +138,13 @@ def test_numeric_failure_leaves_diagnostics_on_disk(config, tmp_path, monkeypatc
 
 
 def test_reduction_failure_diagnostics_keep_complex_points(config, tmp_path, monkeypatch):
-    from cusplab import cli
+    from cusplab import cli, surface
     from cusplab.surface import reduce_points
 
-    def capped_suite(surface, tensor, classes, tol, strict=True):
-        reduce_points(surface, [0.3 + 1e-4j], max_iter=1)
+    def capped_suite(surf, tensor, classes, tol, strict=True):
+        reduce_points(surf, [0.3 + 1e-4j])
 
+    monkeypatch.setattr(surface, "_MAX_ITER", 1)
     monkeypatch.setattr(cli, "xray_suite", capped_suite)
     code, out = run("xray", config, tmp_path)
     assert code == 3
@@ -260,6 +262,24 @@ def test_xray_metric_subcommand(config, tmp_path):
     for row in rows:
         assert abs(float(row["value"]) - 1.0) <= 1e-8
         assert int(row["nodes"]) > 0
+
+
+@pytest.mark.parametrize(
+    "mode, tol", [("metric", 1e-9), ("potential", 1e-7), ("probe", 1e-6)]
+)
+def test_xray_summary_records_the_tolerance_it_ran_at(tmp_path, mode, tol):
+    # the shipped config asks for 1e-9; potential and probe modes raise it
+    # to their floors
+    parser = configparser.ConfigParser()
+    parser.read(Path(__file__).resolve().parents[1] / "configs" / "default.ini")
+    assert parser["tolerances"]["xray"] == "1e-9"
+    parser["xray"].update(mode=mode, class_cap="2", forms="1")
+    cfg = tmp_path / "default.ini"
+    with open(cfg, "w") as fh:
+        parser.write(fh)
+    out = tmp_path / "out"
+    assert main(["xray", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "xray_summary.json").read_text())["tolerance"] == tol
 
 
 def test_runs_outside_the_projection_load_no_scipy(tmp_path):
@@ -558,6 +578,26 @@ def test_tensor_header_mismatch_is_invalid_input(tmp_path, edit):
         BASE_CONFIG + f"\n[xray]\nmode = tensor-file\ntensor_file = {tmp_path / 't'}\nclass_cap = 2\n"
     )
     assert main(["xray", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("cmd", ["xray", "decompose"])
+def test_tensor_file_with_non_finite_values_is_invalid_input(tmp_path, capsys, cmd):
+    from cusplab.chart import ChartGrid
+    from cusplab.runio import save_tensor
+    from cusplab.tensorfield import SymTensorField
+
+    # the metric with NaN in rows 25-54 of its s component and one inf
+    grid = ChartGrid(-2.8, 0.5, 129, 64)
+    comps = SymTensorField.metric(grid).comps
+    comps[0, 25:55] = np.nan
+    comps[1, 3, 5] = np.inf
+    save_tensor(tmp_path / "t", SymTensorField(grid, 2, comps))
+    cfg = tmp_path / "t.ini"
+    cfg.write_text(
+        BASE_CONFIG + f"\n[xray]\nmode = tensor-file\ntensor_file = {tmp_path / 't'}\nclass_cap = 5\n"
+    )
+    assert main([cmd, str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"holds {30 * 64 + 1} non-finite values" in capsys.readouterr().err
 
 
 def test_missing_tensor_file_is_invalid_input(tmp_path):

@@ -92,6 +92,27 @@ def test_generator_rows_typed_to_12_digits_name_the_precision(tmp_path):
         build_surface(_typed_generators_config(tmp_path, 12))
 
 
+def test_generator_rows_typed_to_13_digits_are_ambiguous(tmp_path):
+    # abAB reads |tr| - 2 = 2.4e-12, above its roundoff tolerance, while
+    # other rotations of the commutator read parabolic
+    with pytest.raises(InvalidInputError, match="ambiguous"):
+        build_surface(_typed_generators_config(tmp_path, 13))
+
+
+_C, _S = np.cos(2.2e-6), np.sin(2.2e-6)
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [np.diag([1.0 + 2.2e-6, 1.0 / (1.0 + 2.2e-6)]), [[_C, -_S], [_S, _C]]],
+    ids=["hyperbolic-side", "elliptic-side"],
+)
+def test_trace_within_1e_11_of_parabolic_is_ambiguous(mat):
+    # |tr| - 2 = +4.8e-12 and -4.8e-12: above the trace's roundoff, below 1e-11
+    with pytest.raises(InvalidInputError, match="ambiguous"):
+        MobiusMap(mat).classify()
+
+
 def test_non_positive_determinant_rejected():
     with pytest.raises(InvalidInputError):
         MobiusMap([[1, 2], [2, 1]])  # det = -3

@@ -110,40 +110,43 @@ def assert_bitwise(got, want):
         assert g.tobytes() == w.tobytes()
 
 
-def assert_cap_diagnostics(zs, max_iter, niter):
+def assert_cap_diagnostics(zs, niter):
     """The ReductionError of a capped run names the points the loop marks -1."""
     capped = zs[niter == -1]
     assert capped.size > 0
     with pytest.raises(ReductionError) as info:
-        surface.reduce_points(TORUS, zs, max_iter=max_iter)
+        surface.reduce_points(TORUS, zs)
     assert info.value.diagnostics["count"] == capped.size
     assert info.value.diagnostics["points"] == capped[:8].tolist()
 
 
 @pytest.mark.parametrize("max_iter", [10000, 3, 1, 0])
-def test_reduce_points_matches_point_loop(max_iter):
+def test_reduce_points_matches_point_loop(max_iter, monkeypatch):
+    monkeypatch.setattr(surface, "_MAX_ITER", max_iter)
     zs = random_upper_points(2000)
     zred, mats, niter = reduce_point_loop(zs, TORUS.reduction_moves, max_iter)
     if max_iter == 10000:
         assert np.all(niter >= 0) and np.max(niter) > 3
-        assert_bitwise(surface.reduce_points(TORUS, zs, max_iter), (zred, mats))
+        assert_bitwise(surface.reduce_points(TORUS, zs), (zred, mats))
     else:
-        assert_cap_diagnostics(zs, max_iter, niter)
+        assert_cap_diagnostics(zs, niter)
 
 
-def test_reduce_points_cap_on_20k_points_matches_point_loop():
+def test_reduce_points_cap_on_20k_points_matches_point_loop(monkeypatch):
+    monkeypatch.setattr(surface, "_MAX_ITER", 3)
     rng = np.random.default_rng(0)
     zs = rng.uniform(-2, 2, 20000) + 1j * np.exp(rng.uniform(np.log(0.05), np.log(3.0), 20000))
     _, _, niter = reduce_point_loop(zs, TORUS.reduction_moves, 3)
     assert int(np.sum(niter < 0)) == 1216
-    assert_cap_diagnostics(zs, 3, niter)
+    assert_cap_diagnostics(zs, niter)
 
 
-def test_surface_reduction_cap_raises_with_count():
+def test_surface_reduction_cap_raises_with_count(monkeypatch):
+    monkeypatch.setattr(surface, "_MAX_ITER", 2)
     zs = random_upper_points(500)
     _, _, niter = reduce_point_loop(zs, TORUS.reduction_moves, 2)
     with pytest.raises(ReductionError) as info:
-        surface.reduce_points(TORUS, zs, max_iter=2)
+        surface.reduce_points(TORUS, zs)
     assert info.value.diagnostics["count"] == int(np.sum(niter < 0)) > 0
     assert len(info.value.diagnostics["points"]) == 8
 

@@ -460,8 +460,10 @@ def test_masked_products_equal_the_plain_formula():
     trig = fields._random_trig(rng)
     cases = [(env, trig), (trig, env), (_RAMP, trig), (env, env * trig)]
     on_zero = (np.zeros(64), rng.uniform(0.0, 1.0, 64))
+    grid = ChartGrid(-2.8, 0.5, 769, 384)
     samples = [
-        ChartGrid(-2.8, 0.5, 769, 384).mesh,
+        np.meshgrid(grid.r, grid.theta, indexing="ij"),
+        (grid.r[:, None], grid.theta[None, :]),
         (rng.uniform(-2.8, 0.5, 5000), rng.uniform(-0.5, 1.5, 5000)),
         on_zero,
     ]
@@ -477,6 +479,48 @@ def test_masked_products_equal_the_plain_formula():
     # on r = 0 the ramp's value vanishes but the product's r-partial does not
     _, d_r, _ = (_RAMP * trig).jet(*on_zero)
     assert np.all(d_r != 0.0)
+
+
+def test_sampling_evaluates_a_bumps_radial_factor_once_per_row(monkeypatch):
+    # the radial factor sees the n_r radial nodes; the theta factor only the
+    # points of the rows where the radial factor is nonzero
+    grid = ChartGrid(-2.8, 0.5, 769, 384)
+    bump = fields._bump
+    sizes = []
+
+    def counted(t):
+        sizes.append(np.size(t))
+        return bump(t)
+
+    monkeypatch.setattr(fields, "_bump", counted)
+    SymTensorField.sample(grid, 0, Scalar2D.bump(-0.916, 0.0, 0.45, 0.14))
+    rows = np.count_nonzero(bump((grid.r + 0.916) / 0.45))
+    assert 0 < rows < grid.n_r
+    assert sizes == [grid.n_r, rows * grid.n_theta]
+
+
+def test_axis_sampling_equals_the_full_mesh_bit_for_bit(monkeypatch):
+    # criterion 8's ladder fields and criterion 9's forms, each component
+    # also evaluated on an explicit full mesh
+    calls = []
+    sample = SymTensorField.sample.__func__
+
+    def spy(cls, grid, order, *funcs):
+        field = sample(cls, grid, order, *funcs)
+        calls.append((field, funcs))
+        return field
+
+    monkeypatch.setattr(SymTensorField, "sample", classmethod(spy))
+    for shape in ((129, 64), (257, 128), (513, 256)):
+        _projection_test_field(ChartGrid(0.0, 3.0, *shape))
+    grid = ChartGrid(-2.8, 0.5, 769, 384)
+    for seed in range(10):
+        random_bump_one_form(seed, center=(-0.916, 0.0), r_width=0.45, t_width=0.14).sample(grid)
+    assert len(calls) == 13
+    for field, funcs in calls:
+        rr, tt = np.meshgrid(field.grid.r, field.grid.theta, indexing="ij")
+        want = np.stack([np.asarray(f(rr, tt), dtype=float) for f in funcs])
+        assert field.comps.tobytes() == want.tobytes()
 
 
 def _dtheta_complex(arr, grid):
@@ -518,8 +562,7 @@ def test_spectral_derivatives_of_a_band_limited_trig_are_exact(shape):
     grid = ChartGrid(-1.0, 2.0, *shape)
     # periodic in r over the radial period and in theta over 1
     f = Scalar2D.trig(2.0 * np.pi * 3 / (grid.r_max - grid.r_min), 5, 0.7)
-    rr, tt = grid.mesh
-    val, d_r, d_t = f.jet(rr, tt)
+    val, d_r, d_t = f.jet(grid.r[:, None], grid.theta[None, :])
     assert np.max(np.abs(_dtheta(val, grid) - d_t)) <= 1e-10 * np.max(np.abs(d_t))
     assert np.max(np.abs(_dr_spectral(val, grid) - d_r)) <= 1e-10 * np.max(np.abs(d_r))
 
