@@ -24,7 +24,6 @@ from .modezero import (
     evaluate_elements,
     fit_decay_rate,
     invert_on_line,
-    line_grid,
     make_field,
 )
 from .operators import (
@@ -36,9 +35,10 @@ from .operators import (
 )
 from .paley import (
     ALT_PSI,
-    bracket,
+    DEFAULT_PSI,
     dyadic_multipliers,
     interaction_decay_exponent,
+    max_block_index,
     norm_equivalence_report,
     random_band_limited_family,
 )
@@ -121,7 +121,7 @@ def criterion_3_adjoint_symmetry():
     return worst <= 1e-12, {"max_error": worst, "tolerance": 1e-12}
 
 
-def _laplacian_bump_problem(r_half=48.0, n=4096):
+def _laplacian_bump_problem(r_half, n):
     fam = indicial_family(sym_laplacian_spec(1))
 
     def f(r):
@@ -135,7 +135,7 @@ def criterion_4_mode_zero_inversion():
     """Laplacian line inversion at weight 0: round-trip residual 1e-8, tail
     rates match the neighbor roots within 2e-2, weight independence within
     the component to 1e-10."""
-    fam, f = _laplacian_bump_problem()
+    fam, f = _laplacian_bump_problem(48.0, 4096)
     lam_minus, lam_plus = laplacian_invertibility_window(1)
     u, info = invert_on_line(fam, f, 0.0)
     back = apply_indicial(fam, u)
@@ -169,7 +169,7 @@ def criterion_4_mode_zero_inversion():
 def criterion_5_cross_root_correction():
     """Difference of line inverses across the upper invertibility root
     equals the residue contribution pointwise to 1e-8 on the interior."""
-    fam, f = _laplacian_bump_problem(r_half=64.0, n=4096)
+    fam, f = _laplacian_bump_problem(64.0, 4096)
     diff, contribs = cross_root_correction(fam, f, 0.0, 1.8)
     correction = evaluate_elements(contribs, diff)
     interior = np.abs(diff.grid) <= 12.0
@@ -349,12 +349,9 @@ def criterion_12_littlewood_paley():
     """Partition of unity to 1e-12, off-diagonal block interaction decaying
     with fitted exponent >= 4, Hoelder/Zygmund ratio interval stable within
     10% under family doubling at s = 1/2."""
-    r0, dr = line_grid(48.0, 4096)
-    xi = 2 * np.pi * np.fft.fftfreq(4096, d=dr)
-    j_max = int(np.ceil(np.log2(bracket(xi).max()))) + 1
-    total = sum(dyadic_multipliers(xi, j_max))
+    fam = random_band_limited_family(50, 7, 48.0, 4096)
+    total = sum(dyadic_multipliers(fam[0].frequencies(), max_block_index(fam[0]), DEFAULT_PSI))
     partition_err = float(np.max(np.abs(total - 1.0)))
-    fam = random_band_limited_family(50, seed=7)
     fitted, _ = interaction_decay_exponent(fam[0])
     rep_full = norm_equivalence_report(fam, 0.5, alt_psi=ALT_PSI)
     # the half family's interval, from the first 25 of the full family's rows

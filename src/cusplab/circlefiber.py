@@ -14,7 +14,6 @@ spaces, where the derivative part is assembled exactly from monomial
 sphere integrals.
 """
 
-import functools
 import math
 from itertools import combinations_with_replacement
 
@@ -27,8 +26,9 @@ from .errors import InvalidInputError
 # ---------------------------------------------------------------------------
 
 
-def circle_grid(n=256):
-    return 2.0 * np.pi * np.arange(n) / n
+def circle_grid():
+    """The 256 fiber angles 2 pi k / 256 on which the circle case is sampled."""
+    return 2.0 * np.pi * np.arange(256) / 256
 
 
 def _spectral_dphi(vals):
@@ -43,10 +43,7 @@ def default_fiber_tests(phi):
     rng = np.random.default_rng(0)
     funcs = [np.ones_like(phi), np.cos(phi), np.sin(2 * phi)]
     coeffs = rng.normal(size=5) + 1j * rng.normal(size=5)
-    rand = sum(
-        c * np.exp(1j * k * phi) for k, c in zip(range(-2, 3), coeffs)
-    )
-    funcs.append(rand)
+    funcs.append(sum(c * np.exp(1j * k * phi) for k, c in zip(range(-2, 3), coeffs)))
     return funcs
 
 
@@ -83,8 +80,6 @@ def sphere_fibered_inverse_check(lam, perturbation=0.0):
     inverse: the response grows like 1/|lam| toward the indicial root.
     Returns the max sup-residual across the test set.
     """
-    if lam == 0:
-        raise InvalidInputError("0 is the indicial root; no left inverse there")
     phi = circle_grid()
     worst = 0.0
     noise = perturbation * np.cos(3.0 * phi + 0.7)
@@ -112,79 +107,26 @@ def inverse_conditioning_exponent():
 
 
 def _monomials(nvars, degree):
-    out = []
-    for combo in combinations_with_replacement(range(nvars), degree):
-        alpha = [0] * nvars
-        for i in combo:
-            alpha[i] += 1
-        out.append(tuple(alpha))
-    return out
+    """Exponents of the degree-``degree`` monomials in nvars variables, one
+    row each, in the order of combinations_with_replacement."""
+    combos = list(combinations_with_replacement(range(nvars), degree))
+    combos = np.array(combos, dtype=int).reshape(len(combos), degree)
+    return np.sum(combos[:, :, None] == np.arange(nvars), axis=1)
 
 
-def _sphere_integral(alpha):
-    """Integral of the monomial v^alpha over the unit sphere in len(alpha)
-    variables (zero unless all exponents are even)."""
-    if any(a % 2 for a in alpha):
-        return 0.0
-    num = 2.0
-    for a in alpha:
-        num *= math.gamma((a + 1) / 2.0)
-    return num / math.gamma((sum(alpha) + len(alpha)) / 2.0)
-
-
-def _add_alpha(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _poly_gram(monos, integral):
-    n = len(monos)
-    g = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = integral(_add_alpha(monos[i], monos[j]))
-    return g
-
-
-def _derivative_coeffs(alpha, var):
-    if alpha[var] == 0:
-        return None, 0.0
-    out = list(alpha)
-    out[var] -= 1
-    return tuple(out), float(alpha[var])
-
-
-def _rotation_matrix(monos, var_a, var_b):
-    """Matrix of v_a d/dv_b - v_b d/dv_a on the monomial basis."""
-    index = {m: i for i, m in enumerate(monos)}
-    n = len(monos)
-    mat = np.zeros((n, n))
-    ea = tuple(1 if i == var_a else 0 for i in range(len(monos[0])))
-    eb = tuple(1 if i == var_b else 0 for i in range(len(monos[0])))
-    for j, m in enumerate(monos):
-        da, ca = _derivative_coeffs(m, var_b)
-        if da is not None:
-            mat[index[_add_alpha(da, ea)], j] += ca
-        db, cb = _derivative_coeffs(m, var_a)
-        if db is not None:
-            mat[index[_add_alpha(db, eb)], j] -= cb
-    return mat
-
-
-def _ambient_gram(monos, integral):
-    """Pairing of the ambient gradients of the monomials over the sphere."""
-    nvars = len(monos[0])
-    n = len(monos)
-    amb = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            acc = 0.0
-            for var in range(nvars):
-                di, ci = _derivative_coeffs(monos[i], var)
-                dj, cj = _derivative_coeffs(monos[j], var)
-                if di is not None and dj is not None:
-                    acc += ci * cj * integral(_add_alpha(di, dj))
-            amb[i, j] = amb[j, i] = acc
-    return amb
+def _sphere_integrals(alpha):
+    """Integrals of the monomials v^alpha over the unit sphere, alpha an
+    integer array holding the exponents on its last axis: 2 prod_v
+    gamma((alpha_v + 1)/2) / gamma((|alpha| + nvars)/2), zero unless every
+    exponent is even."""
+    nvars = alpha.shape[-1]
+    total = alpha.sum(axis=-1)
+    # gamma((k + 1) / 2) for every k the formula reads
+    gam = np.array([math.gamma((k + 1) / 2.0) for k in range(total.max() + nvars)])
+    num = np.full(total.shape, 2.0)
+    for v in range(nvars):
+        num = num * gam[alpha[..., v]]
+    return np.where(np.any(alpha % 2, axis=-1), 0.0, num / gam[total + nvars - 1])
 
 
 def gradient_indicial_roots(d):
@@ -204,18 +146,32 @@ def gradient_indicial_roots(d):
     if d < 1:
         raise InvalidInputError("slice dimension must be >= 1")
     nvars = d + 1
+    eye = np.eye(nvars, dtype=int)
     roots = set()
     certificate = []
-    # the Gram entries of all degrees draw on few distinct exponents
-    integral = functools.cache(_sphere_integral)
     for degree in range(7):
         monos = _monomials(nvars, degree)
-        gram = _poly_gram(monos, integral)
+        n = len(monos)
+        # one integral table: the Gram pairs m_i + m_j, then for each
+        # variable v the pairs lowered by 2 e_v, which pair the v-th partial
+        # derivatives (clipped where m_i[v] m_j[v] = 0 drops the term)
+        pairs = monos[:, None, :] + monos[None, :, :]
+        lowered = np.maximum(pairs[None] - 2 * eye[:, None, None, :], 0)
+        ints = _sphere_integrals(np.concatenate([pairs[None], lowered]))
+        gram = ints[0]
         # Gram of the spherical gradient: the ambient-gradient pairing minus
         # the radial part degree^2 <P, Q>
-        a = _ambient_gram(monos, integral) - degree**2 * gram
+        ambient = sum(np.outer(monos[:, v], monos[:, v]) * ints[1 + v] for v in range(nvars))
+        a = ambient - degree**2 * gram
+        # the slice rotation v_0 d/dv_ell - v_ell d/dv_0 sends column j's
+        # monomial m to m[ell] (m + e_0 - e_ell) - m[0] (m - e_0 + e_ell)
+        index = np.zeros((degree + 1,) * nvars, dtype=int)
+        index[tuple(monos.T)] = np.arange(n)
         for ell in range(1, nvars):
-            rot = _rotation_matrix(monos, 0, ell)
+            rot = np.zeros((n, n))
+            for var, step, sign in ((ell, eye[0] - eye[ell], 1), (0, eye[ell] - eye[0], -1)):
+                has = np.nonzero(monos[:, var])[0]
+                rot[index[tuple((monos[has] + step).T)], has] = sign * monos[has, var]
             a += rot.T @ gram @ rot
         # monomials restricted to the sphere are dependent for degree >= 2
         # (radius relations): reduce to an orthonormal basis of the actual

@@ -109,7 +109,7 @@ def cmd_mode0_solve(cfg, out, args):
         b = bump(r / 4.0)
         return np.stack([b * 0.7**k for k in range(ncomp)], axis=1)
 
-    f = make_field(rhs, r_half=cfg["grid"]["r_half"], n=cfg["grid"]["n"])
+    f = make_field(rhs, cfg["grid"]["r_half"], cfg["grid"]["n"])
     u, info = invert_on_line(fam, f, rho)
     back = apply_indicial(fam, u)
     # u and back carry weight rho: compare with f's weight-rho representative
@@ -168,14 +168,14 @@ def cmd_mode0_kernel(cfg, out, args):
 def cmd_lp_norm(cfg, out, args):
     s = cfg["tolerances"]["s"]
     grid = cfg["grid"]
-    fam = random_band_limited_family(16, seed=args.seed, r_half=grid["r_half"], n=grid["n"])
+    fam = random_band_limited_family(16, args.seed, grid["r_half"], grid["n"])
     fld = fam[0]
     equivalence = norm_equivalence_report(fam, s)
     first = equivalence["fields"][0]
     value, block_norms = first["zygmund"], first["blocks"]
     exponent, points = interaction_decay_exponent(fld)
     const = ModeZeroField(fld.r0, fld.dr, window_profile(fld.grid)[:, None])
-    _, const_blocks = zygmund_norm(const, 0.0, return_blocks=True)
+    _, const_blocks = zygmund_norm(const, 0.0)
     report = {
         "s": s,
         "zygmund_norm": value,

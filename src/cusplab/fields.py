@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .modezero import bump as _bump
-from .tensorfield import SymTensorField
+from .tensorfield import SymTensorField, _contract, _frame_sym_derivative
 
 
 def _bump_prime(t, b):
@@ -94,7 +94,7 @@ class Scalar2D:
         return Scalar2D(val, jet)
 
     @staticmethod
-    def trig(freq_r, freq_t, phase=0.0):
+    def trig(freq_r, freq_t, phase):
         """cos(freq_r * r + 2 pi freq_t * theta + phase); freq_t integer."""
         w = 2.0 * np.pi * freq_t
 
@@ -168,7 +168,7 @@ class AnalyticOneForm:
     b: Scalar2D
 
     def pullback(self, r, t, p_hat, q_hat):
-        return self.a(r, t) * p_hat + self.b(r, t) * q_hat
+        return _contract((self.a(r, t), self.b(r, t)), p_hat, q_hat)
 
     def sym_derivative(self):
         """Exact symmetric derivative via the frame formulas."""
@@ -186,13 +186,8 @@ class AnalyticSymTensor:
     form: AnalyticOneForm
 
     def pullback(self, r, t, p_hat, q_hat):
-        a, a_r, a_t = self.form.a.jet(r, t)
-        b, b_r, b_t = self.form.b.jet(r, t)
-        e = np.exp(r)
-        f_s = a_r
-        f_t = e * b_t - a
-        f_x = 0.5 * (b_r + e * a_t + b)
-        return f_s * p_hat**2 + f_t * q_hat**2 + 2.0 * f_x * p_hat * q_hat
+        comps = _frame_sym_derivative(*self.form.a.jet(r, t), *self.form.b.jet(r, t), np.exp(r))
+        return _contract(comps, p_hat, q_hat)
 
 
 def random_bump_one_form(seed, center, r_width, t_width):

@@ -69,12 +69,12 @@ class MobiusMap:
     def trace(self):
         return float(self.mat[0, 0] + self.mat[1, 1])
 
-    def is_identity(self, tol=1e-12):
-        """Whether every entry lies within tol of the identity's, or of its
-        negative's (the same map)."""
+    def is_identity(self):
+        """Whether every entry lies within _IDENTITY_TOL of the identity's,
+        or of its negative's (the same map)."""
         eye = np.eye(2)
         dev = min(np.max(np.abs(self.mat - eye)), np.max(np.abs(self.mat + eye)))
-        return bool(dev <= tol)
+        return bool(dev <= _IDENTITY_TOL)
 
     def classify(self):
         """'identity', 'parabolic' (|tr| = 2 within roundoff), 'hyperbolic'
@@ -89,7 +89,7 @@ class MobiusMap:
         |tr| - 2 = 2.5e-11, is hyperbolic.  A trace between that tolerance
         and 1e-11 of +-2 is ambiguous and raises InvalidInputError: typed to
         13 digits, that commutator reads 2.4e-12 in some rotations."""
-        if self.is_identity(tol=_IDENTITY_TOL):
+        if self.is_identity():
             return "identity"
         t = abs(self.trace)
         tol = max(_DET_TOL, 16 * np.finfo(float).eps * float(np.sum(self.mat * self.mat)))

@@ -101,7 +101,7 @@ class ModeZeroField:
         return spec
 
 
-def line_grid(r_half=48.0, n=4096):
+def line_grid(r_half, n):
     """Symmetric periodic grid on [-r_half, r_half); includes r = 0."""
     dr = 2.0 * r_half / n
     return -r_half, dr
@@ -124,7 +124,7 @@ def window_profile(grid):
     return smooth_step((b - np.abs(grid)) / (b - a))
 
 
-def make_field(fun, r_half=48.0, n=4096):
+def make_field(fun, r_half, n):
     """Sample a callable (vectorized over r) into a weight-0 ModeZeroField."""
     r0, dr = line_grid(r_half, n)
     r = r0 + dr * np.arange(n)
@@ -293,9 +293,9 @@ def cross_root_correction(fam, f, rho_from, rho_to):
 # ---------------------------------------------------------------------------
 
 
-def fit_decay_rate(fld, side="+"):
-    """Least-squares slope of log ||u(r)|| over the tail on the requested
-    side.
+def fit_decay_rate(fld, side):
+    """Least-squares slope of log ||u(r)|| over the tail on the side "+"
+    (r > 0) or "-" (r < 0).
 
     The fit window is selected by magnitude: nodes whose norm lies in
     [1e-11, 1e-2] relative to the global maximum, keeping the regression

@@ -85,7 +85,7 @@ def _gram_sym2(d):
     return g
 
 
-def sym_derivative_spec(d=1):
+def sym_derivative_spec(d):
     """Symmetrized covariant derivative on 1-forms, zero-mode presentation."""
     n_in = d + 1
     n_out = 1 + 2 * d
@@ -103,7 +103,7 @@ def sym_derivative_spec(d=1):
     )
 
 
-def divergence_spec(d=1):
+def divergence_spec(d):
     """Divergence on symmetric 2-tensors (trace of the covariant
     derivative); equals minus the adjoint of the symmetrized derivative."""
     n_in = 1 + 2 * d
@@ -123,7 +123,7 @@ def divergence_spec(d=1):
     )
 
 
-def sym_laplacian_spec(d=1):
+def sym_laplacian_spec(d):
     """Composition divergence o derivative on 1-forms."""
     n = d + 1
     c0 = np.zeros((n, n))
@@ -144,7 +144,7 @@ def sym_laplacian_spec(d=1):
     )
 
 
-def identity_spec(n=1):
+def identity_spec(n):
     return OperatorSpec(terms=((0, np.eye(n)),))
 
 
@@ -162,7 +162,7 @@ _BUILTINS = {
 }
 
 
-def builtin_spec(name, d=1):
+def builtin_spec(name, d):
     if name == "identity":
         return identity_spec(d + 1)
     try:

@@ -31,7 +31,7 @@ _FIT_FLOOR = 1e-14
 # ---------------------------------------------------------------------------
 
 
-def smoothstep_poly(t, degree=5):
+def smoothstep_poly(t, degree):
     """Polynomial smoothstep on [0,1]: 0 -> 1 with vanishing derivatives.
 
     degree 5 is C^2 at the ends, degree 7 is C^3 (used to probe cutoff
@@ -49,7 +49,7 @@ def smoothstep_poly(t, degree=5):
 class CutoffProfile:
     """Radial cutoff: 1 on [0, 1], 0 beyond 2, smoothstep in between."""
 
-    degree: int = 5
+    degree: int
 
     def __call__(self, x):
         x = np.abs(np.asarray(x, dtype=float))
@@ -70,7 +70,7 @@ def bracket(xi):
     return np.sqrt(1.0 + np.asarray(xi, dtype=float) ** 2)
 
 
-def dyadic_multipliers(xi, j_max, psi=DEFAULT_PSI):
+def dyadic_multipliers(xi, j_max, psi):
     """Dyadic localizers 0..j_max at the frequencies xi, one row each.
 
     Row j is P_j - P_{j-1} with P_j = psi(2^-j <xi>); P_{-1} vanishes since
@@ -113,12 +113,13 @@ def _weighted_sup(norms, s):
     return float(np.max(norms * 2.0 ** (s * np.arange(len(norms)))))
 
 
-def lp_block(fld, j, psi=DEFAULT_PSI):
-    """Apply the j-th dyadic multiplier to a mode-zero field."""
+def lp_block(fld, j):
+    """Apply the j-th dyadic multiplier (cutoff DEFAULT_PSI) to a mode-zero
+    field."""
     if j < 0:
         raise InvalidInputError("block index must be nonnegative")
     spec = fld.check_aliasing(_ALIAS_TOL, "dyadic block input")
-    row = dyadic_multipliers(fld.frequencies(), j, psi)[j:]
+    row = dyadic_multipliers(fld.frequencies(), j, DEFAULT_PSI)[j:]
     return ModeZeroField(fld.r0, fld.dr, _apply(spec, row)[0], weight=fld.weight)
 
 
@@ -126,14 +127,12 @@ def sup_norm(fld):
     return float(np.max(np.abs(fld.samples)))
 
 
-def zygmund_norm(fld, s, psi=DEFAULT_PSI, return_blocks=False):
-    """sup over dyadic blocks of 2^{j s} times the block's sup norm."""
+def zygmund_norm(fld, s):
+    """sup over dyadic blocks (cutoff DEFAULT_PSI) of 2^{j s} times the
+    block's sup norm, with the block sup norms: (value, norms)."""
     spec = fld.check_aliasing(_ALIAS_TOL, "dyadic block input")
-    norms = _block_norms(spec, _field_multipliers(fld, psi))
-    value = _weighted_sup(norms, s)
-    if return_blocks:
-        return value, norms
-    return value
+    norms = _block_norms(spec, _field_multipliers(fld, DEFAULT_PSI))
+    return _weighted_sup(norms, s), norms
 
 
 def holder_norm(fld, s):
@@ -247,7 +246,7 @@ def norm_equivalence_report(fields, s, alt_psi=None):
     return report
 
 
-def random_band_limited_family(count, seed=0, r_half=48.0, n=4096):
+def random_band_limited_family(count, seed, r_half, n):
     """Windowed random trigonometric fields for norm experiments: 12 cosine
     modes each, frequencies log-uniform in [0.2, 30]."""
     modes = 12

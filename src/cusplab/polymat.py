@@ -190,6 +190,7 @@ class IndicialFamily:
         if not self.is_square:
             raise InvalidInputError("determinant requires a square family")
         eig = self._eigenvalues()
+        real = not np.any(self.coeffs.imag)
         zeros = []
         work = [(group, _LINK) for group in _link(eig, _LINK)]
         while work:
@@ -214,7 +215,9 @@ class IndicialFamily:
                 work += [(group[sub], tol / 10.0) for sub in _link(eig[group], tol / 10.0)]
                 continue
             lam = complex(center + rad * t[1] / t[0])
-            if abs(lam.imag) < 1e-11 * max(1.0, abs(lam.real)):
+            # a real family's zeros pair with their conjugates: one zero
+            # whose contour holds its conjugate is real
+            if real and abs(lam.conjugate() - center) < rad:
                 lam = complex(lam.real, 0.0)
             zeros.append((lam, count))
         return sorted(zeros, key=lambda z: (z[0].real, z[0].imag))

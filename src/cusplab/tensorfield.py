@@ -185,12 +185,15 @@ class SymTensorField:
                 "geodesic exits the chart above the truncation inside the "
                 "tensor support"
             )
-        vals = self.interpolate(r, t)
-        if self.order == 0:
-            return vals[0]
-        if self.order == 1:
-            return vals[0] * p_hat + vals[1] * q_hat
-        return vals[0] * p_hat**2 + vals[1] * q_hat**2 + 2.0 * vals[2] * p_hat * q_hat
+        return _contract(self.interpolate(r, t), p_hat, q_hat)
+
+
+def _contract(comps, p_hat, q_hat):
+    """The order-m tensor with coframe components ``comps`` ((f,), (a, b) or
+    (s, t, x)) on the m-fold direction with frame components (p_hat, q_hat)."""
+    if len(comps) == 3:
+        return comps[0] * p_hat**2 + comps[1] * q_hat**2 + 2.0 * comps[2] * p_hat * q_hat
+    return comps[0] if len(comps) == 1 else comps[0] * p_hat + comps[1] * q_hat
 
 
 def l2_inner(f, g):
@@ -263,6 +266,12 @@ def _dr(arr, grid, method):
     raise InvalidInputError(f"unknown differentiation method {method!r}")
 
 
+def _frame_sym_derivative(a, a_r, a_t, b, b_r, b_t, er):
+    """Components (s, t, x) of the symmetric derivative of the 1-form (a, b)
+    from its r- and theta-partials, with er = e^r (the module's D formula)."""
+    return a_r, er * b_t - a, 0.5 * (b_r + er * a_t + b)
+
+
 def sym_derivative(p, method="fd"):
     """Symmetrized covariant derivative of a 1-form field."""
     if p.order != 1:
@@ -270,12 +279,11 @@ def sym_derivative(p, method="fd"):
     if p.grid.n_r < 3:
         raise InvalidInputError("grid too coarse for differentiation")
     grid = p.grid
-    er = grid.exp_r[:, None]
     a, b = p.comps
-    s = _dr(a, grid, method)
-    t = er * _dtheta(b, grid) - a
-    x = 0.5 * (_dr(b, grid, method) + er * _dtheta(a, grid) + b)
-    return SymTensorField(grid, 2, np.stack([s, t, x]))
+    da = _dr(a, grid, method), _dtheta(a, grid)
+    db = _dr(b, grid, method), _dtheta(b, grid)
+    comps = _frame_sym_derivative(a, *da, b, *db, grid.exp_r[:, None])
+    return SymTensorField(grid, 2, np.stack(comps))
 
 
 def divergence(f, method="fd"):

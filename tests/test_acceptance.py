@@ -48,10 +48,17 @@ def test_criterion_takes_each_familys_roots_once(determinant_calls, fn, calls):
 
 def test_criterion_1_fails_when_the_gradient_kernel_is_not_the_constants(monkeypatch):
     # without the ambient-gradient pairing every block of degree >= 1 gains
-    # kernel directions; the gradient's root is the literal 0 either way
-    monkeypatch.setattr(
-        circlefiber, "_ambient_gram", lambda monos, integral: np.zeros((len(monos),) * 2)
-    )
+    # kernel directions; the gradient's root is the literal 0 either way.
+    # The block's integral table holds the Gram pairs first and the lowered
+    # pairs of the ambient pairing after them: zero the latter
+    integrals = circlefiber._sphere_integrals
+
+    def gram_only(alpha):
+        out = integrals(alpha)
+        out[1:] = 0.0
+        return out
+
+    monkeypatch.setattr(circlefiber, "_sphere_integrals", gram_only)
     passed, details = criterion_1_indicial_roots()
     assert not passed
     assert details == {"reason": "gradient kernel is not the constants at d=1"}

@@ -20,7 +20,7 @@ def test_constant_function_inverts_exactly():
 
 def test_cos_fiber_angle_complex_parameter():
     # direct check on a single harmonic at lam = 1 + i
-    phi = circle_grid(256)
+    phi = circle_grid()
     f = np.cos(phi).astype(complex)
     triple = gradient_family_apply(1.0 + 1.0j, f, phi)
     back = left_inverse_apply(1.0 + 1.0j, triple)
@@ -29,7 +29,7 @@ def test_cos_fiber_angle_complex_parameter():
 
 def test_vertical_and_slice_components_are_fiber_derivative():
     # oracle: analytic derivative of the test harmonics
-    phi = circle_grid(512)
+    phi = circle_grid()
     f = np.sin(3 * phi)
     triple = gradient_family_apply(0.7, f, phi)
     want = 3 * np.cos(3 * phi)
@@ -73,6 +73,38 @@ def test_gradient_root_is_exactly_zero(d):
         assert row["min_positive_eig"] is None or row["min_positive_eig"] > 0.1
 
 
+# per block degree 0..6: (dim, kernel_dim, min_positive_eig)
+_CERTIFICATES = {
+    1: [
+        (1, 1, None), (2, 0, 1.9999999999999996), (3, 1, 7.999999999999996),
+        (4, 0, 2.0000000000000004), (5, 1, 7.999999999999995),
+        (6, 0, 1.9999999999999956), (7, 1, 7.999999999999991),
+    ],
+    2: [
+        (1, 1, None), (3, 0, 3.0000000000000004), (6, 1, 7.999999999999993),
+        (10, 0, 2.9999999999999956), (15, 1, 7.999999999999989),
+        (21, 0, 3.0000000000000036), (28, 1, 8.000000000000009),
+    ],
+    3: [
+        (1, 1, None), (4, 0, 3.9999999999999982), (10, 1, 9.999999999999984),
+        (20, 0, 4.0), (35, 1, 9.999999999999982),
+        (56, 0, 3.9999999999999716), (84, 1, 10.000000000000004),
+    ],
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gradient_certificate_rows_are_pinned(d):
+    _, cert = gradient_indicial_roots(d)
+    assert [row["degree"] for row in cert] == list(range(7))
+    for row, (dim, kernel_dim, eig) in zip(cert, _CERTIFICATES[d]):
+        assert (row["dim"], row["kernel_dim"]) == (dim, kernel_dim)
+        if eig is None:
+            assert row["min_positive_eig"] is None
+        else:
+            assert abs(row["min_positive_eig"] - eig) <= 1e-12
+
+
 def test_circle_blocks_match_fourier_eigenvalues():
     # d=1 oracle: on the n-th circle harmonic the derivative part has
     # squared norm 2 n^2 (vertical + slice rotation each contribute n^2)
@@ -89,8 +121,8 @@ def test_circle_blocks_match_fourier_eigenvalues():
 
 
 def test_fiber_test_family_is_bandlimited():
-    phi = circle_grid(128)
+    phi = circle_grid()
     for f in default_fiber_tests(phi):
         spec = np.fft.fft(np.asarray(f, complex))
-        hi = np.abs(spec[10 : 128 - 9])
+        hi = np.abs(spec[10 : 256 - 9])
         assert np.max(hi) <= 1e-10 * max(np.max(np.abs(spec)), 1e-300)

@@ -33,13 +33,14 @@ def test_classification_examples():
 
 
 def test_is_identity_holds_the_diagonal_to_its_tolerance():
-    # entries 5e-6 from I are not the identity at tol 1e-12 or 1e-9: no
-    # relative slack on the unit diagonal
+    # the tolerance is 1e-9 on every entry, with no relative slack on the
+    # unit diagonal, and -I is the same map as I
     near = MobiusMap(np.diag([1.0 + 5e-6, 1.0 / (1.0 + 5e-6)]))
     assert not near.is_identity()
-    assert not near.is_identity(tol=1e-9)
+    assert not MobiusMap(-near.mat).is_identity()
     assert near.classify() != "identity"
-    assert MobiusMap(-near.mat).is_identity(tol=1e-5)
+    assert not MobiusMap(np.diag([1.0 + 2e-9, 1.0 / (1.0 + 2e-9)])).is_identity()
+    assert MobiusMap(-np.diag([1.0 + 5e-10, 1.0 / (1.0 + 5e-10)])).is_identity()
     assert MobiusMap(np.diag([1.0 + 1e-13, 1.0 / (1.0 + 1e-13)])).is_identity()
 
 

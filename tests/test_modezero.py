@@ -136,7 +136,7 @@ def test_invert_then_apply_recovers_rhs():
 
 
 def test_apply_then_invert_recovers_interior_data():
-    fld = make_field(lambda r: gaussian_pair(r) * window_profile(r)[:, None])
+    fld = make_field(lambda r: gaussian_pair(r) * window_profile(r)[:, None], 48.0, 4096)
     g = apply_indicial(FAM_LAP1, fld)
     u, _ = invert_on_line(FAM_LAP1, g, 0.0)
     assert np.max(np.abs(u.samples - fld.samples)) <= 1e-8
