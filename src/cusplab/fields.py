@@ -186,7 +186,9 @@ class AnalyticSymTensor:
     form: AnalyticOneForm
 
     def pullback(self, r, t, p_hat, q_hat):
-        comps = _frame_sym_derivative(*self.form.a.jet(r, t), *self.form.b.jet(r, t), np.exp(r))
+        jets = self.form.a.jet(r, t), self.form.b.jet(r, t)
+        d_r, d_t = (lambda i: jets[i][1]), (lambda i: jets[i][2])
+        comps = _frame_sym_derivative(jets[0][0], jets[1][0], d_r, d_t, np.exp(r))
         return _contract(comps, p_hat, q_hat)
 
 

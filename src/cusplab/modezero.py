@@ -125,15 +125,10 @@ def window_profile(grid):
 
 
 def make_field(fun, r_half, n):
-    """Sample a callable (vectorized over r) into a weight-0 ModeZeroField."""
+    """Sample a callable (vectorized over r, values of shape (n,) or
+    (n, ncomp)) into a weight-0 ModeZeroField."""
     r0, dr = line_grid(r_half, n)
-    r = r0 + dr * np.arange(n)
-    vals = np.asarray(fun(r), dtype=complex)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    if vals.shape[0] != n:
-        vals = vals.T
-    return ModeZeroField(r0, dr, vals)
+    return ModeZeroField(r0, dr, fun(r0 + dr * np.arange(n)))
 
 
 def bump(t):

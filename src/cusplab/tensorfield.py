@@ -266,10 +266,14 @@ def _dr(arr, grid, method):
     raise InvalidInputError(f"unknown differentiation method {method!r}")
 
 
-def _frame_sym_derivative(a, a_r, a_t, b, b_r, b_t, er):
+def _frame_sym_derivative(a, b, d_r, d_t, er):
     """Components (s, t, x) of the symmetric derivative of the 1-form (a, b)
-    from its r- and theta-partials, with er = e^r (the module's D formula)."""
-    return a_r, er * b_t - a, 0.5 * (b_r + er * a_t + b)
+    by the module's D formula, with er = e^r; d_r(i) and d_t(i) give the r-
+    and theta-partials of component i (0: a, 1: b), each taken only when
+    the formula reaches it, so at most two partials are held at once."""
+    s = d_r(0)
+    t = er * d_t(1) - a
+    return s, t, 0.5 * (d_r(1) + er * d_t(0) + b)
 
 
 def sym_derivative(p, method="fd"):
@@ -279,10 +283,9 @@ def sym_derivative(p, method="fd"):
     if p.grid.n_r < 3:
         raise InvalidInputError("grid too coarse for differentiation")
     grid = p.grid
-    a, b = p.comps
-    da = _dr(a, grid, method), _dtheta(a, grid)
-    db = _dr(b, grid, method), _dtheta(b, grid)
-    comps = _frame_sym_derivative(a, *da, b, *db, grid.exp_r[:, None])
+    c = p.comps
+    d_r, d_t = (lambda i: _dr(c[i], grid, method)), (lambda i: _dtheta(c[i], grid))
+    comps = _frame_sym_derivative(c[0], c[1], d_r, d_t, grid.exp_r[:, None])
     return SymTensorField(grid, 2, np.stack(comps))
 
 
