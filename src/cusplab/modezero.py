@@ -72,10 +72,6 @@ class ModeZeroField:
         fac = np.exp((self.weight - rho) * self.grid)[:, None]
         return replace(self, samples=self.samples * fac, weight=rho)
 
-    def __add__(self, other):
-        o = other.with_weight(self.weight)
-        return replace(self, samples=self.samples + o.samples)
-
     def __sub__(self, other):
         o = other.with_weight(self.weight)
         return replace(self, samples=self.samples - o.samples)
@@ -297,6 +293,8 @@ def fit_decay_rate(fld, side):
     inside the true exponential regime and above the transform's roundoff
     floor.
     """
+    if side not in ("+", "-"):
+        raise InvalidInputError(f"decay side must be '+' or '-', not {side!r}")
     r = fld.grid
     mags = np.linalg.norm(fld.values(), axis=1)
     r_half = max(abs(r[0]), abs(r[-1]))

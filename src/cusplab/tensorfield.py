@@ -9,14 +9,20 @@ e_2 = e^r d/dtheta, the connection gives
     D*(s, t, x)  = (ds/dr + e^r dx/dtheta - s + t,
                     dx/dr + e^r dt/dtheta - 2 x)
 
-and the symmetric Laplacian is their composition.  Differentiation is
-spectral in theta and, by default ("fd"), second-order centered finite
-differences in r closed at the two radial edges by the summation-by-parts
-rows [-1, 1]/dr, the closure the solenoidal projection solves with.  "fd4"
-is a fourth-order interior stencil with second-order one-sided edge rows,
-kept as the independent check of that projection; "spectral" switches the
-r-derivative to the transform side, valid for fields supported away from
-the radial boundary.
+and the symmetric Laplacian is their composition.  D is written once, in
+``_frame_sym_derivative``: ``sym_derivative`` applies it to grid samples
+and the solenoidal projection to sparse per-theta-mode matrices.  On
+theta-independent y^lam profiles, D and the Laplacian act by the
+indicial families of ``operators.sym_derivative_spec`` and
+``sym_laplacian_spec``, the closed forms criterion 7 checks the grid
+operators against.  Differentiation is spectral in theta and, by default
+("fd"), second-order centered finite differences in r closed at the two
+radial edges by the summation-by-parts rows [-1, 1]/dr, the closure the
+solenoidal projection solves with.  "fd4" is a fourth-order interior
+stencil with second-order one-sided edge rows, kept as the independent
+check of that projection; "spectral" switches the r-derivative to the
+transform side, valid for fields supported away from the radial
+boundary.
 """
 
 from dataclasses import dataclass, replace
@@ -84,18 +90,9 @@ class SymTensorField:
         c[1] = 1.0
         return cls(grid, 2, c)
 
-    def __add__(self, other):
-        self._compat(other)
-        return replace(self, comps=self.comps + other.comps)
-
     def __sub__(self, other):
         self._compat(other)
         return replace(self, comps=self.comps - other.comps)
-
-    def __mul__(self, a):
-        return replace(self, comps=self.comps * float(a))
-
-    __rmul__ = __mul__
 
     def _compat(self, other):
         if self.order != other.order or self.grid != other.grid:
@@ -270,7 +267,12 @@ def _frame_sym_derivative(a, b, d_r, d_t, er):
     """Components (s, t, x) of the symmetric derivative of the 1-form (a, b)
     by the module's D formula, with er = e^r; d_r(i) and d_t(i) give the r-
     and theta-partials of component i (0: a, 1: b), each taken only when
-    the formula reaches it, so at most two partials are held at once."""
+    the formula reaches it, so at most two partials are held at once.
+
+    The operands are either grid arrays, with er broadcast over theta, or
+    scipy sparse matrices (``spmatrix``, whose ``*`` is the matrix product),
+    with er = diag(e^r): the projection reads its per-mode matrices off
+    this one formula."""
     s = d_r(0)
     t = er * d_t(1) - a
     return s, t, 0.5 * (d_r(1) + er * d_t(0) + b)
@@ -280,8 +282,6 @@ def sym_derivative(p, method="fd"):
     """Symmetrized covariant derivative of a 1-form field."""
     if p.order != 1:
         raise InvalidInputError("sym_derivative acts on 1-forms")
-    if p.grid.n_r < 3:
-        raise InvalidInputError("grid too coarse for differentiation")
     grid = p.grid
     c = p.comps
     d_r, d_t = (lambda i: _dr(c[i], grid, method)), (lambda i: _dtheta(c[i], grid))
@@ -290,56 +290,22 @@ def sym_derivative(p, method="fd"):
 
 
 def divergence(f, method="fd"):
-    """Divergence (trace of the covariant derivative) lowering the order by
-    one; defined for orders 1 and 2."""
+    """Divergence (trace of the covariant derivative) of a symmetric
+    2-tensor field: a 1-form field."""
+    if f.order != 2:
+        raise InvalidInputError("divergence acts on 2-tensors")
     grid = f.grid
     er = grid.exp_r[:, None]
-    if f.order == 2:
-        s, t, x = f.comps
-        out_a = _dr(s, grid, method) + er * _dtheta(x, grid) - s + t
-        out_b = _dr(x, grid, method) + er * _dtheta(t, grid) - 2.0 * x
-        return SymTensorField(grid, 1, np.stack([out_a, out_b]))
-    if f.order == 1:
-        a, b = f.comps
-        out = _dr(a, grid, method) + er * _dtheta(b, grid) - a
-        return SymTensorField(grid, 0, out[None])
-    raise InvalidInputError("divergence needs a tensor of order 1 or 2")
+    s, t, x = f.comps
+    out_a = _dr(s, grid, method) + er * _dtheta(x, grid) - s + t
+    out_b = _dr(x, grid, method) + er * _dtheta(t, grid) - 2.0 * x
+    return SymTensorField(grid, 1, np.stack([out_a, out_b]))
 
 
 def sym_laplacian(u):
     """divergence o sym_derivative on 1-forms, both with the ``fd`` radial
     derivative."""
-    if u.order != 1:
-        raise InvalidInputError("sym_laplacian acts on 1-forms")
     return divergence(sym_derivative(u))
-
-
-# ---------------------------------------------------------------------------
-# model family (separable exponential profiles) and closed-form actions
-# ---------------------------------------------------------------------------
-
-
-def model_one_form(grid, lam, a0, b0):
-    er = np.exp(lam * grid.r)[:, None] * np.ones(grid.n_theta)
-    return SymTensorField(grid, 1, np.stack([a0 * er, b0 * er]))
-
-
-def model_derivative_image(grid, lam, a0, b0):
-    """Closed form of D applied to the exponential model 1-form."""
-    er = np.exp(lam * grid.r)[:, None] * np.ones(grid.n_theta)
-    s = lam * a0 * er
-    t = -a0 * er
-    x = 0.5 * (lam + 1.0) * b0 * er
-    return SymTensorField(grid, 2, np.stack([s, t, x]))
-
-
-def model_laplacian_image(grid, lam, a0, b0):
-    """Closed form of the symmetric Laplacian applied to the exponential
-    model 1-form (the surface case, d = 1)."""
-    er = np.exp(lam * grid.r)[:, None] * np.ones(grid.n_theta)
-    ca = (lam**2 - lam - 1) * a0
-    cb = 0.5 * (lam + 1.0) * (lam - 2.0) * b0
-    return SymTensorField(grid, 1, np.stack([ca * er, cb * er]))
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +327,21 @@ def _dr_matrix(n, dr):
 
 def _mode_derivative(grid):
     """Per-theta-mode symmetric derivative (a, b) -> (s, t, x) on stacked
-    radial profiles, as the real pair (M0, M1) with M(xi) = M0 + i xi M1."""
+    radial profiles, as the real pair (M0, M1) with M(xi) = M0 + i xi M1:
+    ``_frame_sym_derivative`` on the component selectors a = [I 0] and
+    b = [0 I], whose r-partials are the ``fd`` matrix times the selector,
+    with theta-partials 0 for M0 and the selectors themselves for M1."""
     import scipy.sparse as sp
 
     n = grid.n_r
+    eye = sp.identity(2 * n, format="csr")
+    ab = (eye[:n], eye[n:])
+    zero = sp.csr_matrix((n, 2 * n))
     dr_m = _dr_matrix(n, grid.dr)
-    eye = sp.identity(n, format="csr")
-    e_mul = sp.diags(grid.exp_r)
-    m0 = sp.bmat([[dr_m, None], [-eye, None], [None, 0.5 * (dr_m + eye)]], format="csr")
-    m1 = sp.bmat([[None, sp.csr_matrix((n, n))], [None, e_mul], [0.5 * e_mul, None]], format="csr")
-    return m0, m1
+    er = sp.diags(grid.exp_r)
+    m0 = _frame_sym_derivative(*ab, lambda i: dr_m @ ab[i], lambda i: zero, er)
+    m1 = _frame_sym_derivative(zero, zero, lambda i: zero, lambda i: ab[i], er)
+    return sp.vstack(m0, format="csr"), sp.vstack(m1, format="csr")
 
 
 # Half-bandwidth of the per-mode normal equations once the unknowns are
@@ -426,7 +397,7 @@ def _solve_modes_least_squares(f, grid):
 
     n = grid.n_r
     wvec = grid.radial_weights()
-    weight = sp.diags(np.concatenate([wvec, wvec, 2.0 * wvec]))
+    weight = sp.diags(np.concatenate([g * wvec for g in _GRAM[2]]))
     # interleaved interior unknowns (a_i, b_i) -> stacked (a, b) profiles
     nodes = np.arange(1, n - 1)
     rows = np.stack([nodes, n + nodes], axis=1).ravel()

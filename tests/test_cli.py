@@ -635,3 +635,36 @@ def test_xray_potential_subcommand_writes_the_first_forms_rows(tmp_path):
     ]
     ref = write_csv(tmp_path / "ref.csv", ["word", "length", "value", "error", "nodes"], rows)
     assert (out / "xray.csv").read_bytes() == ref.read_bytes()
+
+
+def test_suite_subcommand_writes_each_criterion(tmp_path, monkeypatch, capsys):
+    from cusplab import acceptance
+
+    cheap = [acceptance.CRITERIA[2], acceptance.CRITERIA[5]]
+    monkeypatch.setattr(acceptance, "CRITERIA", cheap)
+    out = tmp_path / "out_suite"
+    assert main(["suite", "--out", str(out)]) == 0
+    payload = json.loads((out / "suite_results.json").read_text())
+    assert payload == {
+        "all_passed": True,
+        "results": [{"criterion": name, "passed": True} for name, _ in cheap],
+    }
+    assert "suite_results.json" in json.loads((out / "manifest.json").read_text())["outputs"]
+    assert capsys.readouterr().out.splitlines() == [f"[PASS] {name}" for name, _ in cheap]
+    assert not (out / "failure.json").exists()
+
+
+def test_failing_suite_exits_three_with_diagnostics(tmp_path, monkeypatch):
+    from cusplab import acceptance
+
+    stub = ("stub", lambda: (False, {"why": "stub"}))
+    monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.CRITERIA[2], stub])
+    out = tmp_path / "out_suite"
+    assert main(["suite", "--out", str(out)]) == 3
+    payload = json.loads((out / "suite_results.json").read_text())
+    assert payload["all_passed"] is False
+    assert [r["passed"] for r in payload["results"]] == [True, False]
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["error"] == "NumericFailureError"
+    assert "failures" in failure["message"]
+    assert not (out / "manifest.json").exists()

@@ -163,6 +163,14 @@ def test_solution_tail_rates_match_neighbor_roots():
     assert abs(rate_left - LAM_PLUS) <= 2e-2
 
 
+@pytest.mark.parametrize("side", ["right", "", "+-", None])
+def test_decay_rate_rejects_an_unknown_side(side):
+    # a mistyped side must raise, not read the other tail's rate
+    u, _ = invert_on_line(FAM_LAP1, bump_rhs(), 0.0)
+    with pytest.raises(InvalidInputError, match="side"):
+        fit_decay_rate(u, side)
+
+
 def test_contour_independence_within_component():
     f = bump_rhs()
     u1, _ = invert_on_line(FAM_LAP1, f, 0.0)

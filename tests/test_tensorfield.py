@@ -9,6 +9,7 @@ from cusplab.chart import ChartGrid
 from cusplab.errors import InvalidInputError, NumericFailureError
 from cusplab.fields import AnalyticOneForm, Scalar2D, random_bump_one_form
 from cusplab.halfplane import BoundaryGeodesic
+from cusplab.operators import indicial_family, sym_derivative_spec, sym_laplacian_spec
 from cusplab.tensorfield import (
     SymTensorField,
     _band_storage,
@@ -16,13 +17,11 @@ from cusplab.tensorfield import (
     _dr_matrix,
     _dr_spectral,
     _dtheta,
+    _mode_derivative,
     _solve_modes_least_squares,
     divergence,
     l2_inner,
     l2_norm,
-    model_derivative_image,
-    model_laplacian_image,
-    model_one_form,
     solenoidal_project,
     sym_derivative,
     sym_laplacian,
@@ -40,12 +39,28 @@ def interior_sup(field_a, field_b):
 # model-family exactness (closed-form actions on y^lambda profiles)
 # ---------------------------------------------------------------------------
 
+FAM_D = indicial_family(sym_derivative_spec(1))
+FAM_L = indicial_family(sym_laplacian_spec(1))
+
+
+def model_one_form(grid, lam, a0, b0):
+    return SymTensorField.sample(
+        grid, 1, lambda r, t: a0 * np.exp(lam * r), lambda r, t: b0 * np.exp(lam * r)
+    )
+
+
+def model_image(fam, grid, lam, a0, b0):
+    """The indicial family's action on the model 1-form e^{lam r} (a0, b0)."""
+    coef = (fam(lam) @ (a0, b0)).real
+    funcs = [lambda r, t, c=c: c * np.exp(lam * r) for c in coef]
+    return SymTensorField.sample(grid, len(coef) - 1, *funcs)
+
 
 def test_derivative_of_vertical_coframe_is_minus_slice_square():
     # lambda = 0, a = 1, b = 0: the derivative is -1 on the slice square
     p = model_one_form(GRID, 0.0, 1.0, 0.0)
     got = sym_derivative(p)
-    want = model_derivative_image(GRID, 0.0, 1.0, 0.0)
+    want = model_image(FAM_D, GRID, 0.0, 1.0, 0.0)
     assert np.allclose(want.comps[0], 0.0)
     assert np.allclose(want.comps[1], -1.0)
     assert np.allclose(want.comps[2], 0.0)
@@ -57,7 +72,7 @@ def test_derivative_of_growing_slice_form_hits_cross_term():
     # symmetrization convention
     p = model_one_form(GRID, 1.0, 0.0, 1.0)
     got = sym_derivative(p)
-    want = model_derivative_image(GRID, 1.0, 0.0, 1.0)
+    want = model_image(FAM_D, GRID, 1.0, 0.0, 1.0)
     assert np.allclose(want.comps[2][0], 1.0)
     err = interior_sup(got, want)
     assert err <= 5.0 * GRID.dr**2
@@ -74,8 +89,8 @@ def test_model_exactness_second_order(lam, a0, b0):
     grids = [GRID, GRID.refine(2), GRID.refine(4)]
     for g in grids:
         p = model_one_form(g, lam, a0, b0)
-        d_err = interior_sup(sym_derivative(p), model_derivative_image(g, lam, a0, b0))
-        l_err = interior_sup(sym_laplacian(p), model_laplacian_image(g, lam, a0, b0))
+        d_err = interior_sup(sym_derivative(p), model_image(FAM_D, g, lam, a0, b0))
+        l_err = interior_sup(sym_laplacian(p), model_image(FAM_L, g, lam, a0, b0))
         errs.append(max(d_err, l_err) / max(abs(a0), abs(b0)))
     order1 = np.log2(errs[0] / errs[1])
     order2 = np.log2(errs[1] / errs[2])
@@ -134,8 +149,9 @@ def test_adjointness_residual_second_order():
 def test_divergence_of_zero_and_bad_order():
     z = SymTensorField.zeros(GRID, 2)
     assert divergence(z).sup_norm() == 0.0
-    with pytest.raises(InvalidInputError):
-        divergence(SymTensorField.zeros(GRID, 0))
+    for order in (0, 1):
+        with pytest.raises(InvalidInputError, match="2-tensors"):
+            divergence(SymTensorField.zeros(GRID, order))
 
 
 def test_divergence_model_closed_form():
@@ -221,6 +237,22 @@ def test_one_radial_closure_for_solve_and_derivative():
     _, f = _bump_pair(grid, 11)
     f_s, u, _ = solenoidal_project(f)
     assert l2_norm(f - f_s - sym_derivative(u)) <= 1e-14 * l2_norm(f)
+
+
+@pytest.mark.parametrize("shape", [(65, 16), (40, 9)])
+def test_mode_matrices_apply_the_grid_derivative(shape):
+    # (M0 + i xi M1) on each rfft mode, Nyquist xi dropped as in the solve
+    grid = ChartGrid(0.0, 3.0, *shape)
+    u = SymTensorField(grid, 1, np.random.default_rng(5).normal(size=(2, *shape)))
+    m0, m1 = _mode_derivative(grid)
+    xis = grid.theta_frequencies()
+    if grid.n_theta % 2 == 0:
+        xis[-1] = 0.0
+    u_hat = np.fft.rfft(u.comps, axis=2).reshape(2 * grid.n_r, -1)
+    du_hat = m0 @ u_hat + 1j * xis * (m1 @ u_hat)
+    got = np.fft.irfft(du_hat.reshape(3, grid.n_r, -1), n=grid.n_theta, axis=2)
+    want = sym_derivative(u).comps
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # Reference: the per-mode sparse assembly and SuperLU solve, one system
@@ -569,7 +601,7 @@ def test_spectral_derivatives_of_a_band_limited_trig_are_exact(shape):
 
 def test_linearity_of_interpolation_and_norms():
     _, f = _bump_pair(GRID, 2)
-    g = 2.5 * f
+    g = SymTensorField(GRID, 2, 2.5 * f.comps)
     assert abs(l2_norm(g) - 2.5 * l2_norm(f)) < 1e-12 * l2_norm(g)
     r = np.array([1.2, 1.7])
     t = np.array([0.42, 0.61])

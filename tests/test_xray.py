@@ -108,7 +108,7 @@ def test_refinement_against_dense_trapezoid_oracle():
 def test_linearity_at_fixed_quadrature_nodes():
     f = bump_two_tensor()
     g = SymTensorField.metric(GRID)
-    combo = 2.0 * f + 3.0 * g
+    combo = SymTensorField(GRID, 2, 2.0 * f.comps + 3.0 * g.comps)
     sampler = ArcSampler(TORUS, CLASSES[2])
     ts, ws, frame = sampler.quadrature(3)
     vf = np.dot(ws, f.pullback(*frame))
