@@ -334,10 +334,10 @@ def _mode_derivative(grid):
     import scipy.sparse as sp
 
     n = grid.n_r
+    dr_m = _dr_matrix(n, grid.dr)
     eye = sp.identity(2 * n, format="csr")
     ab = (eye[:n], eye[n:])
     zero = sp.csr_matrix((n, 2 * n))
-    dr_m = _dr_matrix(n, grid.dr)
     er = sp.diags(grid.exp_r)
     m0 = _frame_sym_derivative(*ab, lambda i: dr_m @ ab[i], lambda i: zero, er)
     m1 = _frame_sym_derivative(zero, zero, lambda i: zero, lambda i: ab[i], er)
