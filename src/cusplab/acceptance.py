@@ -7,6 +7,7 @@ exactly this code.
 """
 
 import functools
+import time
 
 import numpy as np
 
@@ -389,10 +390,12 @@ CRITERIA = [
 
 def run_all():
     """Run the full battery, printing one line per criterion; returns a list
-    of result dicts."""
+    of result dicts: the criterion, passed, its details and its wall seconds."""
     results = []
     for name, fn in CRITERIA:
+        t0 = time.perf_counter()
         passed, details = fn()
-        results.append({"criterion": name, "passed": bool(passed), "details": details})
+        seconds = time.perf_counter() - t0
+        results.append(dict(criterion=name, passed=bool(passed), details=details, seconds=seconds))
         print(f"[{'PASS' if passed else 'FAIL'}] {name}")
     return results

@@ -294,15 +294,11 @@ def cmd_decompose(cfg, out, args):
 
 def cmd_suite(cfg, out, args):
     results = run_all()
-    payload = {
-        "all_passed": all(r["passed"] for r in results),
-        "results": [
-            {"criterion": r["criterion"], "passed": r["passed"]} for r in results
-        ],
-    }
+    failed = {r["criterion"]: r["details"] for r in results if not r["passed"]}
+    payload = {"all_passed": not failed, "results": results}
     path = write_json(out / "suite_results.json", payload)
-    if not payload["all_passed"]:
-        raise NumericFailureError("acceptance suite reported failures")
+    if failed:
+        raise NumericFailureError("acceptance suite reported failures", failed)
     return [path]
 
 

@@ -49,6 +49,7 @@ def _checked(convert, valid, rule):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "at least 1")
+_positive_finite = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 
 
 # every accepted key as (conversion of its value, default); None marks a key
@@ -67,7 +68,7 @@ _KEYS = {
         "n_in": (int, None),
     },
     "grid": {
-        "r_half": (_checked(float, lambda v: 0 < v < math.inf, "positive and finite"), 48.0),
+        "r_half": (_positive_finite, 48.0),
         "n": (_positive_int, 4096),
         "r_min": (float, -2.8),
         "r_max": (float, 0.5),
@@ -75,7 +76,7 @@ _KEYS = {
         "n_theta": (int, 256),
     },
     "tolerances": {
-        "xray": (float, 1e-9),
+        "xray": (_positive_finite, 1e-9),
         "weight": (float, 0.0),
         "weight_from": (float, None),
         "weight_to": (float, None),

@@ -10,10 +10,11 @@ e_2 = e^r d/dtheta, the connection gives
                     dx/dr + e^r dt/dtheta - 2 x)
 
 and the symmetric Laplacian is their composition.  D is written once, in
-``_frame_sym_derivative``: ``sym_derivative`` applies it to grid samples
-and the solenoidal projection to sparse per-theta-mode matrices.  On
-theta-independent y^lam profiles, D and the Laplacian act by the
-indicial families of ``operators.sym_derivative_spec`` and
+``_frame_sym_derivative``: ``sym_derivative`` applies it to grid samples,
+and the solenoidal projection reads its per-theta-mode matrices off it by
+comb probes; scipy serves only that projection's sparse products and
+banded solves.  On theta-independent y^lam profiles, D and the Laplacian
+act by the indicial families of ``operators.sym_derivative_spec`` and
 ``sym_laplacian_spec``, the closed forms criterion 7 checks the grid
 operators against.  Differentiation is spectral in theta and, by default
 ("fd"), second-order centered finite differences in r closed at the two
@@ -265,14 +266,11 @@ def _dr(arr, grid, method):
 
 def _frame_sym_derivative(a, b, d_r, d_t, er):
     """Components (s, t, x) of the symmetric derivative of the 1-form (a, b)
-    by the module's D formula, with er = e^r; d_r(i) and d_t(i) give the r-
-    and theta-partials of component i (0: a, 1: b), each taken only when
-    the formula reaches it, so at most two partials are held at once.
-
-    The operands are either grid arrays, with er broadcast over theta, or
-    scipy sparse matrices (``spmatrix``, whose ``*`` is the matrix product),
-    with er = diag(e^r): the projection reads its per-mode matrices off
-    this one formula."""
+    by the module's D formula, with er = e^r shaped to broadcast against
+    them; d_r(i) and d_t(i) give the r- and theta-partials of component i
+    (0: a, 1: b), each taken only when the formula reaches it, so at most
+    two partials are held at once.  The operands are arrays: grid samples,
+    the projection's comb probes or closed-form jet values."""
     s = d_r(0)
     t = er * d_t(1) - a
     return s, t, 0.5 * (d_r(1) + er * d_t(0) + b)
@@ -318,30 +316,34 @@ def sym_laplacian(u):
 # x86-64 VM), a cost every subcommand paid.
 
 
-def _dr_matrix(n, dr):
-    """The matrix of the ``fd`` radial derivative, read off its stencil."""
-    import scipy.sparse as sp
-
-    return sp.csr_matrix(_dr_fd(np.eye(n), dr))
-
-
 def _mode_derivative(grid):
-    """Per-theta-mode symmetric derivative (a, b) -> (s, t, x) on stacked
-    radial profiles, as the real pair (M0, M1) with M(xi) = M0 + i xi M1:
-    ``_frame_sym_derivative`` on the component selectors a = [I 0] and
-    b = [0 I], whose r-partials are the ``fd`` matrix times the selector,
-    with theta-partials 0 for M0 and the selectors themselves for M1."""
+    """Per-theta-mode symmetric derivative from the interior radial unknowns,
+    interleaved as (a_j, b_j) pairs, to the stacked (s, t, x) profiles, as
+    the real pair (D0, D1) with D(xi) = D0 + i xi D1.
+
+    Both are read off ``_frame_sym_derivative`` by six comb probes (Curtis,
+    Powell & Reid 1974): probe 3c + k sets component c to 1 on the interior
+    nodes j = k mod 3.  D0 takes the probes' ``fd`` r-partials and theta-
+    partials 0; D1 takes the probes as theta-partials, all else 0.  Node j
+    reaches only rows j - 1 .. j + 1, so no two nodes of a probe share a row."""
     import scipy.sparse as sp
 
     n = grid.n_r
-    dr_m = _dr_matrix(n, grid.dr)
-    eye = sp.identity(2 * n, format="csr")
-    ab = (eye[:n], eye[n:])
-    zero = sp.csr_matrix((n, 2 * n))
-    er = sp.diags(grid.exp_r)
-    m0 = _frame_sym_derivative(*ab, lambda i: dr_m @ ab[i], lambda i: zero, er)
-    m1 = _frame_sym_derivative(zero, zero, lambda i: zero, lambda i: ab[i], er)
-    return sp.vstack(m0, format="csr"), sp.vstack(m1, format="csr")
+    c, j = np.arange(2)[:, None], np.arange(1, n - 1)
+    probes = np.zeros((2, n, 6))
+    probes[c, j, 3 * c + j % 3] = 1.0
+    er, zero = grid.exp_r[:, None], np.zeros((n, 6))
+    mats = []
+    for image in (
+        _frame_sym_derivative(*probes, lambda i: _dr_fd(probes[i], grid.dr), lambda i: 0.0, er),
+        _frame_sym_derivative(zero, zero, lambda i: zero, lambda i: probes[i], er),
+    ):
+        y = np.stack(image)
+        q, i, p = np.nonzero(y)  # a row no probe node reaches reads exactly 0
+        node = i + (p % 3 - i + 1) % 3 - 1  # the one of i - 1, i, i + 1 that is p mod 3
+        cols = 2 * node - 2 + p // 3
+        mats.append(sp.csr_matrix((y[q, i, p], (q * n + i, cols)), shape=(3 * n, 2 * n - 4)))
+    return tuple(mats)
 
 
 # Half-bandwidth of the per-mode normal equations once the unknowns are
@@ -352,21 +354,19 @@ _HALF_BAND = 4
 
 def _band_storage(m):
     """LAPACK band storage ab[_HALF_BAND + i - j, j] = m[i, j] of a square
-    sparse matrix; raises if an entry lies outside the band."""
+    sparse matrix, read off its diagonal (DIA) layout; raises if a nonzero
+    diagonal lies outside the band."""
     import scipy.sparse as sp
 
     half = _HALF_BAND
-    m = sp.coo_matrix(m)
-    m.sum_duplicates()
-    m.eliminate_zeros()
-    offset = m.row - m.col
-    if offset.size and np.max(np.abs(offset)) > half:
-        raise ValueError(
-            f"matrix has an entry {int(np.max(np.abs(offset)))} diagonals off the "
-            f"main one, outside half-bandwidth {half}"
-        )
-    ab = np.zeros((2 * half + 1, m.shape[1]), dtype=m.dtype)
-    ab[half + offset, m.col] = m.data
+    dia = sp.dia_matrix(m)
+    used = np.any(dia.data != 0, axis=1)
+    offsets, data = dia.offsets[used], dia.data[used, : m.shape[1]]
+    width = int(np.max(np.abs(offsets), initial=0))
+    if width > half:
+        raise ValueError(f"an entry {width} diagonals off is outside half-bandwidth {half}")
+    ab = np.zeros((2 * half + 1, m.shape[1]), dtype=dia.dtype)
+    ab[half - offsets, : data.shape[1]] = data  # DIA: m[j - offset, j] in column j
     return ab
 
 
@@ -398,12 +398,8 @@ def _solve_modes_least_squares(f, grid):
     n = grid.n_r
     wvec = grid.radial_weights()
     weight = sp.diags(np.concatenate([g * wvec for g in _GRAM[2]]))
-    # interleaved interior unknowns (a_i, b_i) -> stacked (a, b) profiles
-    nodes = np.arange(1, n - 1)
-    rows = np.stack([nodes, n + nodes], axis=1).ravel()
-    m = rows.size
-    inject = sp.csr_matrix((np.ones(m), (rows, np.arange(m))), shape=(2 * n, m))
-    d0, d1 = (part @ inject for part in _mode_derivative(grid))
+    d0, d1 = _mode_derivative(grid)
+    m = d0.shape[1]
     # D(xi)^H W D(xi) = N0 + i xi N1 - xi^2 N2 with D(xi) = D0 + i xi D1
     a0, a1 = d0.T @ weight, d1.T @ weight
     systems = [a0 @ d0, a0 @ d1 - a1 @ d0, -(a1 @ d1)]

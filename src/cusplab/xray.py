@@ -78,8 +78,8 @@ def xray_eval(surface, tensor, geodesic, tol, sampler=None, strict=True):
     ``strict``, an unconverged run returns the ``_MAX_LEVEL`` value with the
     difference from the level below as its error estimate.
     """
-    if tol <= 0:
-        raise InvalidInputError("tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise InvalidInputError(f"tolerance must be positive and finite, got {tol}")
     if not isinstance(tensor, (SymTensorField, AnalyticSymTensor, AnalyticOneForm)):
         raise InvalidInputError(f"unsupported tensor type {type(tensor).__name__}")
     sampler = sampler or ArcSampler(surface, geodesic)
@@ -118,8 +118,8 @@ def potential_annihilation_suite(surface, one_forms, geodesics, tol, path, grid=
     Returns a report with the worst normalized value over all forms and
     classes, and under ``"results"`` each form's list of ``XRayResult``.
     """
-    if not one_forms:
-        raise InvalidInputError("need at least one 1-form")
+    if not one_forms or not geodesics:
+        raise InvalidInputError("need at least one 1-form and one closed geodesic")
     samplers = {g.word: ArcSampler(surface, g) for g in geodesics}
     per_form, results = [], []
     for p in one_forms:
@@ -169,6 +169,8 @@ def solenoidal_probe(surface, f_s, geodesics, tol):
     classes can never certify injectivity) and, for inputs built as pure
     derivatives, consistent with the annihilation identity.
     """
+    if not geodesics:
+        raise InvalidInputError("need at least one closed geodesic")
     results = xray_suite(surface, f_s, geodesics, tol=tol, strict=False)
     stats = [
         abs(r.value) / (10.0 * max(r.error_estimate, tol)) for r in results

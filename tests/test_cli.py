@@ -503,6 +503,10 @@ def test_malformed_number_is_invalid_input_naming_its_key(tmp_path, capsys, sect
         ("grid", "r_half", "-1", "lp-norm"),
         ("grid", "r_half", "0", "lp-norm"),
         ("operator", "d", "-2", "roots"),
+        ("tolerances", "xray", "-1e-9", "roots"),
+        ("tolerances", "xray", "0", "roots"),
+        ("tolerances", "xray", "nan", "roots"),
+        ("tolerances", "xray", "inf", "roots"),
     ],
 )
 def test_out_of_range_value_is_invalid_input_naming_its_key(
@@ -637,6 +641,18 @@ def test_xray_potential_subcommand_writes_the_first_forms_rows(tmp_path):
     assert (out / "xray.csv").read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("mode", ["potential", "probe"])
+def test_surface_with_no_hyperbolic_class_is_invalid_input(tmp_path, capsys, mode):
+    # one parabolic generator: every word is parabolic, so no class to X-ray
+    cfg = tmp_path / "parabolic.ini"
+    cfg.write_text(
+        BASE_CONFIG.replace("preset = punctured-torus", "generators = 1 1 0 1")
+        + f"\n[xray]\nmode = {mode}\n"
+    )
+    assert main(["xray", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "closed geodesic" in capsys.readouterr().err
+
+
 def test_suite_subcommand_writes_each_criterion(tmp_path, monkeypatch, capsys):
     from cusplab import acceptance
 
@@ -645,10 +661,14 @@ def test_suite_subcommand_writes_each_criterion(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out_suite"
     assert main(["suite", "--out", str(out)]) == 0
     payload = json.loads((out / "suite_results.json").read_text())
-    assert payload == {
-        "all_passed": True,
-        "results": [{"criterion": name, "passed": True} for name, _ in cheap],
-    }
+    assert payload["all_passed"] is True
+    assert [(r["criterion"], r["passed"]) for r in payload["results"]] == [
+        (name, True) for name, _ in cheap
+    ]
+    # each criterion's numbers and wall seconds are kept
+    for r, (_, fn) in zip(payload["results"], cheap):
+        assert r["details"] and r["details"].keys() == fn()[1].keys()
+        assert r["seconds"] > 0.0
     assert "suite_results.json" in json.loads((out / "manifest.json").read_text())["outputs"]
     assert capsys.readouterr().out.splitlines() == [f"[PASS] {name}" for name, _ in cheap]
     assert not (out / "failure.json").exists()
@@ -664,7 +684,10 @@ def test_failing_suite_exits_three_with_diagnostics(tmp_path, monkeypatch):
     payload = json.loads((out / "suite_results.json").read_text())
     assert payload["all_passed"] is False
     assert [r["passed"] for r in payload["results"]] == [True, False]
+    assert payload["results"][1]["details"] == {"why": "stub"}
     failure = json.loads((out / "failure.json").read_text())
     assert failure["error"] == "NumericFailureError"
     assert "failures" in failure["message"]
+    # the failing criterion's details, and only its, are the diagnostics
+    assert failure["diagnostics"] == {"stub": {"why": "stub"}}
     assert not (out / "manifest.json").exists()

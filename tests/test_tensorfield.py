@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,7 +16,6 @@ from cusplab.tensorfield import (
     SymTensorField,
     _band_storage,
     _dr_fd,
-    _dr_matrix,
     _dr_spectral,
     _dtheta,
     _mode_derivative,
@@ -228,11 +229,22 @@ def test_projection_requires_support_margin():
         solenoidal_project(f, adjoint="fd")
 
 
+def _interleaved_interior(prof):
+    """Stacked (a, b) radial profiles (2, n, ...) -> the solve's unknowns
+    (a_1, b_1, ..., a_{n-2}, b_{n-2}) on the interior nodes."""
+    return prof[:, 1:-1].swapaxes(0, 1).reshape(-1, *prof.shape[2:])
+
+
 def test_one_radial_closure_for_solve_and_derivative():
-    # dr a power of two makes the sparse product round like the stencil
-    n, dr = 65, 2.0**-5
-    v = np.random.default_rng(1).normal(size=n)
-    assert (_dr_matrix(n, dr) @ v).tobytes() == _dr_fd(v[:, None], dr)[:, 0].tobytes()
+    # dr = 2^-5 makes the sparse product round like the stencil: D0's s rows
+    # are the fd stencil of a, its t rows -a, on profiles zero at both ends
+    grid = ChartGrid(0.0, 2.0, 65, 16)
+    ab = np.zeros((2, grid.n_r))
+    ab[:, 1:-1] = np.random.default_rng(1).normal(size=(2, grid.n_r - 2))
+    d0, _ = _mode_derivative(grid)
+    s, t, _ = (d0 @ _interleaved_interior(ab)).reshape(3, grid.n_r)
+    assert s.tobytes() == _dr_fd(ab[0][:, None], grid.dr)[:, 0].tobytes()
+    assert np.array_equal(t, -ab[0])
     grid = ChartGrid(0.0, 3.0, 129, 64)
     _, f = _bump_pair(grid, 11)
     f_s, u, _ = solenoidal_project(f)
@@ -241,27 +253,69 @@ def test_one_radial_closure_for_solve_and_derivative():
 
 @pytest.mark.parametrize("shape", [(65, 16), (40, 9)])
 def test_mode_matrices_apply_the_grid_derivative(shape):
-    # (M0 + i xi M1) on each rfft mode, Nyquist xi dropped as in the solve
+    # (D0 + i xi D1) on each rfft mode of a 1-form zero at both radial ends,
+    # with the interior unknowns interleaved and Nyquist xi dropped as in the
+    # solve
     grid = ChartGrid(0.0, 3.0, *shape)
-    u = SymTensorField(grid, 1, np.random.default_rng(5).normal(size=(2, *shape)))
-    m0, m1 = _mode_derivative(grid)
+    comps = np.random.default_rng(5).normal(size=(2, *shape))
+    comps[:, [0, -1]] = 0.0
+    u = SymTensorField(grid, 1, comps)
+    d0, d1 = _mode_derivative(grid)
+    assert d0.shape == d1.shape == (3 * grid.n_r, 2 * (grid.n_r - 2))
     xis = grid.theta_frequencies()
     if grid.n_theta % 2 == 0:
         xis[-1] = 0.0
-    u_hat = np.fft.rfft(u.comps, axis=2).reshape(2 * grid.n_r, -1)
-    du_hat = m0 @ u_hat + 1j * xis * (m1 @ u_hat)
+    u_hat = _interleaved_interior(np.fft.rfft(u.comps, axis=2))
+    du_hat = d0 @ u_hat + 1j * xis * (d1 @ u_hat)
     got = np.fft.irfft(du_hat.reshape(3, grid.n_r, -1), n=grid.n_theta, axis=2)
     want = sym_derivative(u).comps
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", [(8, 4), (40, 9), (129, 64)])
+def test_comb_read_off_equals_the_written_out_blocks(shape):
+    # D(xi = 1) of the reference assembly: real part D0, imaginary part D1,
+    # entry for entry and with no stored zeros
+    grid = ChartGrid(0.0, 3.0, *shape)
+    columns = _interleaved_interior(np.arange(2 * grid.n_r).reshape(2, -1))
+    ref = _sparse_mode_derivative(grid, 1.0)[:, columns]
+    for got, want in zip(_mode_derivative(grid), (ref.real, ref.imag)):
+        want.eliminate_zeros()
+        assert got.nnz == want.nnz
+        assert np.array_equal(got.toarray(), want.toarray())
+
+
+def test_mode_matrices_assemble_in_linear_memory():
+    # six O(n) probes; a dense n x n read-off would trace about 100 MB here
+    _mode_derivative(ChartGrid(0.0, 3.0, 8, 4))  # scipy's first-use imports
+    grid = ChartGrid(0.0, 3.0, 2049, 8)
+    tracemalloc.start()
+    try:
+        _mode_derivative(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # Reference: the per-mode sparse assembly and SuperLU solve, one system
 # assembled anew for every theta mode, in the stacked (a, b) ordering.
 
 
+def _fd_matrix(n, dr):
+    """The ``fd`` radial derivative written out: centered interior rows and
+    the summation-by-parts edge rows [-1, 1]/dr."""
+    i = np.arange(1, n - 1)
+    rows = np.concatenate([i, i, [0, 0, n - 1, n - 1]])
+    cols = np.concatenate([i - 1, i + 1, [0, 1, n - 2, n - 1]])
+    half = np.full(n - 2, 0.5 / dr)
+    vals = np.concatenate([-half, half, np.array([-1.0, 1.0, -1.0, 1.0]) / dr])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
 def _sparse_mode_derivative(grid, xi):
     n = grid.n_r
-    dr_m = _dr_matrix(n, grid.dr)
+    dr_m = _fd_matrix(n, grid.dr)
     eye = sp.identity(n, format="csr")
     e_mul = sp.diags(grid.exp_r)
     zer = sp.csr_matrix((n, n))

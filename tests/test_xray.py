@@ -67,6 +67,14 @@ def test_invalid_tolerance_rejected():
         xray_eval(TORUS, SymTensorField.metric(GRID), CLASSES[0], tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_non_finite_tolerance_rejected(tol):
+    # nan once refined to the deepest level and failed there; inf returned
+    # the first level with error estimate 0
+    with pytest.raises(InvalidInputError, match="positive and finite"):
+        xray_eval(TORUS, SymTensorField.metric(GRID), CLASSES[0], tol=tol)
+
+
 def test_unconverged_result_is_last_level_against_the_one_below(monkeypatch):
     f = bump_two_tensor()
     geo = next(g for g in CLASSES if g.word == "abaBAb")  # meets the bump
