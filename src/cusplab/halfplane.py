@@ -50,8 +50,6 @@ class MobiusMap:
         z = np.asarray(z, dtype=complex)
         return (a * z + b) / (c * z + d)
 
-    __call__ = apply
-
     def derivative(self, z):
         c, d = self.mat[1]
         z = np.asarray(z, dtype=complex)

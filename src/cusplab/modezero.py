@@ -186,7 +186,7 @@ def invert_on_line(fam, f, rho):
     info = {
         "condition_max": float(np.max(conds)),
         "condition_median": float(np.median(conds)),
-        "root_line_distance": float(min(gaps)) if gaps else np.inf,
+        "root_line_distance": float(min(gaps)) if gaps else None,
     }
     return ModeZeroField(g.r0, g.dr, sol, weight=rho), info
 

@@ -24,7 +24,7 @@ from .chart import ChartGrid
 from .errors import InvalidInputError
 from .operators import builtin_spec, indicial_family, spec_from_terms
 from .surface import FuchsianSurface, punctured_torus
-from .tensorfield import _NCOMP, SymTensorField
+from .tensorfield import SymTensorField
 
 
 def _reals(text):
@@ -57,7 +57,6 @@ _positive_finite = _checked(float, lambda v: 0 < v < math.inf, "positive and fin
 # also takes term<N> rows (converted by _reals)
 _KEYS = {
     "surface": {
-        "preset": (str, "punctured-torus"),
         "generators": (_rows, None),
         "max_word_len": (int, 6),
     },
@@ -137,17 +136,17 @@ def config_digest(cfg):
 
 
 def build_surface(cfg):
-    sec = cfg["surface"]
-    if sec["generators"] is not None:
-        gens = {}
-        for i, vals in enumerate(sec["generators"]):
-            if len(vals) != 4:
-                raise InvalidInputError("each generator row needs four reals")
-            gens[chr(ord("a") + i)] = np.array(vals).reshape(2, 2)
-        return FuchsianSurface(generators=gens)
-    if sec["preset"] == "punctured-torus":
+    """The group of the configured generator rows; the punctured torus when
+    the config gives none."""
+    rows = cfg["surface"]["generators"]
+    if rows is None:
         return punctured_torus()
-    raise InvalidInputError(f"unknown surface preset {sec['preset']!r}")
+    gens = {}
+    for i, vals in enumerate(rows):
+        if len(vals) != 4:
+            raise InvalidInputError("each generator row needs four reals")
+        gens[chr(ord("a") + i)] = np.array(vals).reshape(2, 2)
+    return FuchsianSurface(generators=gens)
 
 
 def build_operator(cfg):
@@ -237,10 +236,10 @@ def load_tensor(path_base):
         spec = [header[k] for k in ("r_min", "r_max", "n_r", "n_theta")]
     except (OSError, ValueError, KeyError) as exc:  # missing file, bad JSON, missing key
         raise InvalidInputError(f"cannot read tensor file {base}: {exc!r}") from None
-    if order not in _NCOMP:
-        raise InvalidInputError(f"tensor order {order!r} is not one of {sorted(_NCOMP)}")
+    if order not in (0, 1, 2):
+        raise InvalidInputError(f"tensor order {order!r} is not one of [0, 1, 2]")
     grid = ChartGrid(*spec)
-    shape = (_NCOMP[order], grid.n_r, grid.n_theta)
+    shape = (int(order) + 1, grid.n_r, grid.n_theta)
     if data.size != math.prod(shape):
         raise InvalidInputError(
             f"{base.with_suffix('.bin')} holds {data.size} values; "
@@ -249,7 +248,7 @@ def load_tensor(path_base):
     bad = int(np.count_nonzero(~np.isfinite(data)))
     if bad:
         raise InvalidInputError(f"{base.with_suffix('.bin')} holds {bad} non-finite values")
-    return SymTensorField(grid, order, data.reshape(shape))
+    return SymTensorField(grid, data.reshape(shape))
 
 
 def write_manifest(out_dir, command, cfg, outputs, t0):

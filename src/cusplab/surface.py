@@ -162,23 +162,22 @@ def punctured_torus():
 
 @dataclass(frozen=True)
 class ClosedGeodesic:
-    """The geodesic representative of a hyperbolic free homotopy class."""
+    """The geodesic representative of a hyperbolic free homotopy class, read
+    off the word's matrix; one that is not hyperbolic raises InvalidInputError."""
 
     word: str
     matrix: MobiusMap
-    length: float
-    axis_endpoints: tuple
 
-    @classmethod
-    def from_matrix(cls, word, m):
-        """The geodesic of the word whose hyperbolic matrix is m; a matrix
-        that is not hyperbolic raises InvalidInputError."""
-        return cls(
-            word=word,
-            matrix=m,
-            length=m.translation_length(),
-            axis_endpoints=m.fixed_points(),
-        )
+    def __post_init__(self):
+        self.length, self.axis_endpoints  # evaluated now, so a bad matrix fails here
+
+    @cached_property
+    def length(self):
+        return self.matrix.translation_length()
+
+    @cached_property
+    def axis_endpoints(self):
+        return self.matrix.fixed_points()  # (repelling, attracting)
 
     @cached_property
     def _axis(self):
@@ -205,7 +204,7 @@ def enumerate_hyperbolic_classes(surface, max_word_len):
             continue
         m = surface.word_matrix(word)
         if m.classify() == "hyperbolic":
-            geodesics.append(ClosedGeodesic.from_matrix(word, m))
+            geodesics.append(ClosedGeodesic(word, m))
     geodesics.sort(key=lambda g: (g.length, g.word))
     return geodesics
 

@@ -34,7 +34,6 @@ import numpy as np
 from .chart import ChartGrid
 from .errors import CoverageError, InvalidInputError, NumericFailureError
 
-_NCOMP = {0: 1, 1: 2, 2: 3}
 _GRAM = {0: [1.0], 1: [1.0, 1.0], 2: [1.0, 1.0, 2.0]}
 
 
@@ -52,44 +51,40 @@ def _lagrange_weights(s):
 
 @dataclass(frozen=True)
 class SymTensorField:
-    """Grid samples of a symmetric m-tensor (m in {0, 1, 2})."""
+    """Grid samples of a symmetric m-tensor (m in {0, 1, 2}): m + 1 components."""
 
     grid: ChartGrid
-    order: int
     comps: np.ndarray
 
     def __post_init__(self):
-        if self.order not in _NCOMP:
-            raise InvalidInputError("tensor order must be 0, 1 or 2")
         c = np.asarray(self.comps, dtype=float)
-        want = (_NCOMP[self.order], self.grid.n_r, self.grid.n_theta)
-        if c.shape != want:
-            raise InvalidInputError(f"component array must have shape {want}")
+        shape = (self.grid.n_r, self.grid.n_theta)
+        if c.ndim != 3 or not 1 <= len(c) <= 3 or c.shape[1:] != shape:
+            raise InvalidInputError(f"component array must have shape (1, 2 or 3, *{shape})")
         object.__setattr__(self, "comps", c)
 
-    @classmethod
-    def zeros(cls, grid, order):
-        return cls(grid, order, np.zeros((_NCOMP[order], grid.n_r, grid.n_theta)))
+    @property
+    def order(self):
+        return len(self.comps) - 1
 
     @classmethod
     def sample(cls, grid, order, *funcs):
         """Samples of elementwise callables f(r, theta), one per component,
         each called once on the axes r (n_r, 1) and theta (1, n_theta)."""
-        if len(funcs) != _NCOMP[order]:
+        if len(funcs) != order + 1:
             raise InvalidInputError("one sampling function per component")
         r, t = grid.r[:, None], grid.theta[None, :]
         shape = (grid.n_r, grid.n_theta)
         comps = np.stack([np.broadcast_to(np.asarray(f(r, t), dtype=float), shape) for f in funcs])
-        return cls(grid, order, comps)
+        return cls(grid, comps)
 
     @classmethod
     def metric(cls, grid):
         """The metric tensor: unit diagonal components in the orthonormal
         coframe."""
         c = np.zeros((3, grid.n_r, grid.n_theta))
-        c[0] = 1.0
-        c[1] = 1.0
-        return cls(grid, 2, c)
+        c[:2] = 1.0
+        return cls(grid, c)
 
     def __sub__(self, other):
         self._compat(other)
@@ -284,7 +279,7 @@ def sym_derivative(p, method="fd"):
     c = p.comps
     d_r, d_t = (lambda i: _dr(c[i], grid, method)), (lambda i: _dtheta(c[i], grid))
     comps = _frame_sym_derivative(c[0], c[1], d_r, d_t, grid.exp_r[:, None])
-    return SymTensorField(grid, 2, np.stack(comps))
+    return SymTensorField(grid, np.stack(comps))
 
 
 def divergence(f, method="fd"):
@@ -297,7 +292,7 @@ def divergence(f, method="fd"):
     s, t, x = f.comps
     out_a = _dr(s, grid, method) + er * _dtheta(x, grid) - s + t
     out_b = _dr(x, grid, method) + er * _dtheta(t, grid) - 2.0 * x
-    return SymTensorField(grid, 1, np.stack([out_a, out_b]))
+    return SymTensorField(grid, np.stack([out_a, out_b]))
 
 
 def sym_laplacian(u):
@@ -390,9 +385,9 @@ def _solve_banded_modes(parts, rhs, xis):
 
 
 def _solve_modes_least_squares(f, grid):
-    """The rfft modes of the potential (zero at both radial ends) from the
-    weighted normal equations of the discrete derivative, and the largest
-    relative solve residual."""
+    """The potential (zero at both radial ends) from the weighted normal
+    equations of the discrete derivative, its derivative by the same mode
+    matrices, and the largest relative solve residual."""
     import scipy.sparse as sp
 
     n = grid.n_r
@@ -418,7 +413,12 @@ def _solve_modes_least_squares(f, grid):
     residual = np.max(misfit / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300))
     sol_hat = np.zeros((2, n, xis.size), dtype=complex)
     sol_hat[:, 1:-1, :] = sol.reshape(n - 2, 2, xis.size).transpose(1, 0, 2)
-    return sol_hat, residual
+    u = np.fft.irfft(sol_hat, n=grid.n_theta, axis=2)
+    # D u from the modes of u's samples, the grid derivative's own input
+    u_hat = np.fft.rfft(u[:, 1:-1], axis=2).transpose(1, 0, 2).reshape(m, -1)
+    du_hat = (d0 @ u_hat + 1j * xis * (d1 @ u_hat)).reshape(3, n, -1)
+    du = np.fft.irfft(du_hat, n=grid.n_theta, axis=2)
+    return SymTensorField(grid, u), SymTensorField(grid, du), residual
 
 
 def solenoidal_project(f, support_margin=5, adjoint="exact"):
@@ -445,8 +445,10 @@ def solenoidal_project(f, support_margin=5, adjoint="exact"):
 
     Returns (f_s, u, info); info reports the solve residual, the divergence
     of f_s measured with an independently discretized operator (the
-    fourth-order "fd4" r-derivative), and the orthogonality defect under the
-    hyperbolic pairing.
+    fourth-order "fd4" r-derivative), the decomposition residual
+    ||f - f_s - D u|| / ||f|| with D u taken by the solve's own mode
+    matrices (so it measures the grid derivative against them), and the
+    orthogonality defect under the hyperbolic pairing.
     """
     if adjoint != "exact":
         raise InvalidInputError("adjoint must be 'exact'")
@@ -458,8 +460,7 @@ def solenoidal_project(f, support_margin=5, adjoint="exact"):
             "radial truncation"
         )
     grid = f.grid
-    sol_hat, residual = _solve_modes_least_squares(f, grid)
-    u_field = SymTensorField(grid, 1, np.fft.irfft(sol_hat, n=grid.n_theta, axis=2))
+    u_field, du_modes, residual = _solve_modes_least_squares(f, grid)
     du = sym_derivative(u_field, method="fd")
     f_s = f - du
     norm_f = l2_norm(f)
@@ -468,7 +469,7 @@ def solenoidal_project(f, support_margin=5, adjoint="exact"):
     info = {
         "solve_residual": float(residual),
         "divergence_residual": l2_norm(div_check) / norm_f if norm_f else 0.0,
-        "decomposition_residual": l2_norm(f - f_s - du) / norm_f if norm_f else 0.0,
+        "decomposition_residual": l2_norm(f - f_s - du_modes) / norm_f if norm_f else 0.0,
         "orthogonality": abs(l2_inner(f_s, du)) / denom,
     }
     if info["solve_residual"] > 1e-8:

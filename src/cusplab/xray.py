@@ -37,7 +37,8 @@ class ArcSampler:
     """Caches reduced quadrature nodes along a closed geodesic.
 
     Level L splits [0, length] into panels of roughly unit hyperbolic
-    length, halved L times, with 8-point Gauss-Legendre nodes per panel.
+    length, halved L times, with 8-point Gauss-Legendre nodes per panel; a
+    level keeps the weights and the reduced chart frame a pullback reads.
     """
 
     def __init__(self, surface, geodesic):
@@ -66,7 +67,7 @@ class ArcSampler:
             u.imag,  # vertical-frame component
             u.real,  # slice-frame component
         )
-        self._cache[level] = (ts, ws, frame)
+        self._cache[level] = (ws, frame)
         return self._cache[level]
 
 
@@ -85,24 +86,26 @@ def xray_eval(surface, tensor, geodesic, tol, sampler=None, strict=True):
     sampler = sampler or ArcSampler(surface, geodesic)
     prev = None
     for level in range(_MAX_LEVEL + 1):
-        ts, ws, frame = sampler.quadrature(level)
+        ws, frame = sampler.quadrature(level)
         vals = tensor.pullback(*frame)
         total = float(np.dot(ws, vals)) / geodesic.length
         if prev is not None:
             diff = abs(total - prev)
             if diff <= tol / 2.0:
-                return XRayResult(geodesic.word, geodesic.length, total, diff, ts.size)
+                return XRayResult(geodesic.word, geodesic.length, total, diff, ws.size)
         prev = total
     if strict:
         raise NumericFailureError(
             f"quadrature did not reach tol={tol} on class {geodesic.word!r}",
-            {"last_value": total, "nodes": ts.size},
+            {"last_value": total, "nodes": ws.size},
         )
-    return XRayResult(geodesic.word, geodesic.length, total, diff, ts.size)
+    return XRayResult(geodesic.word, geodesic.length, total, diff, ws.size)
 
 
 def xray_suite(surface, tensor, geodesics, tol, strict=True):
-    """Evaluate one tensor across many classes (deterministic order)."""
+    """Evaluate one tensor across one or more classes (deterministic order)."""
+    if not geodesics:
+        raise InvalidInputError("need at least one closed geodesic")
     return [xray_eval(surface, tensor, geo, tol=tol, strict=strict) for geo in geodesics]
 
 
@@ -169,8 +172,6 @@ def solenoidal_probe(surface, f_s, geodesics, tol):
     classes can never certify injectivity) and, for inputs built as pure
     derivatives, consistent with the annihilation identity.
     """
-    if not geodesics:
-        raise InvalidInputError("need at least one closed geodesic")
     results = xray_suite(surface, f_s, geodesics, tol=tol, strict=False)
     stats = [
         abs(r.value) / (10.0 * max(r.error_estimate, tol)) for r in results

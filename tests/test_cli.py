@@ -24,7 +24,6 @@ from cusplab.surface import enumerate_hyperbolic_classes
 
 BASE_CONFIG = """
 [surface]
-preset = punctured-torus
 max_word_len = 3
 
 [operator]
@@ -114,6 +113,28 @@ def test_mode0_solve_off_zero_weight_round_trips(tmp_path):
     assert report["roundtrip_residual"] <= 1e-10
 
 
+def test_identity_operator_runs_every_indicial_subcommand(tmp_path):
+    # the identity family has no roots: nothing to cross, invert around or
+    # expand at, and every report stays strict JSON
+    def reject(name):
+        raise AssertionError(f"a report holds the non-JSON constant {name}")
+
+    cfg = tmp_path / "identity.ini"
+    cfg.write_text(BASE_CONFIG.replace("name = sym-laplacian", "name = identity"))
+    reports = {}
+    for cmd in ("indicial", "roots", "index-jump", "mode0-solve", "mode0-kernel"):
+        code, out = run(cmd, cfg, tmp_path)
+        assert code == 0, cmd
+        for path in sorted(out.glob("*.json")):
+            reports[path.name] = json.loads(path.read_text(), parse_constant=reject)
+    assert reports["indicial.json"]["name"] == "identity"
+    assert reports["roots.json"]["roots"] == []
+    assert reports["index_jump.json"]["index_jump"] == 0
+    assert reports["mode0_report.json"]["root_line_distance"] is None
+    assert reports["mode0_report.json"]["roundtrip_residual"] <= 1e-14
+    assert reports["kernel_report.json"]["count"] == 0
+
+
 def test_numeric_failure_leaves_diagnostics_on_disk(config, tmp_path, monkeypatch):
     from cusplab import cli, xray
     from cusplab.tensorfield import SymTensorField
@@ -122,7 +143,7 @@ def test_numeric_failure_leaves_diagnostics_on_disk(config, tmp_path, monkeypatc
     def one_level_suite(surface, tensor, classes, tol, strict=True):
         # a theta-modulated metric cannot meet 1e-12 after one refinement
         wavy_t = 1.5 + np.cos(2 * np.pi * tensor.grid.theta)
-        wavy = SymTensorField(tensor.grid, 2, tensor.comps * wavy_t)
+        wavy = SymTensorField(tensor.grid, tensor.comps * wavy_t)
         return [xray_eval(surface, wavy, classes[0], tol=1e-12, strict=True)]
 
     monkeypatch.setattr(xray, "_MAX_LEVEL", 1)
@@ -349,7 +370,7 @@ def test_xray_zero_tensor_file_gives_zero_csv(config, tmp_path):
     from cusplab.tensorfield import SymTensorField
 
     grid = ChartGrid(-2.8, 0.5, 257, 128)
-    zero = SymTensorField.zeros(grid, 2)
+    zero = SymTensorField(grid, np.zeros((3, grid.n_r, grid.n_theta)))
     save_tensor(tmp_path / "zero_tensor", zero)
     cfg = tmp_path / "zero.ini"
     cfg.write_text(
@@ -403,7 +424,7 @@ def test_omitted_keys_take_their_defaults(tmp_path):
     sparse.write_text("[operator]\nname = sym-laplacian\n")
     full = tmp_path / "full.ini"
     full.write_text(
-        "[surface]\npreset = punctured-torus\nmax_word_len = 6\n"
+        "[surface]\nmax_word_len = 6\n"
         "[operator]\nname = sym-laplacian\nd = 1\n"
         "[grid]\nr_half = 48.0\nn = 4096\nr_min = -2.8\nr_max = 0.5\nn_r = 529\nn_theta = 256\n"
         "[tolerances]\nxray = 1e-9\nweight = 0.0\ns = 0.5\nwindow_lo = -10\nwindow_hi = 10\n"
@@ -430,7 +451,7 @@ def test_tensor_file_mode_without_a_file_is_invalid_input(tmp_path, capsys):
 def test_config_naming_the_cusp_width_is_invalid(tmp_path, capsys):
     # the chart fixes the cusp width to 1, so the key is unknown
     path = tmp_path / "width.ini"
-    path.write_text("[surface]\npreset = punctured-torus\ncusp_width = 1.0\nmax_word_len = 2\n")
+    path.write_text("[surface]\ncusp_width = 1.0\nmax_word_len = 2\n")
     code = main(["geodesics", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "cusp_width" in capsys.readouterr().err
@@ -471,7 +492,11 @@ def _config_with(tmp_path, section, key, value):
     return path
 
 
-@pytest.mark.parametrize("section, key", [("tolerances", "solver"), ("xray", "seed")])
+# a [surface] preset could only name the punctured torus, which a config
+# without generators gets
+@pytest.mark.parametrize(
+    "section, key", [("tolerances", "solver"), ("xray", "seed"), ("surface", "preset")]
+)
 def test_keys_nothing_reads_are_rejected(tmp_path, section, key):
     path = _config_with(tmp_path, section, key, "3")
     assert main(["roots", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -570,7 +595,7 @@ def test_tensor_header_mismatch_is_invalid_input(tmp_path, edit):
     from cusplab.runio import save_tensor
     from cusplab.tensorfield import SymTensorField
 
-    save_tensor(tmp_path / "t", SymTensorField.zeros(ChartGrid(-2.8, 0.5, 257, 128), 2))
+    save_tensor(tmp_path / "t", SymTensorField(ChartGrid(-2.8, 0.5, 257, 128), np.zeros((3, 257, 128))))
     header = json.loads((tmp_path / "t.json").read_text())
     # None drops the key
     edited = {k: v for k, v in {**header, **edit}.items() if v is not None}
@@ -595,7 +620,7 @@ def test_tensor_file_with_non_finite_values_is_invalid_input(tmp_path, capsys, c
     comps = SymTensorField.metric(grid).comps
     comps[0, 25:55] = np.nan
     comps[1, 3, 5] = np.inf
-    save_tensor(tmp_path / "t", SymTensorField(grid, 2, comps))
+    save_tensor(tmp_path / "t", SymTensorField(grid, comps))
     cfg = tmp_path / "t.ini"
     cfg.write_text(
         BASE_CONFIG + f"\n[xray]\nmode = tensor-file\ntensor_file = {tmp_path / 't'}\nclass_cap = 5\n"
@@ -641,13 +666,18 @@ def test_xray_potential_subcommand_writes_the_first_forms_rows(tmp_path):
     assert (out / "xray.csv").read_bytes() == ref.read_bytes()
 
 
-@pytest.mark.parametrize("mode", ["potential", "probe"])
+@pytest.mark.parametrize("mode", ["potential", "probe", "metric", "tensor-file"])
 def test_surface_with_no_hyperbolic_class_is_invalid_input(tmp_path, capsys, mode):
+    from cusplab.chart import ChartGrid
+    from cusplab.runio import save_tensor
+    from cusplab.tensorfield import SymTensorField
+
     # one parabolic generator: every word is parabolic, so no class to X-ray
+    save_tensor(tmp_path / "t", SymTensorField.metric(ChartGrid(-2.8, 0.5, 257, 128)))
     cfg = tmp_path / "parabolic.ini"
     cfg.write_text(
-        BASE_CONFIG.replace("preset = punctured-torus", "generators = 1 1 0 1")
-        + f"\n[xray]\nmode = {mode}\n"
+        BASE_CONFIG.replace("[surface]\n", "[surface]\ngenerators = 1 1 0 1\n")
+        + f"\n[xray]\nmode = {mode}\ntensor_file = {tmp_path / 't'}\n"
     )
     assert main(["xray", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "closed geodesic" in capsys.readouterr().err

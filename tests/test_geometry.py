@@ -216,7 +216,7 @@ def test_parabolic_class_excluded():
     geos = enumerate_hyperbolic_classes(TORUS, 4)
     assert "abAB" not in {g.word for g in geos}
     with pytest.raises(InvalidInputError):
-        ClosedGeodesic.from_matrix("abAB", TORUS.word_matrix("abAB"))
+        ClosedGeodesic("abAB", TORUS.word_matrix("abAB"))
 
 
 def test_enumeration_count_covers_fifty_classes_at_length_six():
@@ -276,7 +276,7 @@ def test_arc_length_property_between_parameters():
 def test_arc_against_runge_kutta_geodesic_oracle():
     # integrate the geodesic ODE x'' = 2 x' y'/y, y'' = (y'^2 - x'^2)/y
     # from the base point with the arc's initial tangent
-    g = ClosedGeodesic.from_matrix("ab", TORUS.word_matrix("ab"))
+    g = ClosedGeodesic("ab", TORUS.word_matrix("ab"))
     z0, v0 = g.arc(0.0)
     state = np.array([z0.real, z0.imag, v0.real, v0.imag], dtype=float)
 
@@ -298,10 +298,10 @@ def test_arc_against_runge_kutta_geodesic_oracle():
 
 
 def test_public_constructor_gives_the_same_arc():
-    # arc needs only the public fields: the axis comes from axis_endpoints
+    # arc needs only the public fields: the axis comes from the matrix
     g = enumerate_hyperbolic_classes(TORUS, 2)[-1]
     ts = np.linspace(0.0, g.length, 33)
-    rebuilt = ClosedGeodesic(g.word, g.matrix, g.length, g.axis_endpoints)
+    rebuilt = ClosedGeodesic(g.word, g.matrix)
     for got, want in zip(rebuilt.arc(ts), g.arc(ts)):
         assert np.array_equal(got, want)
 

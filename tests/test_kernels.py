@@ -100,8 +100,8 @@ def random_upper_points(n):
 
 def grid_field(comps, r_max):
     """The component grid as a tensor field on the chart [0, r_max] x R/Z."""
-    ncomp, rn, tn = comps.shape
-    return SymTensorField(ChartGrid(0.0, r_max, rn, tn), ncomp - 1, comps)
+    _, rn, tn = comps.shape
+    return SymTensorField(ChartGrid(0.0, r_max, rn, tn), comps)
 
 
 def assert_bitwise(got, want):

@@ -80,7 +80,7 @@ def test_derivative_of_growing_slice_form_hits_cross_term():
 
 
 def test_derivative_of_zero_is_zero():
-    p = SymTensorField.zeros(GRID, 1)
+    p = SymTensorField(GRID, np.zeros((2, GRID.n_r, GRID.n_theta)))
     assert sym_derivative(p).sup_norm() == 0.0
 
 
@@ -109,6 +109,15 @@ def test_laplacian_matches_divergence_of_derivative():
 def test_grid_too_coarse_rejected():
     with pytest.raises(InvalidInputError):
         ChartGrid(0.0, 3.0, 4, 64)
+
+
+def test_order_is_read_off_the_components():
+    for ncomp in (1, 2, 3):
+        assert SymTensorField(GRID, np.zeros((ncomp, GRID.n_r, GRID.n_theta))).order == ncomp - 1
+    n_r, n_t = GRID.n_r, GRID.n_theta
+    for shape in [(0, n_r, n_t), (4, n_r, n_t), (3, n_r, n_t + 1), (n_r, n_t)]:
+        with pytest.raises(InvalidInputError, match="component array"):
+            SymTensorField(GRID, np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +157,11 @@ def test_adjointness_residual_second_order():
 
 
 def test_divergence_of_zero_and_bad_order():
-    z = SymTensorField.zeros(GRID, 2)
+    z = SymTensorField(GRID, np.zeros((3, GRID.n_r, GRID.n_theta)))
     assert divergence(z).sup_norm() == 0.0
     for order in (0, 1):
         with pytest.raises(InvalidInputError, match="2-tensors"):
-            divergence(SymTensorField.zeros(GRID, order))
+            divergence(SymTensorField(GRID, np.zeros((order + 1, GRID.n_r, GRID.n_theta))))
 
 
 def test_divergence_model_closed_form():
@@ -160,7 +169,7 @@ def test_divergence_model_closed_form():
     lam, s0, t0, x0 = 0.6, 1.0, -0.7, 0.4
     er = np.exp(lam * GRID.r)[:, None]
     ones = np.ones((GRID.n_r, GRID.n_theta))
-    f = SymTensorField(GRID, 2, np.stack([s0 * er * ones, t0 * er * ones, x0 * er * ones]))
+    f = SymTensorField(GRID, np.stack([s0 * er * ones, t0 * er * ones, x0 * er * ones]))
     got = divergence(f)
     want_a = ((lam - 1.0) * s0 + t0) * er * ones
     want_b = (lam - 2.0) * x0 * er * ones
@@ -199,6 +208,21 @@ def test_projection_orthogonality():
     _, f = _bump_pair(grid, 11)
     _, _, info = solenoidal_project(f)
     assert info["orthogonality"] <= 1e-12
+
+
+def test_decomposition_residual_reads_the_solves_own_matrices(monkeypatch):
+    # D1 scaled by 1.001 leaves the normal equations consistent, so the solve
+    # converges; only the grid derivative now disagrees with its matrices
+    from cusplab import tensorfield
+
+    grid = ChartGrid(0.0, 3.0, 129, 64)
+    _, _, info = solenoidal_project(_projection_test_field(grid))
+    assert info["decomposition_residual"] <= 1e-14
+    d0, d1 = _mode_derivative(grid)
+    monkeypatch.setattr(tensorfield, "_mode_derivative", lambda g: (d0, 1.001 * d1))
+    _, _, info = solenoidal_project(_projection_test_field(grid))
+    assert info["solve_residual"] <= 1e-12
+    assert info["decomposition_residual"] > 1e-4
 
 
 def test_projection_divergence_residual_decays_order_two():
@@ -259,7 +283,7 @@ def test_mode_matrices_apply_the_grid_derivative(shape):
     grid = ChartGrid(0.0, 3.0, *shape)
     comps = np.random.default_rng(5).normal(size=(2, *shape))
     comps[:, [0, -1]] = 0.0
-    u = SymTensorField(grid, 1, comps)
+    u = SymTensorField(grid, comps)
     d0, d1 = _mode_derivative(grid)
     assert d0.shape == d1.shape == (3 * grid.n_r, 2 * (grid.n_r - 2))
     xis = grid.theta_frequencies()
@@ -362,7 +386,8 @@ def _sparse_least_squares(f, grid):
 def test_banded_mode_solves_match_sparse_reference(shape):
     grid = ChartGrid(0.0, 3.0, *shape)
     _, f = _bump_pair(grid, 11)
-    sol_hat, residual = _solve_modes_least_squares(f, grid)
+    u, _, residual = _solve_modes_least_squares(f, grid)
+    sol_hat = np.fft.rfft(u.comps, axis=2)
     want = _sparse_least_squares(f, grid)[:, :, : grid.n_theta // 2 + 1]
     assert residual <= 1e-12
     assert np.linalg.norm(sol_hat - want) <= 1e-10 * np.linalg.norm(want)
@@ -391,7 +416,7 @@ def test_projection_of_non_finite_field_fails_with_mode():
     comps = f.comps.copy()
     comps[0, 30, 3] = np.nan
     with pytest.raises(NumericFailureError) as err:
-        solenoidal_project(SymTensorField(grid, 2, comps))
+        solenoidal_project(SymTensorField(grid, comps))
     assert err.value.diagnostics == {"mode": 0}
 
 
@@ -402,7 +427,7 @@ def test_support_margin_counts_non_finite_cells_as_support(cell, margin):
     assert f.support_margin() == 12
     comps = f.comps.copy()
     comps[0, cell, 3] = np.nan
-    assert SymTensorField(grid, 2, comps).support_margin() == margin
+    assert SymTensorField(grid, comps).support_margin() == margin
 
 
 @pytest.mark.parametrize("cell", [0, 62])
@@ -412,7 +437,7 @@ def test_projection_rejects_non_finite_value_near_the_boundary(cell):
     comps = f.comps.copy()
     comps[0, cell, 3] = np.nan
     with pytest.raises(InvalidInputError):
-        solenoidal_project(SymTensorField(grid, 2, comps))
+        solenoidal_project(SymTensorField(grid, comps))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +458,7 @@ def test_pullback_of_metric_is_one():
 def test_pullback_vertical_square_on_horizontal_vanishes():
     c = np.zeros((3, GRID.n_r, GRID.n_theta))
     c[0] = 1.0  # the vertical-coframe square
-    f = SymTensorField(GRID, 2, c)
+    f = SymTensorField(GRID, c)
     vals = f.pullback(np.array([1.5]), np.array([0.3]), np.array([0.0]), np.array([1.0]))
     assert abs(vals[0]) < 1e-12
 
@@ -655,7 +680,7 @@ def test_spectral_derivatives_of_a_band_limited_trig_are_exact(shape):
 
 def test_linearity_of_interpolation_and_norms():
     _, f = _bump_pair(GRID, 2)
-    g = SymTensorField(GRID, 2, 2.5 * f.comps)
+    g = SymTensorField(GRID, 2.5 * f.comps)
     assert abs(l2_norm(g) - 2.5 * l2_norm(f)) < 1e-12 * l2_norm(g)
     r = np.array([1.2, 1.7])
     t = np.array([0.42, 0.61])

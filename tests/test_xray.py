@@ -57,7 +57,7 @@ def test_metric_pulls_back_to_one_on_every_class():
 
 
 def test_zero_tensor_gives_zero():
-    z = SymTensorField.zeros(GRID, 2)
+    z = SymTensorField(GRID, np.zeros((3, GRID.n_r, GRID.n_theta)))
     for geo in CLASSES[:5]:
         assert xray_eval(TORUS, z, geo, tol=1e-10).value == 0.0
 
@@ -83,11 +83,11 @@ def test_unconverged_result_is_last_level_against_the_one_below(monkeypatch):
     res = xray_eval(TORUS, f, geo, tol=1e-15, sampler=sampler, strict=False)
     totals = []
     for level in (1, 2):
-        ts, ws, frame = sampler.quadrature(level)
+        ws, frame = sampler.quadrature(level)
         totals.append(float(np.dot(ws, f.pullback(*frame))) / geo.length)
     assert res.value == totals[1]
     assert res.error_estimate == abs(totals[1] - totals[0]) > 1e-6
-    assert res.nodes_used == ts.size
+    assert res.nodes_used == ws.size
 
 
 def test_refinement_against_dense_trapezoid_oracle():
@@ -116,9 +116,9 @@ def test_refinement_against_dense_trapezoid_oracle():
 def test_linearity_at_fixed_quadrature_nodes():
     f = bump_two_tensor()
     g = SymTensorField.metric(GRID)
-    combo = SymTensorField(GRID, 2, 2.0 * f.comps + 3.0 * g.comps)
+    combo = SymTensorField(GRID, 2.0 * f.comps + 3.0 * g.comps)
     sampler = ArcSampler(TORUS, CLASSES[2])
-    ts, ws, frame = sampler.quadrature(3)
+    ws, frame = sampler.quadrature(3)
     vf = np.dot(ws, f.pullback(*frame))
     vg = np.dot(ws, g.pullback(*frame))
     vc = np.dot(ws, combo.pullback(*frame))
@@ -126,8 +126,8 @@ def test_linearity_at_fixed_quadrature_nodes():
 
 
 def test_reparametrization_invariance_under_word_rotation():
-    geo1 = ClosedGeodesic.from_matrix("aab", TORUS.word_matrix("aab"))
-    rotated = ClosedGeodesic.from_matrix("aba", TORUS.word_matrix("aba"))
+    geo1 = ClosedGeodesic("aab", TORUS.word_matrix("aab"))
+    rotated = ClosedGeodesic("aba", TORUS.word_matrix("aba"))
     f = bump_two_tensor()
     v1 = xray_eval(TORUS, f, geo1, tol=1e-10)
     v2 = xray_eval(TORUS, f, rotated, tol=1e-10)
@@ -136,9 +136,9 @@ def test_reparametrization_invariance_under_word_rotation():
 
 def test_orientation_parity():
     # abaBAb meets both supports, so the parities compare nonzero values
-    geo = ClosedGeodesic.from_matrix("abaBAb", TORUS.word_matrix("abaBAb"))
+    geo = ClosedGeodesic("abaBAb", TORUS.word_matrix("abaBAb"))
     inverse = invert_word("abaBAb")
-    rev = ClosedGeodesic.from_matrix(inverse, TORUS.word_matrix(inverse))
+    rev = ClosedGeodesic(inverse, TORUS.word_matrix(inverse))
     one_form = random_bump_one_form(2, center=BUMP_CENTER, r_width=0.45, t_width=0.14)
     f2 = bump_two_tensor()
     v1 = xray_eval(TORUS, one_form, geo, tol=1e-11)
@@ -245,7 +245,7 @@ def test_probe_flags_potential_as_inconclusive():
 
 
 def test_probe_zero_field_all_zero():
-    z = SymTensorField.zeros(GRID, 2)
+    z = SymTensorField(GRID, np.zeros((3, GRID.n_r, GRID.n_theta)))
     rep = solenoidal_probe(TORUS, z, CLASSES[:5], tol=1e-8)
     assert all(r.value == 0.0 for r in rep["results"])
     assert rep["flag"] == "inconclusive-potential-like"
