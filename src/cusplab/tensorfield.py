@@ -400,20 +400,18 @@ def _solve_modes_least_squares(f, grid):
     systems = [a0 @ d0, a0 @ d1 - a1 @ d0, -(a1 @ d1)]
     # f is real, so mode -xi is the conjugate of mode xi: every mode xi >= 0
     # takes its right-hand side D(xi)^H W f_hat from one sparse product
-    f_hat = np.fft.rfft(f.comps, axis=2).reshape(3 * n, -1)
     xis = grid.theta_frequencies()
     if grid.n_theta % 2 == 0:
         xis[-1] = 0.0  # the theta-derivative of a real field drops its Nyquist mode
-    both = sp.vstack([a0, a1]) @ f_hat
+    both = sp.vstack([a0, a1]) @ np.fft.rfft(f.comps, axis=2).reshape(3 * n, -1)
     rhs = both[:m] - 1j * xis * both[m:]
     sol = _solve_banded_modes([_band_storage(s) for s in systems], rhs, xis)
     # every mode's residual from one product of each system with all modes
-    n0, n1, n2 = (s @ sol for s in systems)
-    misfit = np.linalg.norm(n0 + 1j * xis * n1 - xis * xis * n2 - rhs, axis=0)
+    misfit = systems[0] @ sol + 1j * xis * (systems[1] @ sol) - xis * xis * (systems[2] @ sol)
+    misfit = np.linalg.norm(misfit - rhs, axis=0)
     residual = np.max(misfit / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300))
-    sol_hat = np.zeros((2, n, xis.size), dtype=complex)
-    sol_hat[:, 1:-1, :] = sol.reshape(n - 2, 2, xis.size).transpose(1, 0, 2)
-    u = np.fft.irfft(sol_hat, n=grid.n_theta, axis=2)
+    u = np.zeros((2, n, grid.n_theta))
+    u[:, 1:-1] = np.fft.irfft(sol.reshape(n - 2, 2, -1).transpose(1, 0, 2), n=grid.n_theta, axis=2)
     # D u from the modes of u's samples, the grid derivative's own input
     u_hat = np.fft.rfft(u[:, 1:-1], axis=2).transpose(1, 0, 2).reshape(m, -1)
     du_hat = (d0 @ u_hat + 1j * xis * (d1 @ u_hat)).reshape(3, n, -1)
