@@ -414,8 +414,10 @@ def _solve_modes_least_squares(f, grid):
     u[:, 1:-1] = np.fft.irfft(sol.reshape(n - 2, 2, -1).transpose(1, 0, 2), n=grid.n_theta, axis=2)
     # D u from the modes of u's samples, the grid derivative's own input
     u_hat = np.fft.rfft(u[:, 1:-1], axis=2).transpose(1, 0, 2).reshape(m, -1)
-    du_hat = (d0 @ u_hat + 1j * xis * (d1 @ u_hat)).reshape(3, n, -1)
-    du = np.fft.irfft(du_hat, n=grid.n_theta, axis=2)
+    du_hat = d1 @ u_hat
+    du_hat *= 1j * xis
+    du_hat += d0 @ u_hat
+    du = np.fft.irfft(du_hat.reshape(3, n, -1), n=grid.n_theta, axis=2)
     return SymTensorField(grid, u), SymTensorField(grid, du), residual
 
 
