@@ -162,14 +162,13 @@ def punctured_torus():
 
 @dataclass(frozen=True)
 class ClosedGeodesic:
-    """The geodesic representative of a hyperbolic free homotopy class, read
-    off the word's matrix; one that is not hyperbolic raises InvalidInputError."""
+    """Closed geodesic of a hyperbolic free homotopy class, read off its word's matrix."""
 
     word: str
     matrix: MobiusMap
 
     def __post_init__(self):
-        self.length, self.axis_endpoints  # evaluated now, so a bad matrix fails here
+        self.length, self.axis_endpoints  # evaluated now: a non-hyperbolic matrix raises here
 
     @cached_property
     def length(self):

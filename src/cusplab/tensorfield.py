@@ -464,12 +464,14 @@ def solenoidal_project(f, support_margin=5, adjoint="exact"):
     du = sym_derivative(u_field, method="fd")
     f_s = f - du
     norm_f = l2_norm(f)
+    decomposition = l2_norm(f - f_s - du_modes) / norm_f if norm_f else 0.0
+    del du_modes  # held through the fd4 divergence below, it would raise the memory peak
     div_check = divergence(f_s, method="fd4")
     denom = max(l2_norm(f_s) * l2_norm(du), 1e-300)
     info = {
         "solve_residual": float(residual),
         "divergence_residual": l2_norm(div_check) / norm_f if norm_f else 0.0,
-        "decomposition_residual": l2_norm(f - f_s - du_modes) / norm_f if norm_f else 0.0,
+        "decomposition_residual": decomposition,
         "orthogonality": abs(l2_inner(f_s, du)) / denom,
     }
     if info["solve_residual"] > 1e-8:
