@@ -225,9 +225,9 @@ def save_tensor(path_base, field):
 
 
 def load_tensor(path_base):
-    """Read a tensor written by save_tensor; a header that does not match
-    the package's orders or the binary's size, or a NaN or infinite value,
-    is invalid input."""
+    """Read a tensor written by save_tensor; a header whose order or grid
+    size is not a JSON integer or does not match the package's orders or the
+    binary's size, or a NaN or infinite value, is invalid input."""
     base = Path(path_base)
     try:
         header = json.loads(base.with_suffix(".json").read_text())
@@ -236,10 +236,13 @@ def load_tensor(path_base):
         spec = [header[k] for k in ("r_min", "r_max", "n_r", "n_theta")]
     except (OSError, ValueError, KeyError) as exc:  # missing file, bad JSON, missing key
         raise InvalidInputError(f"cannot read tensor file {base}: {exc!r}") from None
+    for key, value in (("order", order), ("n_r", spec[2]), ("n_theta", spec[3])):
+        if type(value) is not int:  # a JSON integer: not a float, not a boolean
+            raise InvalidInputError(f"tensor header {key} {value!r} is not an integer")
     if order not in (0, 1, 2):
         raise InvalidInputError(f"tensor order {order!r} is not one of [0, 1, 2]")
     grid = ChartGrid(*spec)
-    shape = (int(order) + 1, grid.n_r, grid.n_theta)
+    shape = (order + 1, grid.n_r, grid.n_theta)
     if data.size != math.prod(shape):
         raise InvalidInputError(
             f"{base.with_suffix('.bin')} holds {data.size} values; "

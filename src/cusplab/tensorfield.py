@@ -233,20 +233,38 @@ def _dr_fd4(arr, dr):
     return out
 
 
+# A line that is 0 everywhere transforms to exactly +0, so the spectral
+# derivatives transform only the lines that hold a nonzero (NaN and inf
+# count as nonzero) and leave the others 0.
+
+
 def _dr_spectral(arr, grid):
     n = grid.n_r - 1
     xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.dr)
+    head = arr[..., :-1, :]
+    cols = np.flatnonzero(np.any(head != 0, axis=tuple(range(head.ndim - 1))))
     # irfft drops the Nyquist bin's imaginary part: that mode differentiates to 0
-    spec = np.fft.rfft(arr[..., :-1, :], axis=-2) * (1j * xi)[:, None]
-    out = np.empty_like(arr)
-    out[..., :-1, :] = np.fft.irfft(spec, n=n, axis=-2)
+    spec = np.fft.rfft(head[..., cols], axis=-2) * (1j * xi)[:, None]
+    out = np.zeros_like(arr)
+    out[..., :-1, cols] = np.fft.irfft(spec, n=n, axis=-2)
     out[..., -1, :] = out[..., 0, :]
     return out
 
 
 def _dtheta(arr, grid):
-    spec = np.fft.rfft(arr, axis=-1) * (1j * grid.theta_frequencies())
-    return np.fft.irfft(spec, n=grid.n_theta, axis=-1)
+    # one view of the rows from the first holding a nonzero to the last;
+    # a dense field's block is the whole array, returned as transformed
+    rows = np.flatnonzero(np.any(arr != 0, axis=-1).reshape(-1, arr.shape[-2]).any(axis=0))
+    if rows.size == 0:
+        return np.zeros(arr.shape)
+    block = slice(rows[0], rows[-1] + 1)
+    spec = np.fft.rfft(arr[..., block, :], axis=-1) * (1j * grid.theta_frequencies())
+    d_block = np.fft.irfft(spec, n=grid.n_theta, axis=-1)
+    if d_block.shape == arr.shape:
+        return d_block
+    out = np.zeros(arr.shape)
+    out[..., block, :] = d_block
+    return out
 
 
 def _dr(arr, grid, method):
@@ -366,22 +384,30 @@ def _band_storage(m):
 
 
 def _solve_banded_modes(parts, rhs, xis):
-    """Solve (B0 + i xi B1 - xi^2 B2) u = rhs[:, k] for each theta mode k,
-    one banded LAPACK solve per mode; ``parts`` are the band-stored B0, B1,
-    B2.  Returns the solutions, column k for mode k."""
-    from scipy.linalg import solve_banded
+    """Solve (B0 + i xi B1 - xi^2 B2) u = rhs[:, k] for each theta mode k
+    with LAPACK's banded gbsv, fetched once: each mode fills one reused band
+    buffer and solves its right-hand side as a contiguous row.  ``parts``
+    are the band-stored B0, B1, B2.  A mode whose matrix or right-hand side
+    is not finite, or whose matrix is singular, raises with its number.
+    Returns the solutions, column k for mode k."""
+    from scipy.linalg import get_lapack_funcs
 
+    (gbsv,) = get_lapack_funcs(("gbsv",), dtype=complex)
     b0, b1, b2 = parts
-    sol = np.empty(rhs.shape, dtype=complex)
+    half = _HALF_BAND
+    # gbsv takes the band in rows half.. and writes the LU fill-in above it
+    band = np.empty((3 * half + 1, rhs.shape[0]), dtype=complex)
+    sol = rhs.T.copy()  # row k: mode k's right-hand side, then its solution
     for k, xi in enumerate(xis):
-        ab = b0 + (1j * xi) * b1 - (xi * xi) * b2
-        try:
-            sol[:, k] = solve_banded((_HALF_BAND, _HALF_BAND), ab, rhs[:, k])
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise NumericFailureError(
-                f"banded solve failed on theta mode {k}", {"mode": k}
-            ) from exc
-    return sol
+        band[:half] = 0.0
+        band[half:] = b0 + (1j * xi) * b1 - (xi * xi) * b2
+        finite = np.isfinite(band).all() and np.isfinite(sol[k]).all()
+        if finite:
+            _, _, x, info = gbsv(half, half, band, sol[k], overwrite_ab=True, overwrite_b=True)
+        if not finite or info != 0:
+            raise NumericFailureError(f"banded solve failed on theta mode {k}", {"mode": k})
+        sol[k] = x
+    return sol.T
 
 
 def _solve_modes_least_squares(f, grid):
@@ -438,8 +464,9 @@ def solenoidal_project(f, support_margin=5, adjoint="exact"):
     enters only through i xi e^r, so every mode's system is B0 + i xi B1 -
     xi^2 B2 with real, mode-independent parts, assembled once per call with
     the unknowns interleaved as (a_i, b_i) pairs (half-bandwidth 4) and
-    stored in LAPACK band form; each mode then takes one ``solve_banded``
-    call, and one product of each part with all modes gives the residuals.
+    stored in LAPACK band form; each mode then takes one call of LAPACK's
+    ``gbsv`` on a reused band buffer, and one product of each part with all
+    modes gives the residuals.
     ``adjoint`` names this route and accepts only "exact"; it remains for
     callers that still pass it.
 

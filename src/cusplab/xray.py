@@ -3,9 +3,12 @@
 Closed geodesics are integrated by adaptive composite Gauss-Legendre
 quadrature; each node is reduced to the Dirichlet fundamental domain, its
 unit tangent pushed along the reducing deck map, and the tensor's pullback
-evaluated there.  Each tensor type supplies ``pullback(r, theta, p_hat,
-q_hat)``: grid fields by quintic interpolation behind their coverage guard,
-analytic fields in closed form.  Values are normalized by the class length.
+evaluated there.  The reduced nodes depend only on the class and the
+surface, so each geodesic keeps one ``ArcSampler`` per surface and every
+transform of that class (grid, closed-form, metric) reads the same nodes.
+Each tensor type supplies ``pullback(r, theta, p_hat, q_hat)``: grid
+fields by quintic interpolation behind their coverage guard, analytic
+fields in closed form.  Values are normalized by the class length.
 """
 
 from dataclasses import dataclass
@@ -39,6 +42,9 @@ class ArcSampler:
     Level L splits [0, length] into panels of roughly unit hyperbolic
     length, halved L times, with 8-point Gauss-Legendre nodes per panel; a
     level keeps the weights and the reduced chart frame a pullback reads.
+    ``ArcSampler.of`` gives the geodesic's one sampler on a surface, so a
+    level is reduced once per (surface, geodesic) object and its nodes live
+    as long as that geodesic.
     """
 
     def __init__(self, surface, geodesic):
@@ -46,6 +52,16 @@ class ArcSampler:
         self.geodesic = geodesic
         self.base_panels = max(4, int(np.ceil(geodesic.length / 0.75)))
         self._cache = {}
+
+    @classmethod
+    def of(cls, surface, geodesic):
+        """The sampler kept with ``geodesic`` for ``surface``, made on first
+        use.  The entry is keyed by the surface's id and holds the surface,
+        so the id cannot pass to another surface while the entry lives."""
+        samplers = geodesic.samplers
+        if id(surface) not in samplers:
+            samplers[id(surface)] = cls(surface, geodesic)
+        return samplers[id(surface)]
 
     def quadrature(self, level):
         if level in self._cache:
@@ -71,10 +87,11 @@ class ArcSampler:
         return self._cache[level]
 
 
-def xray_eval(surface, tensor, geodesic, tol, sampler=None, strict=True):
+def xray_eval(surface, tensor, geodesic, tol, strict=True):
     """Normalized X-ray transform of a tensor over one closed geodesic.
 
-    Refines the composite quadrature until two consecutive levels differ by
+    Refines the composite quadrature, on the nodes the geodesic keeps for
+    this surface (``ArcSampler.of``), until two consecutive levels differ by
     at most tol/2; the reported error estimate is that difference.  Without
     ``strict``, an unconverged run returns the ``_MAX_LEVEL`` value with the
     difference from the level below as its error estimate.
@@ -83,7 +100,7 @@ def xray_eval(surface, tensor, geodesic, tol, sampler=None, strict=True):
         raise InvalidInputError(f"tolerance must be positive and finite, got {tol}")
     if not isinstance(tensor, (SymTensorField, AnalyticSymTensor, AnalyticOneForm)):
         raise InvalidInputError(f"unsupported tensor type {type(tensor).__name__}")
-    sampler = sampler or ArcSampler(surface, geodesic)
+    sampler = ArcSampler.of(surface, geodesic)
     prev = None
     for level in range(_MAX_LEVEL + 1):
         ws, frame = sampler.quadrature(level)
@@ -123,7 +140,6 @@ def potential_annihilation_suite(surface, one_forms, geodesics, tol, path, grid=
     """
     if not one_forms or not geodesics:
         raise InvalidInputError("need at least one 1-form and one closed geodesic")
-    samplers = {g.word: ArcSampler(surface, g) for g in geodesics}
     per_form, results = [], []
     for p in one_forms:
         if path == "symbolic":
@@ -137,10 +153,7 @@ def potential_annihilation_suite(surface, one_forms, geodesics, tol, path, grid=
             sup_p = max(sampled.sup_norm(), 1e-300)
         else:
             raise InvalidInputError("path must be 'symbolic' or 'grid'")
-        values = [
-            xray_eval(surface, dp, geo, tol=tol, sampler=samplers[geo.word], strict=True)
-            for geo in geodesics
-        ]
+        values = [xray_eval(surface, dp, geo, tol=tol, strict=True) for geo in geodesics]
         m = max(abs(r.value) for r in values) / sup_p
         results.append(values)
         per_form.append({"max_normalized_value": m, "sup_norm": sup_p, "classes": len(values)})

@@ -11,7 +11,7 @@ import pkgutil
 import cusplab
 from cusplab import runio
 
-SETTABLE_VALUES = 77
+SETTABLE_VALUES = 76
 
 
 def _defaulted(fn):

@@ -609,6 +609,26 @@ def test_tensor_header_mismatch_is_invalid_input(tmp_path, edit):
     assert main(["xray", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [{"order": True}, {"order": 2.0}, {"n_r": 257.0}, {"n_theta": 128.0}],
+    ids=["order-true", "order-float", "n_r-float", "n_theta-float"],
+)
+def test_tensor_header_order_and_sizes_must_be_json_integers(tmp_path, edit):
+    from cusplab.chart import ChartGrid
+    from cusplab.errors import InvalidInputError
+    from cusplab.runio import save_tensor
+    from cusplab.tensorfield import SymTensorField
+
+    # order true once loaded a 2-tensor's data as a 1-form, order 2.0 was
+    # accepted, and a float size died with a TypeError in reshape
+    save_tensor(tmp_path / "t", SymTensorField(ChartGrid(-2.8, 0.5, 257, 128), np.zeros((2, 257, 128))))
+    header = json.loads((tmp_path / "t.json").read_text())
+    (tmp_path / "t.json").write_text(json.dumps({**header, **edit}))
+    with pytest.raises(InvalidInputError, match="is not an integer"):
+        load_tensor(tmp_path / "t")
+
+
 @pytest.mark.parametrize("cmd", ["xray", "decompose"])
 def test_tensor_file_with_non_finite_values_is_invalid_input(tmp_path, capsys, cmd):
     from cusplab.chart import ChartGrid

@@ -678,6 +678,57 @@ def test_spectral_derivatives_of_a_band_limited_trig_are_exact(shape):
     assert np.max(np.abs(_dr_spectral(val, grid) - d_r)) <= 1e-10 * np.max(np.abs(d_r))
 
 
+def _dtheta_full(arr, grid):
+    spec = np.fft.rfft(arr, axis=-1) * (1j * grid.theta_frequencies())
+    return np.fft.irfft(spec, n=grid.n_theta, axis=-1)
+
+
+def _dr_spectral_full(arr, grid):
+    n = grid.n_r - 1
+    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.dr)
+    out = np.empty_like(arr)
+    spec = np.fft.rfft(arr[..., :-1, :], axis=-2) * (1j * xi)[:, None]
+    out[..., :-1, :] = np.fft.irfft(spec, n=n, axis=-2)
+    out[..., -1, :] = out[..., 0, :]
+    return out
+
+
+def _sparse_lines_field(grid):
+    """Nonzeros on rows 20-29 and 35-44 (rows 30-34 empty inside the block)
+    and on theta columns 0-5 and the last 4, so the empty columns lie
+    between the support's two pieces across theta = 0."""
+    arr = np.zeros((grid.n_r, grid.n_theta))
+    rng = np.random.default_rng(41)
+    for rows in (slice(20, 30), slice(35, 45)):
+        arr[rows, :6] = rng.normal(size=(10, 6))
+        arr[rows, -4:] = rng.normal(size=(10, 4))
+    return arr
+
+
+@pytest.mark.parametrize("shape", [(65, 32), (66, 33)])
+def test_spectral_derivatives_on_sparse_lines_match_full_transforms(shape):
+    grid = ChartGrid(-1.0, 2.0, *shape)
+    sparse = _sparse_lines_field(grid)
+    dense = np.random.default_rng(7).normal(size=shape)
+    for arr in (sparse, dense, np.zeros(shape), np.stack([sparse, 0.0 * sparse])):
+        assert _dtheta(arr, grid).tobytes() == _dtheta_full(arr, grid).tobytes()
+        assert _dr_spectral(arr, grid).tobytes() == _dr_spectral_full(arr, grid).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_value_on_an_empty_line_reaches_its_derivative(bad):
+    grid = ChartGrid(-1.0, 2.0, 65, 32)
+    arr = _sparse_lines_field(grid)
+    arr[50, 12] = bad  # row 50 and column 12 hold nothing else
+    with np.errstate(invalid="ignore"):  # inf times a zero twiddle part
+        d_t, d_r = _dtheta(arr, grid), _dr_spectral(arr, grid)
+        want_t, want_r = _dtheta_full(arr, grid), _dr_spectral_full(arr, grid)
+    assert np.isnan(d_t[50]).all()
+    assert np.isnan(d_r[:, 12]).all()
+    assert d_t.tobytes() == want_t.tobytes()
+    assert d_r.tobytes() == want_r.tobytes()
+
+
 def test_linearity_of_interpolation_and_norms():
     _, f = _bump_pair(GRID, 2)
     g = SymTensorField(GRID, 2.5 * f.comps)

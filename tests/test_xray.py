@@ -78,9 +78,9 @@ def test_non_finite_tolerance_rejected(tol):
 def test_unconverged_result_is_last_level_against_the_one_below(monkeypatch):
     f = bump_two_tensor()
     geo = next(g for g in CLASSES if g.word == "abaBAb")  # meets the bump
-    sampler = ArcSampler(TORUS, geo)
     monkeypatch.setattr(xray, "_MAX_LEVEL", 2)
-    res = xray_eval(TORUS, f, geo, tol=1e-15, sampler=sampler, strict=False)
+    res = xray_eval(TORUS, f, geo, tol=1e-15, strict=False)
+    sampler = ArcSampler.of(TORUS, geo)  # the nodes xray_eval read
     totals = []
     for level in (1, 2):
         ws, frame = sampler.quadrature(level)
@@ -97,7 +97,6 @@ def test_refinement_against_dense_trapezoid_oracle():
     # independent oracle: plain trapezoid at ~10x the adaptive node count
     n = 10 * res.nodes_used
     ts = np.linspace(0.0, geo.length, n, endpoint=False)
-    sampler = ArcSampler(TORUS, geo)
     z, v = geo.arc(ts)
     zred, mats = reduce_points(TORUS, z)
     vred = v / (mats[:, 1, 0] * z + mats[:, 1, 1]) ** 2
@@ -276,3 +275,61 @@ def test_suite_returns_results_in_input_order():
     assert [r.class_word for r in res] == [g.word for g in geos]
     assert sum(r.value != 0.0 for r in res) >= 2
     assert res == [xray_eval(TORUS, f, g, tol=1e-8) for g in geos]
+
+
+# ---------------------------------------------------------------------------
+# one node set per (surface, class)
+# ---------------------------------------------------------------------------
+
+
+def _counting_reductions(monkeypatch):
+    """Record the point count of every reduce_points call the X-ray makes."""
+    calls = []
+
+    def counted(surface, zs):
+        calls.append(np.size(zs))
+        return reduce_points(surface, zs)
+
+    monkeypatch.setattr(xray, "reduce_points", counted)
+    return calls
+
+
+def _deepest_level(res, sampler):
+    # level L has 8 * base_panels * 2**L nodes
+    return int(np.log2(res.nodes_used // (8 * sampler.base_panels)))
+
+
+def test_grid_symbolic_and_metric_runs_reduce_each_class_level_once(monkeypatch):
+    # fresh objects, so no nodes yet: a class the bump misses and three it
+    # meets, on which the grid and the symbolic path refine to different depths
+    words = ("a", "abaBAb", "abABB", "aabAB")
+    geos = [g for g in enumerate_hyperbolic_classes(TORUS, 6) if g.word in words]
+    calls = _counting_reductions(monkeypatch)
+    forms = [random_bump_one_form(5, center=BUMP_CENTER, r_width=0.45, t_width=0.14)]
+    grid_rep = potential_annihilation_suite(TORUS, forms, geos, tol=1e-7, path="grid", grid=GRID)
+    sym_rep = potential_annihilation_suite(TORUS, forms, geos, tol=1e-9, path="symbolic")
+    metric = [xray_eval(TORUS, SymTensorField.metric(GRID), g, tol=1e-10) for g in geos]
+    # each run visits levels 0 .. its deepest, so a class needs its deepest level + 1
+    pairs = sum(
+        1 + max(_deepest_level(res, ArcSampler.of(TORUS, g)) for res in runs)
+        for g, *runs in zip(geos, grid_rep["results"][0], sym_rep["results"][0], metric)
+    )
+    assert len(calls) == pairs
+
+
+def test_hand_built_geodesic_and_second_surface_get_their_own_nodes(monkeypatch):
+    geo = enumerate_hyperbolic_classes(TORUS, 3)[0]
+    twin = ClosedGeodesic(geo.word, geo.matrix)
+    other = punctured_torus()
+    metric = SymTensorField.metric(GRID)
+    calls = _counting_reductions(monkeypatch)
+    first = xray_eval(TORUS, metric, geo, tol=1e-10)
+    per_run = len(calls)
+    assert xray_eval(TORUS, metric, geo, tol=1e-10) == first
+    assert len(calls) == per_run  # the same geodesic on the same surface: no new reduction
+    for surf, g in ((TORUS, twin), (other, geo)):
+        assert xray_eval(surf, metric, g, tol=1e-10) == first
+    assert len(calls) == 3 * per_run
+    assert ArcSampler.of(other, geo) is not ArcSampler.of(TORUS, geo)
+    assert ArcSampler.of(other, geo).surface is other
+    assert ArcSampler.of(TORUS, twin) is not ArcSampler.of(TORUS, geo)
