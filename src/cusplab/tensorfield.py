@@ -395,11 +395,11 @@ def _solve_banded_modes(parts, rhs, xis):
     (gbsv,) = get_lapack_funcs(("gbsv",), dtype=complex)
     b0, b1, b2 = parts
     half = _HALF_BAND
-    # gbsv takes the band in rows half.. and writes the LU fill-in above it
+    # gbsv reads the band from rows half.. and sets the LU fill-in rows above
+    # it itself, so they need no zeroing between modes
     band = np.empty((3 * half + 1, rhs.shape[0]), dtype=complex)
     sol = rhs.T.copy()  # row k: mode k's right-hand side, then its solution
     for k, xi in enumerate(xis):
-        band[:half] = 0.0
         band[half:] = b0 + (1j * xi) * b1 - (xi * xi) * b2
         finite = np.isfinite(band).all() and np.isfinite(sol[k]).all()
         if finite:
