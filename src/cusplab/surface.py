@@ -179,12 +179,6 @@ class ClosedGeodesic:
         return self.matrix.fixed_points()  # (repelling, attracting)
 
     @cached_property
-    def samplers(self):
-        """The X-ray layer's node caches on this geodesic, one
-        ``xray.ArcSampler`` per surface, keyed by the surface's id."""
-        return {}
-
-    @cached_property
     def _axis(self):
         return BoundaryGeodesic(*self.axis_endpoints)
 

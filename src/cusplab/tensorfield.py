@@ -395,13 +395,13 @@ def _solve_banded_modes(parts, rhs, xis):
     (gbsv,) = get_lapack_funcs(("gbsv",), dtype=complex)
     b0, b1, b2 = parts
     half = _HALF_BAND
-    # gbsv reads the band from rows half.. and sets the LU fill-in rows above
-    # it itself, so they need no zeroing between modes
-    band = np.empty((3 * half + 1, rhs.shape[0]), dtype=complex)
+    # Fortran order, so gbsv factors the buffer in place; it reads the band
+    # from rows half.. and writes the LU fill-in in the rows above
+    band = np.zeros((3 * half + 1, rhs.shape[0]), dtype=complex, order="F")
     sol = rhs.T.copy()  # row k: mode k's right-hand side, then its solution
     for k, xi in enumerate(xis):
         band[half:] = b0 + (1j * xi) * b1 - (xi * xi) * b2
-        finite = np.isfinite(band).all() and np.isfinite(sol[k]).all()
+        finite = np.isfinite(band[half:]).all() and np.isfinite(sol[k]).all()
         if finite:
             _, _, x, info = gbsv(half, half, band, sol[k], overwrite_ab=True, overwrite_b=True)
         if not finite or info != 0:

@@ -56,9 +56,11 @@ class ArcSampler:
     @classmethod
     def of(cls, surface, geodesic):
         """The sampler kept with ``geodesic`` for ``surface``, made on first
-        use.  The entry is keyed by the surface's id and holds the surface,
-        so the id cannot pass to another surface while the entry lives."""
-        samplers = geodesic.samplers
+        use.  The samplers sit in the geodesic's own attribute dict, as a
+        cached property's value would, so they live and die with that object;
+        each is keyed by the surface's id and holds the surface, so the id
+        cannot pass to another surface while the entry lives."""
+        samplers = vars(geodesic).setdefault("_arc_samplers", {})
         if id(surface) not in samplers:
             samplers[id(surface)] = cls(surface, geodesic)
         return samplers[id(surface)]

@@ -19,6 +19,7 @@ from cusplab.tensorfield import (
     _dr_spectral,
     _dtheta,
     _mode_derivative,
+    _solve_banded_modes,
     _solve_modes_least_squares,
     divergence,
     l2_inner,
@@ -408,6 +409,26 @@ def test_band_storage_round_trip_and_width_check():
         _band_storage(wide)
     with pytest.raises(ValueError, match="outside half-bandwidth"):
         _band_storage(wide.T)
+
+
+def test_banded_mode_solves_match_solve_banded_whatever_fresh_memory_holds(monkeypatch):
+    from scipy.linalg import solve_banded
+
+    rng = np.random.default_rng(8)
+    n, xis = 30, np.array([0.0, 1.0, -2.0, 5.0])
+    parts = [rng.normal(size=(9, n)) for _ in range(3)]
+    parts[0][4] += 20.0  # diagonally dominant for every mode
+    rhs = rng.normal(size=(n, xis.size)) + 1j * rng.normal(size=(n, xis.size))
+    expected = np.stack(
+        [solve_banded((4, 4), parts[0] + 1j * xi * parts[1] - xi * xi * parts[2], rhs[:, k])
+         for k, xi in enumerate(xis)],
+        axis=1,
+    )
+    assert np.array_equal(_solve_banded_modes(parts, rhs, xis), expected)
+    # memory left behind by earlier arrays (here: NaN) never reaches the
+    # per-mode finite check
+    monkeypatch.setattr(np, "empty", lambda *a, **k: np.full(*a, np.nan, **k))
+    assert np.array_equal(_solve_banded_modes(parts, rhs, xis), expected)
 
 
 def test_projection_of_non_finite_field_fails_with_mode():
