@@ -6,7 +6,12 @@ NumericFailureError (and subclasses) -> 3.
 
 
 class CusplabError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``diagnostics`` holds what the
+    failure measured."""
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 class InvalidInputError(CusplabError):
@@ -23,10 +28,6 @@ class InvalidWeightError(InvalidInputError):
 
 class NumericFailureError(CusplabError):
     """A solver or quadrature failed to reach its tolerance."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 class ReductionError(NumericFailureError):

@@ -10,6 +10,7 @@ residues of the inverse family.
 
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,10 +81,22 @@ class ModeZeroField:
         """Angular frequencies of the samples' discrete Fourier transform."""
         return 2.0 * np.pi * np.fft.fftfreq(self.samples.shape[0], d=self.dr)
 
+    def require_finite(self, what):
+        """Raise InvalidInputError, with the count of non-finite samples in
+        its diagnostics, when any sample is NaN or infinite."""
+        bad = int(np.count_nonzero(~np.isfinite(self.samples)))
+        if bad:
+            raise InvalidInputError(
+                f"{what}: {bad} non-finite samples", diagnostics={"non_finite": bad}
+            )
+
     def check_aliasing(self, tol, what):
         """Raise ResolutionError when more than the fraction ``tol`` of the
-        spectral energy lies within n/10 bins of the Nyquist frequency;
-        otherwise return the spectrum checked (the samples' FFT along r)."""
+        spectral energy lies within n/10 bins of the Nyquist frequency, and
+        InvalidInputError on a non-finite sample, whose spectrum no tail
+        fraction can judge; otherwise return the spectrum checked (the
+        samples' FFT along r)."""
+        self.require_finite(what)
         spec = np.fft.fft(self.samples, axis=0)
         n = spec.shape[0]
         band = max(n // 10, 1)
@@ -158,12 +171,57 @@ def apply_indicial(fam, fld):
     return ModeZeroField(fld.r0, fld.dr, out, weight=fld.weight)
 
 
+class _LineConditioning(Mapping):
+    """The info of ``invert_on_line``: "condition_max" and
+    "condition_median" of the 2-norm condition numbers of the family on the
+    weight line, and "root_line_distance".
+
+    The condition numbers are computed on the first read of either one;
+    until then the mapping holds the family and the line, and it drops both
+    once the numbers are in.  A family with real coefficients takes
+    conjugate values at conjugate points, and a matrix and its conjugate
+    have the same singular values, so only the frequencies 0..n//2 are
+    decomposed and the rest are mirrored from them.
+    """
+
+    def __init__(self, fam, lam, root_line_distance):
+        self._pending = (fam, lam)
+        self._values = {
+            "condition_max": None,
+            "condition_median": None,
+            "root_line_distance": root_line_distance,
+        }
+
+    def __getitem__(self, key):
+        if self._pending is not None and key in ("condition_max", "condition_median"):
+            fam, lam = self._pending
+            n = lam.size
+            if np.any(fam.coeffs.imag):
+                conds = np.linalg.cond(fam(lam))
+            else:
+                # lam[n - k] is the conjugate of lam[k] for 0 < k < (n + 1) // 2
+                half = np.linalg.cond(fam(lam[: n // 2 + 1]))
+                conds = np.concatenate([half, half[1 : (n + 1) // 2][::-1]])
+            self._values["condition_max"] = float(np.max(conds))
+            self._values["condition_median"] = float(np.median(conds))
+            self._pending = None
+        return self._values[key]
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+
 def invert_on_line(fam, f, rho):
     """Solve (convolution operator) u = f on the weight line Re(lambda)=rho.
 
-    Returns (u, info); u carries weight rho, info reports per-node condition
-    statistics.  The solution only depends on the connected component of rho
-    in the complement of the singular weight set.
+    Returns (u, info); u carries weight rho, and info reports the per-node
+    condition statistics, computed on demand: a caller that never reads
+    them pays for no matrix decomposition.  The solution only depends on
+    the connected component of rho in the complement of the singular
+    weight set.
     """
     if not fam.is_square:
         raise InvalidInputError("line inversion needs a square family")
@@ -176,18 +234,14 @@ def invert_on_line(fam, f, rho):
             "inversion is ill-conditioned",
             stacklevel=2,
         )
+    # before re-weighting, which would turn an infinite sample into NaNs
+    f.require_finite("invert_on_line data")
     g = f.with_weight(rho)
     what = g.check_aliasing(_ALIAS_TOL, "invert_on_line data")
     lam = rho + 1j * g.frequencies()
-    mats = fam(lam)
-    sol_hat = np.linalg.solve(mats, what[..., None])[..., 0]
+    sol_hat = np.linalg.solve(fam(lam), what[..., None])[..., 0]
     sol = np.fft.ifft(sol_hat, axis=0)
-    conds = np.linalg.cond(mats)
-    info = {
-        "condition_max": float(np.max(conds)),
-        "condition_median": float(np.median(conds)),
-        "root_line_distance": float(min(gaps)) if gaps else None,
-    }
+    info = _LineConditioning(fam, lam, float(min(gaps)) if gaps else None)
     return ModeZeroField(g.r0, g.dr, sol, weight=rho), info
 
 

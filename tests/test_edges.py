@@ -24,7 +24,7 @@ from cusplab.operators import (
     sym_derivative_spec,
     sym_laplacian_spec,
 )
-from cusplab.paley import lp_block
+from cusplab.paley import holder_norm, lp_block, zygmund_norm
 from cusplab.polymat import indicial_roots
 from cusplab.runio import build_surface, load_config
 from cusplab.surface import punctured_torus, reduce_points
@@ -80,6 +80,32 @@ def test_aliasing_guard_keeps_each_callers_tolerance():
         apply_indicial(fam, fld)
     assert 1e-10 < err.value.diagnostics["tail_fraction"] < 1e-6
     lp_block(fld, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fam, fld: invert_on_line(fam, fld, 0.0),
+        lambda fam, fld: apply_indicial(fam, fld),
+        lambda fam, fld: lp_block(fld, 2),
+        lambda fam, fld: zygmund_norm(fld, 0.5),
+        lambda fam, fld: holder_norm(fld, 0.5),
+    ],
+    ids=["invert_on_line", "apply_indicial", "lp_block", "zygmund_norm", "holder_norm"],
+)
+def test_non_finite_sample_is_rejected_with_its_count(call, bad):
+    # a NaN spectrum fails no tail-fraction comparison, so without its own
+    # check one bad sample came back as an all-NaN solution or a nan norm
+    r0, dr = line_grid(12.0, 256)
+    r = r0 + dr * np.arange(256)
+    u = np.exp(-((r / 2.0) ** 2))
+    u[100] = bad
+    fld = ModeZeroField(r0, dr, u[:, None])
+    fam = indicial_family(OperatorSpec(terms=((0, np.eye(1)),)))
+    with pytest.raises(InvalidInputError) as err:
+        call(fam, fld)
+    assert err.value.diagnostics["non_finite"] == 1
 
 
 def test_invert_rejects_non_square_family():

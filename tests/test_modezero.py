@@ -142,6 +142,40 @@ def test_apply_then_invert_recovers_interior_data():
     assert np.max(np.abs(u.samples - fld.samples)) <= 1e-8
 
 
+# imaginary lower-order terms: no conjugate symmetry between lam and its
+# conjugate, so the statistics decompose the whole line
+FAM_COMPLEX = IndicialFamily(
+    FAM_LAP1.coeffs + np.array([0.3j, 0.1j, 0.0])[:, None, None] * np.eye(2)
+)
+
+
+@pytest.mark.parametrize(
+    "fam, n, rho",
+    [(FAM_LAP1, 256, 0.0), (FAM_LAP1, 255, 0.4), (FAM_COMPLEX, 256, 0.2), (FAM_COMPLEX, 255, 0.0)],
+    ids=["real-even", "real-odd", "complex-even", "complex-odd"],
+)
+def test_condition_statistics_match_the_full_decomposition_bitwise(fam, n, rho):
+    f = make_field(gaussian_pair, r_half=12.0, n=n)
+    _, info = invert_on_line(fam, f, rho)
+    conds = np.linalg.cond(fam(rho + 1j * f.frequencies()))
+    assert info["condition_max"] == float(np.max(conds))
+    assert info["condition_median"] == float(np.median(conds))
+    assert sorted(dict(info)) == ["condition_max", "condition_median", "root_line_distance"]
+
+
+def test_unread_condition_statistics_cost_no_decomposition(monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: calls.append(1) or cond(*a, **k))
+    f = bump_rhs(r_half=64.0)
+    _, info = invert_on_line(FAM_LAP1, f, 0.0)
+    cross_root_correction(FAM_LAP1, f, 0.0, 1.8)
+    assert calls == []
+    # reading either statistic decomposes once, and only once
+    info["condition_median"], info["condition_max"], dict(info)
+    assert calls == [1]
+
+
 def test_invert_rejects_root_line_and_warns_near_root():
     f = bump_rhs()
     with pytest.raises(InvalidWeightError):
