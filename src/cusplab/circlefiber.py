@@ -11,13 +11,7 @@ every slice dimension.
 The circle case is realized numerically on a fiber-angle grid; higher
 slice dimensions are handled block-by-block on homogeneous polynomial
 spaces, where the derivative part is assembled exactly from monomial
-sphere integrals.  Each degree splits further into the parity classes of
-the monomials' exponents, over which the Gram matrix and the derivative
-form are both block diagonal, so every dense eigensolve stays small: at
-most 20 for d <= 3, against 84 for the whole degree-6 space at d = 3.
-Symmetric eigensolves of size 32 and up ran about 100 times slower than
-usual during some periods on a 2-vCPU host with two OpenBLAS threads; the
-small ones did not.
+sphere integrals.
 """
 
 import math
@@ -135,13 +129,6 @@ def _sphere_integrals(alpha):
     return np.where(np.any(alpha % 2, axis=-1), 0.0, num / gam[total + nvars - 1])
 
 
-def _parity_blocks(monos):
-    """Row indices of the monomials grouped by the parity of their
-    exponents, keyed by the parity pattern read as a bit mask."""
-    key = (monos % 2) @ (1 << np.arange(monos.shape[1]))
-    return {int(k): np.nonzero(key == k)[0] for k in np.unique(key)}
-
-
 def gradient_indicial_roots(d):
     """Indicial roots of the tangent-bundle gradient for slice dimension d.
 
@@ -153,17 +140,7 @@ def gradient_indicial_roots(d):
     is 0.  Blocks with a trivial kernel contribute no roots for any
     parameter value.
 
-    Each degree splits further by the parity of the monomials' exponents:
-    the sphere integral of v^(m_i + m_j) vanishes unless every exponent of
-    m_i + m_j is even, and a slice rotation flips the parities of v_0 and
-    v_ell together, so the Gram matrix and the derivative form are both
-    block diagonal over the parity classes.  Each class is reduced on its
-    own; the largest is the all-even class of degree 6, with C(3 + d, d)
-    monomials (4, 10 and 20 for d = 1, 2, 3), so no eigensolve for d <= 3
-    reaches size 32.  The thresholds still read the degree's global
-    maxima, as for the unsplit matrices.
-
-    Returns (roots, certificate): the certificate holds the per-degree
+    Returns (roots, certificate): the certificate holds the per-block
     smallest derivative eigenvalue (strictly positive off the constants).
     """
     if d < 1:
@@ -174,56 +151,37 @@ def gradient_indicial_roots(d):
     certificate = []
     for degree in range(7):
         monos = _monomials(nvars, degree)
-        blocks = _parity_blocks(monos)
-        # each monomial's row within its parity class, looked up by exponent
+        n = len(monos)
+        # one integral table: the Gram pairs m_i + m_j, then for each
+        # variable v the pairs lowered by 2 e_v, which pair the v-th partial
+        # derivatives (clipped where m_i[v] m_j[v] = 0 drops the term)
+        pairs = monos[:, None, :] + monos[None, :, :]
+        lowered = np.maximum(pairs[None] - 2 * eye[:, None, None, :], 0)
+        ints = _sphere_integrals(np.concatenate([pairs[None], lowered]))
+        gram = ints[0]
+        # Gram of the spherical gradient: the ambient-gradient pairing minus
+        # the radial part degree^2 <P, Q>
+        ambient = sum(np.outer(monos[:, v], monos[:, v]) * ints[1 + v] for v in range(nvars))
+        a = ambient - degree**2 * gram
+        # the slice rotation v_0 d/dv_ell - v_ell d/dv_0 sends column j's
+        # monomial m to m[ell] (m + e_0 - e_ell) - m[0] (m - e_0 + e_ell)
         index = np.zeros((degree + 1,) * nvars, dtype=int)
-        for rows in blocks.values():
-            index[tuple(monos[rows].T)] = np.arange(len(rows))
-        grams, forms, gram_eigs = {}, {}, {}
-        for key, rows in blocks.items():
-            m = monos[rows]
-            # one integral table: the Gram pairs m_i + m_j, then for each
-            # variable v the pairs lowered by 2 e_v, which pair the v-th
-            # partial derivatives (clipped where m_i[v] m_j[v] = 0 drops
-            # the term)
-            pairs = m[:, None, :] + m[None, :, :]
-            lowered = np.maximum(pairs[None] - 2 * eye[:, None, None, :], 0)
-            ints = _sphere_integrals(np.concatenate([pairs[None], lowered]))
-            grams[key] = ints[0]
-            gram_eigs[key] = np.linalg.eigh(ints[0])
-            # Gram of the spherical gradient: the ambient-gradient pairing
-            # minus the radial part degree^2 <P, Q>
-            ambient = sum(np.outer(m[:, v], m[:, v]) * ints[1 + v] for v in range(nvars))
-            forms[key] = ambient - degree**2 * ints[0]
-        # the keep threshold reads the largest Gram eigenvalue of the degree
-        gmax = max(max(gvals.max() for gvals, _ in gram_eigs.values()), 1.0)
-        eigvals = []
-        dim = 0
-        for key, rows in blocks.items():
-            m = monos[rows]
-            a = forms[key]
-            # the slice rotation v_0 d/dv_ell - v_ell d/dv_0 sends column j's
-            # monomial m to m[ell] (m + e_0 - e_ell) - m[0] (m - e_0 + e_ell),
-            # both in the class with the parities of v_0 and v_ell flipped
-            for ell in range(1, nvars):
-                image = key ^ (1 | 1 << ell)
-                if image not in blocks:
-                    continue  # no monomial of this class holds v_0 or v_ell
-                rot = np.zeros((len(blocks[image]), len(rows)))
-                for var, step, sign in ((ell, eye[0] - eye[ell], 1), (0, eye[ell] - eye[0], -1)):
-                    has = np.nonzero(m[:, var])[0]
-                    rot[index[tuple((m[has] + step).T)], has] = sign * m[has, var]
-                a = a + rot.T @ grams[image] @ rot
-            # compare the quadratic forms in a Gram-orthonormal basis; the
-            # monomials of one degree stay independent on the sphere (a
-            # homogeneous polynomial vanishing there vanishes everywhere),
-            # so the keep threshold only guards against roundoff
-            gvals, gvecs = gram_eigs[key]
-            keep = gvals > 1e-10 * gmax
-            basis = gvecs[:, keep] / np.sqrt(gvals[keep])
-            dim += basis.shape[1]
-            eigvals.append(np.linalg.eigvalsh(basis.T @ ((a + a.T) / 2.0) @ basis))
-        eigvals = np.concatenate(eigvals)
+        index[tuple(monos.T)] = np.arange(n)
+        for ell in range(1, nvars):
+            rot = np.zeros((n, n))
+            for var, step, sign in ((ell, eye[0] - eye[ell], 1), (0, eye[ell] - eye[0], -1)):
+                has = np.nonzero(monos[:, var])[0]
+                rot[index[tuple((monos[has] + step).T)], has] = sign * monos[has, var]
+            a += rot.T @ gram @ rot
+        # compare the quadratic forms in a Gram-orthonormal basis; the
+        # monomials of one degree stay independent on the sphere (a
+        # homogeneous polynomial vanishing there vanishes everywhere), so
+        # the keep threshold only guards against roundoff
+        gvals, gvecs = np.linalg.eigh(gram)
+        keep = gvals > 1e-10 * max(gvals.max(), 1.0)
+        basis = gvecs[:, keep] / np.sqrt(gvals[keep])
+        a_red = basis.T @ ((a + a.T) / 2.0) @ basis
+        eigvals = np.linalg.eigvalsh(a_red)
         scale = max(np.max(np.abs(eigvals)), 1.0)
         kernel_dim = int(np.sum(np.abs(eigvals) < 1e-8 * scale))
         if kernel_dim > 0:
@@ -234,7 +192,7 @@ def gradient_indicial_roots(d):
         certificate.append(
             {
                 "degree": degree,
-                "dim": dim,
+                "dim": int(basis.shape[1]),
                 "kernel_dim": kernel_dim,
                 "min_positive_eig": float(np.min(positive)) if positive.size else None,
             }

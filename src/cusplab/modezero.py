@@ -172,16 +172,13 @@ def apply_indicial(fam, fld):
 
 
 class _LineConditioning(Mapping):
-    """The info of ``invert_on_line``: "condition_max" and
-    "condition_median" of the 2-norm condition numbers of the family on the
-    weight line, and "root_line_distance".
+    """The info of ``invert_on_line``, a read-only mapping: "condition_max"
+    and "condition_median" of the 2-norm condition numbers of the family on
+    the weight line, and "root_line_distance".
 
     The condition numbers are computed on the first read of either one;
     until then the mapping holds the family and the line, and it drops both
-    once the numbers are in.  A family with real coefficients takes
-    conjugate values at conjugate points, and a matrix and its conjugate
-    have the same singular values, so only the frequencies 0..n//2 are
-    decomposed and the rest are mirrored from them.
+    once the numbers are in.
     """
 
     def __init__(self, fam, lam, root_line_distance):
@@ -195,13 +192,7 @@ class _LineConditioning(Mapping):
     def __getitem__(self, key):
         if self._pending is not None and key in ("condition_max", "condition_median"):
             fam, lam = self._pending
-            n = lam.size
-            if np.any(fam.coeffs.imag):
-                conds = np.linalg.cond(fam(lam))
-            else:
-                # lam[n - k] is the conjugate of lam[k] for 0 < k < (n + 1) // 2
-                half = np.linalg.cond(fam(lam[: n // 2 + 1]))
-                conds = np.concatenate([half, half[1 : (n + 1) // 2][::-1]])
+            conds = np.linalg.cond(fam(lam))
             self._values["condition_max"] = float(np.max(conds))
             self._values["condition_median"] = float(np.median(conds))
             self._pending = None
@@ -213,15 +204,19 @@ class _LineConditioning(Mapping):
     def __len__(self):
         return len(self._values)
 
+    def __repr__(self):
+        return repr(dict(self))
+
 
 def invert_on_line(fam, f, rho):
     """Solve (convolution operator) u = f on the weight line Re(lambda)=rho.
 
     Returns (u, info); u carries weight rho, and info reports the per-node
-    condition statistics, computed on demand: a caller that never reads
-    them pays for no matrix decomposition.  The solution only depends on
-    the connected component of rho in the complement of the singular
-    weight set.
+    condition statistics.  info is a read-only Mapping, not a dict (take
+    ``dict(info)`` for a copy); its condition numbers are computed on the
+    first read, so a caller that never reads them pays for no matrix
+    decomposition.  The solution only depends on the connected component of
+    rho in the complement of the singular weight set.
     """
     if not fam.is_square:
         raise InvalidInputError("line inversion needs a square family")

@@ -105,21 +105,6 @@ def test_gradient_certificate_rows_are_pinned(d):
             assert abs(row["min_positive_eig"] - eig) <= 1e-12
 
 
-def test_gradient_eigensolves_stay_below_size_32(monkeypatch):
-    # dense symmetric eigensolves of size >= 32 stall on some hosts; the
-    # parity classes keep every one of them small
-    shapes = []
-    for name in ("eigh", "eigvalsh"):
-        solve = getattr(np.linalg, name)
-        monkeypatch.setattr(
-            np.linalg, name, lambda a, solve=solve: shapes.append(a.shape) or solve(a)
-        )
-    for d in (1, 2, 3):
-        gradient_indicial_roots(d)
-    assert shapes
-    assert max(max(s) for s in shapes) < 32
-
-
 def test_circle_blocks_match_fourier_eigenvalues():
     # d=1 oracle: on the n-th circle harmonic the derivative part has
     # squared norm 2 n^2 (vertical + slice rotation each contribute n^2)

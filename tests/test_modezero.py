@@ -142,8 +142,8 @@ def test_apply_then_invert_recovers_interior_data():
     assert np.max(np.abs(u.samples - fld.samples)) <= 1e-8
 
 
-# imaginary lower-order terms: no conjugate symmetry between lam and its
-# conjugate, so the statistics decompose the whole line
+# imaginary lower-order terms: the family's values at conjugate points are
+# no longer conjugate
 FAM_COMPLEX = IndicialFamily(
     FAM_LAP1.coeffs + np.array([0.3j, 0.1j, 0.0])[:, None, None] * np.eye(2)
 )
@@ -165,6 +165,7 @@ def test_condition_statistics_match_the_full_decomposition_bitwise(fam, n, rho, 
     # the statistics read every frequency's condition number, each once
     np.testing.assert_array_equal(seen[0], np.sort(conds))
     assert sorted(dict(info)) == ["condition_max", "condition_median", "root_line_distance"]
+    assert repr(info) == repr(dict(info))
 
 
 def test_unread_condition_statistics_cost_no_decomposition(monkeypatch):
