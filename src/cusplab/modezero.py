@@ -79,7 +79,7 @@ class ModeZeroField:
 
     def frequencies(self):
         """Angular frequencies of the samples' discrete Fourier transform."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.samples.shape[0], d=self.dr)
+        return _angular_frequencies(self.samples.shape[0], self.dr)
 
     def require_finite(self, what):
         """Raise InvalidInputError, with the count of non-finite samples in
@@ -171,18 +171,23 @@ def apply_indicial(fam, fld):
     return ModeZeroField(fld.r0, fld.dr, out, weight=fld.weight)
 
 
+def _angular_frequencies(n, dr):
+    return 2.0 * np.pi * np.fft.fftfreq(n, d=dr)
+
+
 class _LineConditioning(Mapping):
     """The info of ``invert_on_line``, a read-only mapping: "condition_max"
     and "condition_median" of the 2-norm condition numbers of the family on
     the weight line, and "root_line_distance".
 
     The condition numbers are computed on the first read of either one;
-    until then the mapping holds the family and the line, and it drops both
-    once the numbers are in.
+    until then the mapping holds the family and the line's weight and grid
+    (not its nodes, which an unread mapping would keep alive), and it drops
+    them once the numbers are in.
     """
 
-    def __init__(self, fam, lam, root_line_distance):
-        self._pending = (fam, lam)
+    def __init__(self, fam, rho, n, dr, root_line_distance):
+        self._pending = (fam, rho, n, dr)
         self._values = {
             "condition_max": None,
             "condition_median": None,
@@ -191,8 +196,8 @@ class _LineConditioning(Mapping):
 
     def __getitem__(self, key):
         if self._pending is not None and key in ("condition_max", "condition_median"):
-            fam, lam = self._pending
-            conds = np.linalg.cond(fam(lam))
+            fam, rho, n, dr = self._pending
+            conds = np.linalg.cond(fam(rho + 1j * _angular_frequencies(n, dr)))
             self._values["condition_max"] = float(np.max(conds))
             self._values["condition_median"] = float(np.median(conds))
             self._pending = None
@@ -236,7 +241,7 @@ def invert_on_line(fam, f, rho):
     lam = rho + 1j * g.frequencies()
     sol_hat = np.linalg.solve(fam(lam), what[..., None])[..., 0]
     sol = np.fft.ifft(sol_hat, axis=0)
-    info = _LineConditioning(fam, lam, float(min(gaps)) if gaps else None)
+    info = _LineConditioning(fam, rho, lam.size, g.dr, float(min(gaps)) if gaps else None)
     return ModeZeroField(g.r0, g.dr, sol, weight=rho), info
 
 
