@@ -6,7 +6,6 @@ once; the pytest acceptance module and the CLI ``suite`` subcommand both run
 exactly this code.
 """
 
-import functools
 import time
 
 import numpy as np
@@ -284,7 +283,6 @@ _N_FORMS = 10
 _N_CLASSES = 50
 
 
-@functools.cache
 def _xray_setup():
     surface = punctured_torus()
     classes = enumerate_hyperbolic_classes(surface, 6)

@@ -40,7 +40,7 @@ class ModeZeroField:
 
     ``samples[k, i]`` holds component i of the *weighted representative*
     e^{-weight r} u(r) at the k-th node, which stays bounded when u grows
-    like e^{weight r}.
+    like e^{weight r}.  A non-finite sample raises InvalidInputError.
     """
 
     r0: float
@@ -54,6 +54,10 @@ class ModeZeroField:
             s = s[:, None]
         if s.shape[0] < 64:
             raise InvalidInputError("mode-zero grid needs at least 64 samples")
+        bad = int(np.count_nonzero(~np.isfinite(s)))
+        if bad:
+            msg = f"mode-zero field at weight {self.weight}: {bad} non-finite samples"
+            raise InvalidInputError(msg, diagnostics={"non_finite": bad})
         object.__setattr__(self, "samples", s)
 
     @property
@@ -66,12 +70,12 @@ class ModeZeroField:
 
     def values(self):
         """Unweighted samples of the actual function u(r)."""
-        return self.samples * np.exp(self.weight * self.grid)[:, None]
+        return _times_exp(self.samples, self.grid, self.weight)
 
     def with_weight(self, rho):
         """Re-express the same function relative to another weight."""
-        fac = np.exp((self.weight - rho) * self.grid)[:, None]
-        return replace(self, samples=self.samples * fac, weight=rho)
+        samples = _times_exp(self.samples, self.grid, self.weight - rho)
+        return replace(self, samples=samples, weight=rho)
 
     def __sub__(self, other):
         o = other.with_weight(self.weight)
@@ -81,22 +85,10 @@ class ModeZeroField:
         """Angular frequencies of the samples' discrete Fourier transform."""
         return _angular_frequencies(self.samples.shape[0], self.dr)
 
-    def require_finite(self, what):
-        """Raise InvalidInputError, with the count of non-finite samples in
-        its diagnostics, when any sample is NaN or infinite."""
-        bad = int(np.count_nonzero(~np.isfinite(self.samples)))
-        if bad:
-            raise InvalidInputError(
-                f"{what}: {bad} non-finite samples", diagnostics={"non_finite": bad}
-            )
-
     def check_aliasing(self, tol, what):
         """Raise ResolutionError when more than the fraction ``tol`` of the
-        spectral energy lies within n/10 bins of the Nyquist frequency, and
-        InvalidInputError on a non-finite sample, whose spectrum no tail
-        fraction can judge; otherwise return the spectrum checked (the
-        samples' FFT along r)."""
-        self.require_finite(what)
+        spectral energy lies within n/10 bins of the Nyquist frequency;
+        otherwise return the spectrum checked (the samples' FFT along r)."""
         spec = np.fft.fft(self.samples, axis=0)
         n = spec.shape[0]
         band = max(n // 10, 1)
@@ -108,6 +100,17 @@ class ModeZeroField:
                 diagnostics={"tail_fraction": float(tail / total)},
             )
         return spec
+
+
+def _times_exp(samples, r, k):
+    """samples * e^{k r} row by row, at the nonzero samples only: a zero stays
+    zero where e^{k r} overflows, an overflowing nonzero sample turns infinite
+    (ModeZeroField rejects it), and no floating-point warning is raised."""
+    out = samples.copy()
+    nz = np.nonzero(samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[nz] = samples[nz] * np.exp(k * r[nz[0]])
+    return out
 
 
 def line_grid(r_half, n):
@@ -217,11 +220,11 @@ def invert_on_line(fam, f, rho):
     """Solve (convolution operator) u = f on the weight line Re(lambda)=rho.
 
     Returns (u, info); u carries weight rho, and info reports the per-node
-    condition statistics.  info is a read-only Mapping, not a dict (take
-    ``dict(info)`` for a copy); its condition numbers are computed on the
-    first read, so a caller that never reads them pays for no matrix
-    decomposition.  The solution only depends on the connected component of
-    rho in the complement of the singular weight set.
+    condition statistics in a read-only Mapping (``dict(info)`` copies it)
+    whose condition numbers are computed on the first read, so a caller that
+    never reads them pays for no matrix decomposition.  u only depends on
+    the component of rho in the complement of the singular weight set.  f is
+    re-weighted to rho first; a sample that overflows raises InvalidInputError.
     """
     if not fam.is_square:
         raise InvalidInputError("line inversion needs a square family")
@@ -234,8 +237,6 @@ def invert_on_line(fam, f, rho):
             "inversion is ill-conditioned",
             stacklevel=2,
         )
-    # before re-weighting, which would turn an infinite sample into NaNs
-    f.require_finite("invert_on_line data")
     g = f.with_weight(rho)
     what = g.check_aliasing(_ALIAS_TOL, "invert_on_line data")
     lam = rho + 1j * g.frequencies()
@@ -287,8 +288,7 @@ def evaluate_elements(elements, fld_like):
     total = np.zeros((r.size, elements[0].coefficient_vector.size), dtype=complex)
     for el in elements:
         total += el.evaluate(r)
-    rep = total * np.exp(-rho * r)[:, None]
-    return ModeZeroField(fld_like.r0, fld_like.dr, rep, weight=rho)
+    return ModeZeroField(fld_like.r0, fld_like.dr, _times_exp(total, r, -rho), weight=rho)
 
 
 def _finite_transform(f, lam_values):
@@ -350,16 +350,18 @@ def fit_decay_rate(fld, side):
     if side not in ("+", "-"):
         raise InvalidInputError(f"decay side must be '+' or '-', not {side!r}")
     r = fld.grid
-    mags = np.linalg.norm(fld.values(), axis=1)
+    # log ||u(r)|| = log ||samples|| + weight r: no e^{weight r} to overflow
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.linalg.norm(fld.samples, axis=1)) + fld.weight * r
     r_half = max(abs(r[0]), abs(r[-1]))
     edge = _WINDOW_FLAT * r_half
-    peak = np.max(mags)
+    peak = np.max(logs)
     if side == "+":
         region = (r > 0) & (r < edge)
     else:
         region = (r < 0) & (r > -edge)
-    region &= (mags > _TAIL_BAND[0] * peak) & (mags < _TAIL_BAND[1] * peak)
+    region &= (logs > np.log(_TAIL_BAND[0]) + peak) & (logs < np.log(_TAIL_BAND[1]) + peak)
     if np.sum(region) < 16 or np.ptp(r[region]) < 2.0:
         raise InvalidInputError("not enough tail samples above the noise floor")
-    coef = np.polyfit(r[region], np.log(mags[region]), 1)
+    coef = np.polyfit(r[region], logs[region], 1)
     return float(coef[0])

@@ -140,7 +140,6 @@ def holder_norm(fld, s):
     zero-mode distance |r - r'| <= 2."""
     if not (0.0 < s < 1.0):
         raise InvalidInputError("holder_norm needs 0 < s < 1")
-    fld.require_finite("holder_norm input")
     sam = fld.samples
     if np.max(np.abs(sam.imag)) > 1e-12 * max(np.max(np.abs(sam)), 1e-300):
         raise InvalidInputError("holder_norm expects real-valued samples")

@@ -130,7 +130,7 @@ class SymTensorField:
         out = np.zeros((ncomp, r_pts.shape[0]))
         x = (r_pts - self.grid.r_min) / self.grid.dr
         if np.isnan(x).any() or not np.isfinite(t_pts).all():
-            raise ValueError("interpolation points need a non-NaN r and a finite theta")
+            raise InvalidInputError("interpolation points need a non-NaN r and a finite theta")
         inside = np.nonzero((x >= -0.5) & (x <= rn - 0.5))[0]
         x = x[inside]
         i0 = np.clip(np.floor(x).astype(np.int64) - 2, 0, rn - 6)

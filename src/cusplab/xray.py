@@ -155,7 +155,7 @@ def potential_annihilation_suite(surface, one_forms, geodesics, tol, path, grid=
             sup_p = max(sampled.sup_norm(), 1e-300)
         else:
             raise InvalidInputError("path must be 'symbolic' or 'grid'")
-        values = [xray_eval(surface, dp, geo, tol=tol, strict=True) for geo in geodesics]
+        values = xray_suite(surface, dp, geodesics, tol=tol)
         m = max(abs(r.value) for r in values) / sup_p
         results.append(values)
         per_form.append({"max_normalized_value": m, "sup_norm": sup_p, "classes": len(values)})

@@ -4,10 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion; the same code backs the ``cusplab suite`` subcommand.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from cusplab import circlefiber
+from cusplab import circlefiber, xray
 from cusplab.acceptance import (
     CRITERIA,
     criterion_1_indicial_roots,
@@ -15,6 +18,7 @@ from cusplab.acceptance import (
     criterion_4_mode_zero_inversion,
     criterion_5_cross_root_correction,
     criterion_6_index_jump_consistency,
+    criterion_10_xray_normalization,
 )
 
 
@@ -62,3 +66,21 @@ def test_criterion_1_fails_when_the_gradient_kernel_is_not_the_constants(monkeyp
     passed, details = criterion_1_indicial_roots()
     assert not passed
     assert details == {"reason": "gradient kernel is not the constants at d=1"}
+
+
+def test_criterion_10_keeps_no_quadrature_nodes(monkeypatch):
+    # each geodesic keeps its reduced nodes in its ArcSampler; a cached
+    # set of criteria 9 and 10's classes held 21 MB of them for the rest of
+    # the process
+    made = []
+    make = xray.ArcSampler.of.__func__
+
+    def recording(cls, surface, geodesic):
+        sampler = make(cls, surface, geodesic)
+        made.append(weakref.ref(sampler))
+        return sampler
+
+    monkeypatch.setattr(xray.ArcSampler, "of", classmethod(recording))
+    assert criterion_10_xray_normalization()[0]
+    gc.collect()
+    assert made and not [ref for ref in made if ref() is not None]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,25 @@ def test_mode0_solve_off_zero_weight_round_trips(tmp_path):
     assert code == 0
     report = json.loads((out / "mode0_report.json").read_text())
     assert report["weight"] == 0.5
+    assert report["roundtrip_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("weight", ["14", "20.3"])
+def test_mode0_solve_far_off_zero_weight_warns_nothing(tmp_path, weight):
+    # e^{weight r} overflows near the grid's ends: at 20.3 the re-weighting
+    # made the bump's exact zeros 0 * inf = NaN and the run was refused, and
+    # at 14 the decay fit's norm of the unweighted samples overflowed
+    def reject(name):
+        raise AssertionError(f"the report holds the non-JSON constant {name}")
+
+    cfg = tmp_path / "far.ini"
+    cfg.write_text(BASE_CONFIG.replace("weight = 0.0", f"weight = {weight}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run("mode0-solve", cfg, tmp_path)
+    assert code == 0
+    report = json.loads((out / "mode0_report.json").read_text(), parse_constant=reject)
+    assert report["weight"] == float(weight)
     assert report["roundtrip_residual"] <= 1e-10
 
 

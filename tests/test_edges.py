@@ -95,16 +95,16 @@ def test_aliasing_guard_keeps_each_callers_tolerance():
     ids=["invert_on_line", "apply_indicial", "lp_block", "zygmund_norm", "holder_norm"],
 )
 def test_non_finite_sample_is_rejected_with_its_count(call, bad):
-    # a NaN spectrum fails no tail-fraction comparison, so without its own
-    # check one bad sample came back as an all-NaN solution or a nan norm
+    # a NaN spectrum fails no tail-fraction comparison, so one bad sample
+    # would come back as an all-NaN solution or a nan norm; the field that
+    # would carry it cannot be built, so no entry point receives it
     r0, dr = line_grid(12.0, 256)
     r = r0 + dr * np.arange(256)
     u = np.exp(-((r / 2.0) ** 2))
     u[100] = bad
-    fld = ModeZeroField(r0, dr, u[:, None])
     fam = indicial_family(OperatorSpec(terms=((0, np.eye(1)),)))
     with pytest.raises(InvalidInputError) as err:
-        call(fam, fld)
+        call(fam, ModeZeroField(r0, dr, u[:, None]))
     assert err.value.diagnostics["non_finite"] == 1
 
 

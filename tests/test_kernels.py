@@ -11,7 +11,7 @@ import pytest
 
 from cusplab import surface
 from cusplab.chart import ChartGrid
-from cusplab.errors import ReductionError
+from cusplab.errors import InvalidInputError, ReductionError
 from cusplab.modezero import ModeZeroField
 from cusplab.paley import holder_norm
 from cusplab.tensorfield import SymTensorField
@@ -213,7 +213,7 @@ def test_interp2d_zero_outside_radial_range():
 
 @pytest.mark.parametrize("r, t", [(np.nan, 0.2), (0.5, np.inf), (0.5, np.nan)])
 def test_interp2d_rejects_points_without_a_position(r, t):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInputError, match="non-NaN r and a finite theta"):
         grid_field(np.ones((1, 16, 8)), 1.5).interpolate(np.array([0.3, r]), np.array([0.1, t]))
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -374,6 +376,41 @@ def test_field_weight_round_trip():
     assert np.allclose(g.samples, f.samples, atol=1e-12)
 
 
+@pytest.mark.parametrize("rho", [20.0, -20.0])
+def test_field_weight_round_trip_where_the_exponential_overflows(rho):
+    # e^{20 |r|} overflows at one end of the grid, where criterion 4's bump
+    # is exactly 0: the re-weighting made those samples 0 * inf = NaN
+    f = bump_rhs()
+    g = f.with_weight(rho)
+    assert g.weight == rho
+    assert np.max(np.abs(g.with_weight(0.0).samples - f.samples)) <= 1e-14
+
+
 def test_small_grid_rejected():
     with pytest.raises(InvalidInputError):
         ModeZeroField(0.0, 0.1, np.zeros((8, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_sample_is_rejected_on_construction(bad):
+    f = bump_rhs()
+    samples = f.samples.copy()
+    samples[100, 1] = bad
+    with pytest.raises(InvalidInputError, match="at weight 0.3: 1 non-finite") as err:
+        ModeZeroField(f.r0, f.dr, samples, weight=0.3)
+    assert err.value.diagnostics["non_finite"] == 1
+    with pytest.raises(InvalidInputError) as err:
+        replace(f, samples=samples)
+    assert err.value.diagnostics["non_finite"] == 1
+
+
+def test_re_weighting_that_overflows_a_nonzero_sample_is_rejected():
+    # samples nonzero everywhere: e^{-20 r} overflows, and the field holding
+    # the product would be infinite there
+    r0, dr = line_grid(48.0, 4096)
+    f = ModeZeroField(r0, dr, np.ones((4096, 2)))
+    overflowing = np.count_nonzero(-20.0 * f.grid > np.log(np.finfo(float).max))
+    assert overflowing > 0
+    with pytest.raises(InvalidInputError, match="at weight 20.0") as err:
+        f.with_weight(20.0)
+    assert err.value.diagnostics["non_finite"] == 2 * overflowing
