@@ -179,7 +179,17 @@ class IndicialFamily:
         (1/2 pi i) \\oint ((lam - center)/rad)^p tr(self^-1 self') dlam."""
         phi, lam = _contour_nodes(center, rad)
         deriv = IndicialFamily(self.coeffs[1:] * np.arange(1, self.degree + 1)[:, None, None])
-        trace = np.trace(np.linalg.solve(self(lam), deriv(lam)), axis1=-2, axis2=-1)
+        values = self(lam)
+        try:
+            trace = np.trace(np.linalg.solve(values, deriv(lam)), axis1=-2, axis2=-1)
+        except np.linalg.LinAlgError:
+            # LU meets an exact zero pivot, so the first such node's
+            # determinant is exactly 0
+            node = int(np.flatnonzero(np.linalg.det(values) == 0)[0])
+            raise NumericFailureError(
+                "family singular at a contour node",
+                {"center": complex(center), "radius": rad, "node": node},
+            ) from None
         s = _contour_moments(trace, rad, phi, kmax)
         return np.array([s[p + 1] / rad**p for p in range(kmax)])
 

@@ -37,16 +37,22 @@ from .errors import CoverageError, InvalidInputError, NumericFailureError
 _GRAM = {0: [1.0], 1: [1.0, 1.0], 2: [1.0, 1.0, 2.0]}
 
 
+# Points per pass of SymTensorField.interpolate: a call's temporaries (the
+# (ncomp, 6, 6, m) gather above all) scale with this, not with the call.
+_CHUNK = 2048
+_OFFSETS = np.arange(6)
+# _DENOM[i, j] = i - j, the denominator of weight i's factor (s - j)/(i - j);
+# the diagonal, which no weight reads, is 1 so that it stays finite
+_DENOM = (np.subtract.outer(_OFFSETS, _OFFSETS) + np.eye(6))[:, :, None]
+_OFF_DIAGONAL = ~np.eye(6, dtype=bool)[:, :, None]
+
+
 def _lagrange_weights(s):
-    # 6-point stencil at offsets 0..5, local coordinates s in [2, 3]
-    w = []
-    for i in range(6):
-        p = np.ones_like(s)
-        for j in range(6):
-            if j != i:
-                p *= (s - j) / (i - j)
-        w.append(p)
-    return w
+    """6-point stencil weights at offsets 0..5 for local coordinates s in
+    [2, 3]: a (6, n) array whose row i is the product of the five factors
+    (s - j)/(i - j), j != i, multiplied left to right into ones."""
+    f = (s - _OFFSETS[:, None]) / _DENOM
+    return np.multiply.reduce(f, axis=1, initial=1.0, where=_OFF_DIAGONAL)
 
 
 @dataclass(frozen=True)
@@ -120,35 +126,33 @@ class SymTensorField:
         zero outside the radial range (fields are compactly supported inside
         the chart).
 
-        Returns (ncomp, npts).  Each point's value is the sum over r offsets
-        of the theta-interpolated grid rows, in the operation order of a
-        scalar loop over the points.
+        Returns (ncomp, npts).  Each chunk of points gathers its 6 x 6
+        stencils in one pass, scales them by the theta weights and sums over
+        the theta offsets, then scales those rows by the r weights and sums
+        over the r offsets.  Both sums start from 0 and add in offset order,
+        so a point's value does not depend on the chunking.
         """
         r_pts = np.asarray(r_pts, dtype=np.float64)
         t_pts = np.asarray(t_pts, dtype=np.float64)
-        ncomp, rn, tn = self.comps.shape
-        out = np.zeros((ncomp, r_pts.shape[0]))
-        x = (r_pts - self.grid.r_min) / self.grid.dr
-        if np.isnan(x).any() or not np.isfinite(t_pts).all():
+        if np.isnan(r_pts).any() or not np.isfinite(t_pts).all():
             raise InvalidInputError("interpolation points need a non-NaN r and a finite theta")
-        inside = np.nonzero((x >= -0.5) & (x <= rn - 0.5))[0]
-        x = x[inside]
-        i0 = np.clip(np.floor(x).astype(np.int64) - 2, 0, rn - 6)
-        dt = 1.0 / tn
-        y = (t_pts[inside] % 1.0) / dt
-        j0 = np.floor(y).astype(np.int64) - 2
-        wr = _lagrange_weights(x - i0)
-        wt = _lagrange_weights(y - j0)
-        cols = [(j0 + j) % tn for j in range(6)]
+        ncomp, rn, tn = self.comps.shape
         flat = self.comps.reshape(ncomp, rn * tn)
-        acc = np.zeros((ncomp, inside.size))
-        for i in range(6):
-            base = (i0 + i) * tn
-            row = np.zeros((ncomp, inside.size))
-            for j in range(6):
-                row += wt[j] * flat[:, base + cols[j]]
-            acc += wr[i] * row
-        out[:, inside] = acc
+        out = np.zeros((ncomp, r_pts.shape[0]))
+        for start in range(0, r_pts.shape[0], _CHUNK):
+            x = (r_pts[start : start + _CHUNK] - self.grid.r_min) / self.grid.dr
+            inside = np.nonzero((x >= -0.5) & (x <= rn - 0.5))[0]
+            x = x[inside]
+            i0 = np.clip(np.floor(x).astype(np.int64) - 2, 0, rn - 6)
+            y = (t_pts[start + inside] % 1.0) / (1.0 / tn)
+            j0 = np.floor(y).astype(np.int64) - 2
+            # idx[i, j]: flat index of grid row i0 + i, column (j0 + j) mod tn
+            idx = ((i0 + _OFFSETS[:, None]) * tn)[:, None] + (j0 + _OFFSETS[:, None]) % tn
+            vals = np.take(flat, idx, axis=1)
+            vals *= _lagrange_weights(y - j0)
+            rows = np.add.reduce(vals, axis=2, initial=0.0)
+            rows *= _lagrange_weights(x - i0)
+            out[:, start + inside] = np.add.reduce(rows, axis=1, initial=0.0)
         return out
 
     @cached_property

@@ -6,6 +6,12 @@ import pytest
 from cusplab.polymat import IndicialFamily
 
 
+def jordan_family(k, c):
+    """The k x k Jordan block lam - c: lam - c on the diagonal, ones on the
+    superdiagonal."""
+    return IndicialFamily(np.stack([-c * np.eye(k) + np.eye(k, k=1), np.eye(k)]))
+
+
 @pytest.fixture
 def determinant_calls(monkeypatch):
     """List that collects the family of every IndicialFamily.determinant

@@ -6,10 +6,12 @@ same operation order; the Hoelder seminorm inside ``paley.holder_norm`` is
 checked against a brute-force pair supremum.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cusplab import surface
+from cusplab import surface, tensorfield
 from cusplab.chart import ChartGrid
 from cusplab.errors import InvalidInputError, ReductionError
 from cusplab.modezero import ModeZeroField
@@ -209,6 +211,76 @@ def test_interp2d_zero_outside_radial_range():
     fld = grid_field(np.ones((1, 16, 8)), 1.5)
     vals = fld.interpolate(np.array([-1.0, 5.0]), np.array([0.2, 0.3]))
     assert np.all(vals == 0.0)
+
+
+@pytest.mark.parametrize("ncomp", [1, 2, 3])
+def test_interp2d_matches_point_loop_across_chunks(ncomp):
+    # 5000 points span three chunks of the kernel; the range edges and the
+    # theta wrap-arounds sit on both sides of each chunk boundary and every
+    # 97th point, and rows 12..23 of zeros give all-zero stencils whose
+    # value must be +0.0
+    rng = np.random.default_rng(ncomp)
+    grid = rng.normal(size=(ncomp, 40, 32))
+    grid[:, 12:24] = 0.0
+    fld = grid_field(grid, 1.0)
+    dr = fld.grid.dr
+    n = 5000
+    assert n > 2 * tensorfield._CHUNK
+    pts_r = rng.uniform(-0.1, 1.1, n)
+    pts_t = rng.uniform(-2.0, 3.0, n)
+    bounds = [k * tensorfield._CHUNK + d for k in (1, 2) for d in (-2, -1, 0, 1)]
+    special = np.r_[np.arange(0, n, 97), bounds]
+    edges_t = [-1e-20, -0.0, 0.0, 1.0, 1.0 - 1e-17, -3.0]
+    edges_r = [-0.5 * dr, 1.0 + 0.5 * dr, 0.0, 1.0]
+    pts_t[special] = np.resize(edges_t, special.size)
+    pts_r[special[::2]] = np.resize(edges_r, special[::2].size)
+    got = fld.interpolate(pts_r, pts_t)
+    want = interp_point_loop(grid, 0.0, dr, pts_r, pts_t)
+    assert got.shape == (ncomp, n) and got.tobytes() == want.tobytes()
+    outside = (pts_r < -0.5 * dr) | (pts_r > 1.0 + 0.5 * dr)
+    assert outside.sum() > 100 and np.all(got[:, outside] == 0.0)
+    assert np.any((got == 0.0) & ~outside)
+
+
+def test_interp2d_all_zero_stencil_reads_positive_zero():
+    # on local coordinates in (2, 3) the weights have signs + - + + - +; this
+    # stencil of signed zeros makes all 36 products -0.0, so sums begun at
+    # their first product would read -0.0, and sums begun at 0 (the loop) +0.0
+    grid = np.ones((1, 16, 16))
+    pos = np.array([1, -1, 1, 1, -1, 1]) > 0
+    grid[0, 5:11, 5:11] = np.where(pos[:, None] & pos, -0.0, 0.0)
+    fld = grid_field(grid, 1.0)
+    pts_r, pts_t = np.array([7.5 * fld.grid.dr]), np.array([7.5 / 16])
+    got = fld.interpolate(pts_r, pts_t)
+    want = interp_point_loop(grid, 0.0, fld.grid.dr, pts_r, pts_t)
+    assert got.tobytes() == want.tobytes() == np.zeros((1, 1)).tobytes()
+
+
+def test_interp2d_all_outside_and_empty_calls():
+    rng = np.random.default_rng(1)
+    fld = grid_field(rng.normal(size=(2, 16, 8)), 1.5)
+    n = tensorfield._CHUNK + 5
+    far = np.r_[rng.uniform(-3.0, -0.2, n // 2), rng.uniform(1.7, 4.0, n - n // 2)]
+    vals = fld.interpolate(far, rng.uniform(0.0, 1.0, n))
+    assert vals.shape == (2, n) and vals.tobytes() == np.zeros((2, n)).tobytes()
+    assert fld.interpolate(np.empty(0), np.empty(0)).shape == (2, 0)
+
+
+def test_interp2d_extra_memory_is_bounded_by_a_chunk():
+    # besides its output, a call holds one chunk's temporaries (about 3 MB for
+    # three components), whatever its number of points; temporaries sized by
+    # the call would take about 49 MB here
+    rng = np.random.default_rng(0)
+    fld = grid_field(rng.normal(size=(3, 64, 48)), 1.0)
+    n = 200_000
+    pts_r, pts_t = rng.uniform(-0.1, 1.1, n), rng.uniform(-2.0, 3.0, n)
+    tracemalloc.start()
+    try:
+        vals = fld.interpolate(pts_r, pts_t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - vals.nbytes < 8 * 2**20
 
 
 @pytest.mark.parametrize("r, t", [(np.nan, 0.2), (0.5, np.inf), (0.5, np.nan)])

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import jordan_family
 from cusplab.errors import InvalidInputError, InvalidWeightError
 from cusplab.modezero import (
     AsymptoticElement,
@@ -261,11 +262,6 @@ def test_kernel_elements_annihilated_in_interior():
             assert resid <= 1e-8 * scale
 
 
-def jordan_family(k):
-    # lam - 0.3 on the diagonal of a k x k block, ones on the superdiagonal
-    return IndicialFamily(np.stack([-0.3 * np.eye(k) + np.eye(k, k=1), np.eye(k)]))
-
-
 def similar_jordan_pair():
     # J_2(0.3) + J_1(0.3) under a random similarity
     s = np.random.default_rng(7).normal(size=(3, 3))
@@ -283,7 +279,7 @@ def builtin_roots():
 
 
 BUILTIN_ROOTS = builtin_roots()
-JORDAN_ROOTS = [(f"J{k}", jordan_family(k), 0.3) for k in range(1, 8)]
+JORDAN_ROOTS = [(f"J{k}", jordan_family(k, 0.3), 0.3) for k in range(1, 8)]
 JORDAN_ROOTS.append(("J2+J1 similar", similar_jordan_pair(), 0.3))
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import jordan_family
 from cusplab.errors import DegenerateOperatorError, InvalidInputError, NumericFailureError
 from cusplab.operators import (
     divergence_spec,
@@ -32,11 +33,6 @@ def rng3_quadratic():
     rng = np.random.default_rng(3)
     rng.normal(size=(3, 3, 3))
     return IndicialFamily(rng.normal(size=(3, 3, 3)))
-
-
-def jordan_family(k, c):
-    # lam - c on the diagonal, ones on the superdiagonal
-    return IndicialFamily(np.stack([-c * np.eye(k) + np.eye(k, k=1), np.eye(k)]))
 
 
 def sv_ratio(a):
@@ -207,6 +203,14 @@ def test_bad_zero_count_is_numeric_failure(monkeypatch, moments, message):
         fam.determinant()
     assert info.value.diagnostics["eigenvalues"] == [pytest.approx(0.3)]
     assert info.value.diagnostics["count"] == moments[0]
+
+
+def test_family_singular_at_a_contour_node_is_numeric_failure():
+    # lam - 0.5 around 0.25 with radius 0.25: node 0 lies exactly on the zero
+    fam = IndicialFamily(np.array([-0.5, 1.0]).reshape(2, 1, 1))
+    with pytest.raises(NumericFailureError, match="singular at a contour node") as info:
+        fam._zero_moments(0.25, 0.25, 1)
+    assert info.value.diagnostics == {"center": 0.25, "radius": 0.25, "node": 0}
 
 
 def rank2_family(seed, deg):

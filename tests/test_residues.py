@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import jordan_family
 from cusplab.errors import InvalidInputError, NumericFailureError
 from cusplab.operators import (
     divergence_spec,
@@ -26,18 +27,6 @@ LAM_MINUS_1 = 0.5 - np.sqrt(1.25)
 
 def scalar_family(*coeffs):
     return IndicialFamily(np.array(coeffs, dtype=complex).reshape(-1, 1, 1))
-
-
-def jordan_family(c):
-    # [[lam - c, 1], [0, lam - c]]
-    c0 = np.array([[-c, 1.0], [0.0, -c]])
-    c1 = np.eye(2)
-    return IndicialFamily(np.stack([c0, c1]).astype(complex))
-
-
-def jordan3_family(c):
-    # lam - c on the diagonal, ones on the superdiagonal
-    return IndicialFamily(np.stack([-c * np.eye(3) + np.eye(3, k=1), np.eye(3)]))
 
 
 def s_diag_t_family():
@@ -81,7 +70,7 @@ def test_double_scalar_pole_and_profiles(annihilation_residual):
 
 
 def test_jordan_block_pole_versus_contour_oracle():
-    fam = jordan_family(0.3)
+    fam = jordan_family(2, 0.3)
     # contour oracle: Laurent coefficients computed at two radii agree and
     # reveal a second-order pole with vanishing third coefficient
     l_small = laurent_coefficients(fam, 0.3, 3, radius=5e-3)
@@ -188,7 +177,7 @@ CONTOUR_CASES = [
     ("laplacian d=3", lambda: indicial_family(sym_laplacian_spec(3)), -1.0, 3, 1, 3, 3),
     ("laplacian d=3", lambda: indicial_family(sym_laplacian_spec(3)), 4.0, 3, 1, 3, 3),
     ("S diag T", s_diag_t_family, 0.5, 2, 1, 2, 2),
-    ("jordan 3x3", lambda: jordan3_family(0.2), 0.2, 3, 3, 3, 3),
+    ("jordan 3x3", lambda: jordan_family(3, 0.2), 0.2, 3, 3, 3, 3),
     ("derivative d=1", lambda: indicial_family(sym_derivative_spec(1)), -1.0, 1, 1, 1, 1),
     ("derivative d=2", lambda: indicial_family(sym_derivative_spec(2)), -1.0, 2, 1, 2, 2),
     ("derivative d=3", lambda: indicial_family(sym_derivative_spec(3)), -1.0, 3, 1, 3, 3),
@@ -255,7 +244,7 @@ def test_pole_order_does_not_hang_on_the_roots_last_bits(monkeypatch, make, rank
 def test_jordan_block_pole_order_is_block_size(k):
     # A_-j = (-N)^(j-1) for j = 1..k, so A_-1 = I: residue rank, pole order
     # and projector rank all equal the block size k
-    fam = IndicialFamily(np.stack([-0.2 * np.eye(k) + np.eye(k, k=1), np.eye(k)]))
+    fam = jordan_family(k, 0.2)
     assert [(r.lam, r.multiplicity) for r in indicial_roots(fam)] == [
         (pytest.approx(0.2, abs=1e-12), k)
     ]
@@ -313,7 +302,7 @@ def test_root_report_reads_one_contour_per_root(monkeypatch, determinant_calls):
 def test_zero_of_denominator_without_principal_part_fails(monkeypatch):
     # a zero of the denominator is always a pole; Laurent data that says
     # otherwise is a quadrature failure, not pole order 0
-    fam = jordan3_family(0.2)
+    fam = jordan_family(3, 0.2)
     original = residues.laurent_coefficients
 
     def flattened(*args, **kwargs):
