@@ -43,7 +43,7 @@ from .paley import (
     random_band_limited_family,
 )
 from .polymat import adjoint_family, indicial_roots
-from .residues import index_jump, residue_rank
+from .residues import crossed_roots, index_jump, residue_rank
 from .surface import enumerate_hyperbolic_classes, punctured_torus
 from .tensorfield import (
     SymTensorField,
@@ -64,9 +64,7 @@ def criterion_1_indicial_roots():
     tangent-bundle gradient, d in {1, 2, 3}, to 1e-10."""
     worst = 0.0
     for d in (1, 2, 3):
-        roots_d = indicial_roots(
-            indicial_family(sym_derivative_spec(d)), window=(-50, 50)
-        )
+        roots_d = indicial_roots(indicial_family(sym_derivative_spec(d)))
         if len(roots_d) != 1 or roots_d[0].multiplicity != d:
             return False, {"reason": f"derivative root structure wrong at d={d}"}
         worst = max(worst, abs(roots_d[0].lam - (-1.0)))
@@ -193,16 +191,14 @@ def criterion_6_index_jump_consistency():
         (famL, [(-1.5, 0.0), (0.0, 1.7), (0.0, 2.5), (-1.5, 2.5)]),
         (famD, [(-1.5, 0.0)]),
     ):
-        roots = indicial_roots(fam, window=(-5, 5))
         for a, b in windows:
             jump = index_jump(fam, a, b)
             rank_sum = 0
             mult_sum = 0
-            for r in roots:
-                if a < r.lam.real < b:
-                    rank, _ = residue_rank(fam, r.lam)
-                    rank_sum += rank
-                    mult_sum += r.multiplicity
+            for r in crossed_roots(fam, a, b)[1]:
+                rank, _ = residue_rank(fam, r.lam)
+                rank_sum += rank
+                mult_sum += r.multiplicity
             checks.append(
                 {"window": [a, b], "jump": jump, "rank_sum": rank_sum, "mult_sum": mult_sum}
             )

@@ -22,6 +22,8 @@ class ChartGrid:
     n_theta: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.r_min) and np.isfinite(self.r_max)):
+            raise InvalidInputError(f"radial range [{self.r_min}, {self.r_max}] must be finite")
         if self.r_max <= self.r_min:
             raise InvalidInputError("empty radial range")
         if self.n_r < 8 or self.n_theta < 4:

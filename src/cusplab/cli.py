@@ -24,7 +24,6 @@ from .modezero import (
     bump,
     fit_decay_rate,
     invert_on_line,
-    kernel_elements,
     make_field,
     window_profile,
 )
@@ -35,8 +34,7 @@ from .paley import (
     random_band_limited_family,
     zygmund_norm,
 )
-from .polymat import indicial_roots
-from .residues import index_jump, root_report
+from .residues import crossed_roots, index_jump, kernel_elements, root_report
 from .runio import (
     build_chart_grid,
     build_operator,
@@ -91,8 +89,7 @@ def cmd_index_jump(cfg, out, args):
     jump = index_jump(fam, a, b)
     crossed = [
         {"lambda": [r.lam.real, r.lam.imag], "multiplicity": r.multiplicity}
-        for r in indicial_roots(fam, window=(min(a, b), max(a, b)))
-        if min(a, b) < r.lam.real < max(a, b)
+        for r in crossed_roots(fam, a, b)[1]
     ]
     payload = {"weight_from": a, "weight_to": b, "index_jump": jump, "roots_crossed": crossed}
     return [write_json(out / "index_jump.json", payload)]
@@ -122,11 +119,15 @@ def cmd_mode0_solve(cfg, out, args):
         "condition_median": info["condition_median"],
         "root_line_distance": info["root_line_distance"],
     }
+    # both rates or neither: one side's fit alone may read the other root's
+    # rate off the wrapped tail; rate_reason says why they are null
     try:
         report["rate_right"] = fit_decay_rate(u, side="+")
         report["rate_left"] = fit_decay_rate(u, side="-")
-    except InvalidInputError:
+        report["rate_reason"] = None
+    except InvalidInputError as exc:
         report["rate_right"] = report["rate_left"] = None
+        report["rate_reason"] = str(exc)
     header = ["r"] + [f"c{k}_{p}" for k in range(ncomp) for p in ("re", "im")]
     # columns r, then re and im of each component
     parts = np.stack([u.samples.real, u.samples.imag], axis=2).reshape(len(u.grid), -1)

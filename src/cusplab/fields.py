@@ -4,8 +4,9 @@ Each scalar carries its value and its 1-jet (the value with its first
 partials), so symmetric derivatives evaluate without grid discretization
 error: the route used by the quadrature-only X-ray experiments and as the
 reference for grid convergence studies.  A jet evaluates each factor once;
-values alone take no derivative work.  Products and bumps skip their
-zero set (see ``_on_support``).
+values alone take no derivative work.  A product of scalars evaluates its
+right factor only off the left factor's zero set (see ``_on_support``); a
+bump is the plain product of its two axis factors, which are cheap.
 """
 
 from dataclasses import dataclass
@@ -78,12 +79,7 @@ class Scalar2D:
             raise InvalidInputError("theta half-width must lie in (0, 1/2)")
 
         def val(r, t):
-            return _on_support(
-                lambda r, t: (_bump((r - r0) / r_width),),
-                lambda r, t, bx: (bx * _bump(_wrap(t - t0) / t_width),),
-                r,
-                t,
-            )[0]
+            return _bump((r - r0) / r_width) * _bump(_wrap(t - t0) / t_width)
 
         def jet(r, t):
             x = (r - r0) / r_width

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidWeightError, ResolutionError
 from .polymat import _contour_moments, _contour_nodes, indicial_roots
-from .residues import _principal_part, meromorphic_inverse, residue_range_profiles
+from .residues import AsymptoticElement, _principal_part, crossed_roots, meromorphic_inverse
 
 _ALIAS_TOL = 1e-10
 _NEAR_ROOT_GUARD = 1e-3
@@ -251,35 +251,6 @@ def invert_on_line(fam, f, rho):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticElement:
-    """Profile r^k e^{lam r} v, the building block of residue ranges."""
-
-    lam: complex
-    k: int
-    coefficient_vector: np.ndarray
-    tail: tuple = ()
-
-    def evaluate(self, r):
-        r = np.asarray(r, dtype=float)
-        vec = np.asarray(self.coefficient_vector, dtype=complex)
-        out = (r**self.k * np.exp(self.lam * r))[:, None] * vec[None, :]
-        for k2, v2 in self.tail:
-            out += (r**k2 * np.exp(self.lam * r))[:, None] * np.asarray(v2)[None, :]
-        return out
-
-
-def kernel_elements(fam, lam):
-    """Basis of the asymptotic kernel attached to the indicial root lam, as
-    exponential-polynomial profiles annihilated by the operator."""
-    lam0 = complex(lam)
-    profiles = residue_range_profiles(fam, lam0)
-    return [
-        AsymptoticElement(lam0, k, vec, tuple((k2, v2) for k2, v2 in tail))
-        for k, vec, tail in profiles
-    ]
-
-
 def evaluate_elements(elements, fld_like):
     """Sum asymptotic elements on the grid of a reference field, stored at
     that field's weight."""
@@ -315,13 +286,10 @@ def cross_root_correction(fam, f, rho_from, rho_to):
     u_to, _ = invert_on_line(fam, f, rho_to)
     diff = u_to - u_from.with_weight(rho_to)
 
-    lo, hi = sorted((rho_from, rho_to))
-    sign = 1.0 if rho_to >= rho_from else -1.0
+    sign, crossed = crossed_roots(fam, rho_from, rho_to)
     contributions = []
     minv = meromorphic_inverse(fam)
-    for root in indicial_roots(fam):
-        if not (lo < root.lam.real < hi):
-            continue
+    for root in crossed:
         p = _principal_part(fam, root)[0]
         phi, lam = _contour_nodes(root.lam, root.radius)
         g = np.einsum("kij,kj->ki", minv(lam), _finite_transform(f, lam))

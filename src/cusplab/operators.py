@@ -144,10 +144,6 @@ def sym_laplacian_spec(d):
     )
 
 
-def identity_spec(n):
-    return OperatorSpec(terms=((0, np.eye(n)),))
-
-
 def laplacian_invertibility_window(d):
     """The weight interval around the self-adjoint line on which the
     symmetric Laplacian on 1-forms is invertible."""
@@ -159,12 +155,12 @@ _BUILTINS = {
     "sym-derivative": sym_derivative_spec,
     "divergence": divergence_spec,
     "sym-laplacian": sym_laplacian_spec,
+    # the identity on d + 1 components: a family with no roots
+    "identity": lambda d: OperatorSpec(terms=((0, np.eye(d + 1)),)),
 }
 
 
 def builtin_spec(name, d):
-    if name == "identity":
-        return identity_spec(d + 1)
     try:
         return _BUILTINS[name](d)
     except KeyError:

@@ -283,8 +283,9 @@ class IndicialRoot:
     radius: float
 
 
-def indicial_roots(fam, window=None):
-    """All roots of the family with real part in ``window``.
+def indicial_roots(fam):
+    """All roots of the family, as a new list sorted by (real, imaginary)
+    part.
 
     Square families: the zeros of the determinant with their orders.  Tall
     families (overdetermined operators): the zeros of det(A^T A) (plain
@@ -293,14 +294,10 @@ def indicial_roots(fam, window=None):
     maximal minors (Cauchy-Binet), not from A.  Either determinant is the
     denominator whose zeros carry all poles of the (left-)inverse, and each
     root's contour radius keeps every other zero of it three radii away.
-    The family finds its roots once; each call filters them.
+    The family finds its roots once; readers that want a band of them
+    filter this list (``residues.crossed_roots``, ``residues.root_report``).
     """
-    if window is None:
-        return list(fam._roots)
-    lo, hi = window
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise InvalidInputError("root search window must be finite")
-    return [r for r in fam._roots if lo <= r.lam.real <= hi]
+    return list(fam._roots)
 
 
 def adjoint_family(fam, d):

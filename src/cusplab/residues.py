@@ -25,10 +25,15 @@ Polynomials, 1982).  Ranks count singular values strictly above the same
 floor: those of A_{-1}, and those of the block-Hankel matrix of the
 principal part with block (k, i) divided by radius^(k+i).  That one SVD
 gives the projector rank, and its kept left singular vectors give the
-graded basis of the projector's range.
+graded basis of the projector's range: the kernel elements at the root.
+
+A move between two weight lines crosses the roots whose real part lies
+strictly between them (``crossed_roots``); the index jump, the
+cross-root correction and their reports all read that one list.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,25 +144,44 @@ def _range_basis(p, laurent, floor, rad):
     return u[:, :dim], floor / s[dim - 1]
 
 
-def residue_range_profiles(fam, lam0):
-    """Basis of the range of the residue projector as exponential-polynomial
-    profiles.
+@dataclass(frozen=True)
+class AsymptoticElement:
+    """Profile e^{lam r} (r^k v + sum over tail of r^j v_j), with tail a
+    tuple of (j, v_j) pairs, j < k: the building block of residue ranges."""
 
-    Each basis element is a tuple (k, vector, tail): the corresponding
-    kernel-type profile is e^{lam0 r} (r^k vector + lower-order tail), where
-    tail lists (k', vector') pairs with k' < k.  The basis is graded by top
-    power and has one element per unit of projector rank: from the top power
-    down, the Hankel basis's block-k rows split the remaining directions into
-    those with top power k (singular values above the basis's accuracy) and
-    the rest; power 0 takes all that remain.  So simple poles and diagonal
-    families give pure-power profiles.
+    lam: complex
+    k: int
+    coefficient_vector: np.ndarray
+    tail: tuple = ()
 
-    Each profile is scaled so that the largest-modulus component of its
+    def evaluate(self, r):
+        r = np.asarray(r, dtype=float)
+        vec = np.asarray(self.coefficient_vector, dtype=complex)
+        out = (r**self.k * np.exp(self.lam * r))[:, None] * vec[None, :]
+        for k2, v2 in self.tail:
+            out += (r**k2 * np.exp(self.lam * r))[:, None] * np.asarray(v2)[None, :]
+        return out
+
+
+def kernel_elements(fam, lam):
+    """Basis of the asymptotic kernel at the indicial root lam: the range of
+    the residue projector as AsymptoticElements at lam, which the operator
+    annihilates; [] when lam is not a root.
+
+    The basis is graded by top power and has one element per unit of
+    projector rank: from the top power down, the Hankel basis's block-k rows
+    split the remaining directions into those with top power k (singular
+    values above the basis's accuracy) and the rest; power 0 takes all that
+    remain.  So simple poles and diagonal families give pure-power elements,
+    and a tail keeps only the lower powers above 1e-10 of the top vector.
+
+    Each element is scaled so that the largest-modulus component of its
     top-power vector (the first, on ties) is real and positive, which fixes
     the phase the SVD leaves free; zero parts are +0.  A group of two or more
-    profiles with one top power still spans its space in a basis chosen by
+    elements with one top power still spans its space in a basis chosen by
     the SVD.
     """
+    lam0 = complex(lam)
     root = _root_at(fam, lam0)
     if root is None:
         return []
@@ -165,7 +189,7 @@ def residue_range_profiles(fam, lam0):
     q, tol = _range_basis(p, laurent, floor, root.radius)
     m = laurent[1].shape[0]
     scale = np.repeat([root.radius**j / math.factorial(j) for j in range(p)], m)
-    profiles = []
+    elements = []
     for k in range(p - 1, -1, -1):
         top = q
         if k:
@@ -178,11 +202,20 @@ def residue_range_profiles(fam, lam0):
             parts = parts * (abs(parts[k, j]) / parts[k, j]) + 0.0  # no -0 parts
             parts[k, j] = parts[k, j].real  # real up to the product's roundoff
             norm = np.linalg.norm(parts[k])
-            tail = [
+            tail = tuple(
                 (j, parts[j] / norm) for j in range(k) if np.linalg.norm(parts[j]) > 1e-10 * norm
-            ]
-            profiles.append((k, parts[k] / norm, tail))
-    return profiles
+            )
+            elements.append(AsymptoticElement(lam0, k, parts[k] / norm, tail))
+    return elements
+
+
+def crossed_roots(fam, rho_from, rho_to):
+    """(sign, roots): the sign of the move from the weight line rho_from to
+    rho_to as an int, 1 up (or staying) and -1 down, and the family's roots
+    whose real part lies strictly between the two lines, in root order."""
+    lo, hi = sorted((rho_from, rho_to))
+    sign = 1 if rho_to >= rho_from else -1
+    return sign, [r for r in indicial_roots(fam) if lo < r.lam.real < hi]
 
 
 def index_jump(fam, rho_from, rho_to):
@@ -197,26 +230,25 @@ def index_jump(fam, rho_from, rho_to):
     """
     if not isinstance(fam, IndicialFamily):
         raise InvalidInputError("index_jump expects an IndicialFamily")
-    lo, hi = sorted((rho_from, rho_to))
-    sign = 1 if rho_to >= rho_from else -1
-    span = max(abs(hi), abs(lo), 1.0) + 1.0
-    roots = indicial_roots(fam, window=(-span - 1, span + 1))
-    for r in roots:
+    if not (math.isfinite(rho_from) and math.isfinite(rho_to)):
+        raise InvalidInputError("weight endpoints must be finite")
+    for r in indicial_roots(fam):
         if abs(r.lam.real - rho_from) < _ROOT_GUARD or abs(r.lam.real - rho_to) < _ROOT_GUARD:
             raise InvalidInputError(
                 f"weight endpoint sits on the root line Re = {r.lam.real:.12g}"
             )
-    total = 0
-    for r in roots:
-        if lo < r.lam.real < hi:
-            total += _range_basis(*_principal_part(fam, r), r.radius)[0].shape[1]
-    return sign * total
+    sign, crossed = crossed_roots(fam, rho_from, rho_to)
+    return sign * sum(_range_basis(*_principal_part(fam, r), r.radius)[0].shape[1] for r in crossed)
 
 
 def root_report(fam, window):
-    """Roots in the window annotated with residue data, plus the singular
-    weight set, ready for JSON serialization."""
-    roots = indicial_roots(fam, window=window)
+    """Roots with real part in the closed window (lo, hi), which must be
+    finite, annotated with residue data, plus the singular weight set,
+    ready for JSON serialization."""
+    lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidInputError("root search window must be finite")
+    roots = [r for r in indicial_roots(fam) if lo <= r.lam.real <= hi]
     entries = []
     for r in roots:
         p, laurent, floor = _principal_part(fam, r)

@@ -50,6 +50,7 @@ def _checked(convert, valid, rule):
 
 _positive_int = _checked(int, lambda v: v >= 1, "at least 1")
 _positive_finite = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_finite = _checked(float, math.isfinite, "finite")
 
 
 # every accepted key as (conversion of its value, default); None marks a key
@@ -63,8 +64,8 @@ _KEYS = {
     "operator": {
         "name": (str, "sym-laplacian"),
         "d": (_checked(int, lambda v: v >= 0, "at least 0"), 1),
-        "n_out": (int, None),
-        "n_in": (int, None),
+        "n_out": (_positive_int, None),
+        "n_in": (_positive_int, None),
     },
     "grid": {
         "r_half": (_positive_finite, 48.0),
@@ -79,7 +80,7 @@ _KEYS = {
         "weight": (float, 0.0),
         "weight_from": (float, None),
         "weight_to": (float, None),
-        "root": (float, None),
+        "root": (_finite, None),
         "s": (float, 0.5),
         "window_lo": (float, -10.0),
         "window_hi": (float, 10.0),

@@ -6,6 +6,11 @@ import pytest
 from cusplab.polymat import IndicialFamily
 
 
+def scalar_family(*coeffs):
+    """The 1 x 1 family with coefficients coeffs[k] of lam^k."""
+    return IndicialFamily(np.array(coeffs, dtype=complex).reshape(-1, 1, 1))
+
+
 def jordan_family(k, c):
     """The k x k Jordan block lam - c: lam - c on the diagonal, ones on the
     superdiagonal."""

@@ -19,7 +19,7 @@ from pathlib import Path
 import cusplab
 from cusplab import runio
 
-SETTABLE_VALUES = 76
+SETTABLE_VALUES = 75
 
 SRC = Path(cusplab.__file__).parent
 BENCH = SRC.parent.parent / "cuspbench"

@@ -114,6 +114,30 @@ def test_mode0_solve_off_zero_weight_round_trips(tmp_path):
     assert report["roundtrip_residual"] <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "weight, reason",
+    [("0", None), ("14", "not enough tail samples above the noise floor")],
+)
+def test_mode0_report_says_why_its_rates_are_null(tmp_path, weight, reason):
+    # at weight 14 the peak that sets the fit band is roundoff lifted by
+    # e^{weight r} at the grid's end, so neither side has a node in the band
+    parser = configparser.ConfigParser()
+    parser.read(Path(__file__).resolve().parents[1] / "configs" / "default.ini")
+    parser["tolerances"]["weight"] = weight
+    cfg = tmp_path / "default.ini"
+    with open(cfg, "w") as fh:
+        parser.write(fh)
+    code, out = run("mode0-solve", cfg, tmp_path)
+    assert code == 0
+    report = json.loads((out / "mode0_report.json").read_text())
+    assert report["rate_reason"] == reason
+    rates = [report["rate_right"], report["rate_left"]]
+    if reason is None:
+        assert None not in rates
+    else:
+        assert rates == [None, None]
+
+
 @pytest.mark.parametrize("weight", ["14", "20.3"])
 def test_mode0_solve_far_off_zero_weight_warns_nothing(tmp_path, weight):
     # e^{weight r} overflows near the grid's ends: at 20.3 the re-weighting
@@ -552,13 +576,18 @@ def test_malformed_number_is_invalid_input_naming_its_key(tmp_path, capsys, sect
         ("tolerances", "xray", "0", "roots"),
         ("tolerances", "xray", "nan", "roots"),
         ("tolerances", "xray", "inf", "roots"),
+        ("operator", "n_out", "0", "roots"),
+        ("operator", "n_in", "-1", "roots"),
+        ("tolerances", "root", "nan", "mode0-kernel"),
+        ("tolerances", "root", "-inf", "mode0-kernel"),
     ],
 )
 def test_out_of_range_value_is_invalid_input_naming_its_key(
     tmp_path, capsys, section, key, value, cmd
 ):
     # each once reached the numerics: a ZeroDivisionError, a report on a
-    # reversed or empty line grid, a negative array dimension
+    # reversed or empty line grid, a negative array dimension, an IndexError
+    # on a 0 x 0 custom family, a bare NaN token in kernel_report.json
     path = _config_with(tmp_path, section, key, value)
     assert main([cmd, str(path), "--out", str(tmp_path / "o")]) == 2
     assert f"[{section}] {key}:" in capsys.readouterr().err
@@ -573,6 +602,33 @@ def test_malformed_custom_term_row_is_invalid_input(tmp_path):
     path = tmp_path / "custom.ini"
     path.write_text("[operator]\nname = custom\nn_out = 1\nn_in = 1\nterm0 = 0 one\n")
     assert main(["roots", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_empty_custom_operator_is_invalid_input(tmp_path, capsys):
+    # a 0 x 0 family once died in roots with an IndexError traceback
+    path = tmp_path / "custom.ini"
+    path.write_text("[operator]\nname = custom\nn_out = 0\nn_in = 0\nterm0 = 0\n")
+    assert main(["roots", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "[operator] n_out:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cmd, section, key, value",
+    [
+        ("roots", "tolerances", "window_hi", "inf"),
+        ("index-jump", "tolerances", "weight_to", "nan"),
+        ("xray", "grid", "r_min", "nan"),
+        ("xray", "grid", "r_min", "-inf"),
+        ("decompose", "grid", "r_min", "nan"),
+        ("decompose", "grid", "r_max", "inf"),
+    ],
+)
+def test_non_finite_bound_is_invalid_input(tmp_path, capsys, cmd, section, key, value):
+    # a NaN or infinite radial range once gave an xray metric run that read
+    # every class as value 0 with error 0, and a decompose ValueError
+    path = _config_with(tmp_path, section, key, value)
+    assert main([cmd, str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_custom_operator_without_shape_is_invalid_input(tmp_path):
@@ -607,7 +663,9 @@ def test_roots_of_generic_custom_quadratic(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edit", [{"order": 3}, {"n_r": 256}, {"r_min": None}], ids=["order-3", "n_r-256", "no-r_min"]
+    "edit",
+    [{"order": 3}, {"n_r": 256}, {"r_min": None}, {"r_min": float("nan")}],
+    ids=["order-3", "n_r-256", "no-r_min", "nan-r_min"],
 )
 def test_tensor_header_mismatch_is_invalid_input(tmp_path, edit):
     from cusplab.chart import ChartGrid

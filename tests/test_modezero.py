@@ -3,10 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import jordan_family
+from conftest import jordan_family, scalar_family
 from cusplab.errors import InvalidInputError, InvalidWeightError
 from cusplab.modezero import (
-    AsymptoticElement,
     ModeZeroField,
     apply_indicial,
     bump,
@@ -14,7 +13,6 @@ from cusplab.modezero import (
     evaluate_elements,
     fit_decay_rate,
     invert_on_line,
-    kernel_elements,
     line_grid,
     make_field,
     window_profile,
@@ -25,16 +23,12 @@ from cusplab.operators import (
     sym_laplacian_spec,
 )
 from cusplab.polymat import IndicialFamily, indicial_roots
-from cusplab.residues import root_report
+from cusplab.residues import kernel_elements, root_report
 
 LAM_PLUS = 0.5 + np.sqrt(1.25)
 LAM_MINUS = 0.5 - np.sqrt(1.25)
 
 FAM_LAP1 = indicial_family(sym_laplacian_spec(1))
-
-
-def scalar_family(*coeffs):
-    return IndicialFamily(np.array(coeffs, dtype=complex).reshape(-1, 1, 1))
 
 
 def gaussian_pair(r):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import jordan_family
+from conftest import jordan_family, scalar_family
 from cusplab.errors import InvalidInputError, NumericFailureError
 from cusplab.operators import (
     divergence_spec,
@@ -14,19 +14,16 @@ from cusplab.operators import (
 from cusplab import residues
 from cusplab.polymat import IndicialFamily, indicial_roots
 from cusplab.residues import (
+    crossed_roots,
     index_jump,
+    kernel_elements,
     laurent_coefficients,
-    residue_range_profiles,
     residue_rank,
     root_report,
 )
 
 LAM_PLUS_1 = 0.5 + np.sqrt(1.25)
 LAM_MINUS_1 = 0.5 - np.sqrt(1.25)
-
-
-def scalar_family(*coeffs):
-    return IndicialFamily(np.array(coeffs, dtype=complex).reshape(-1, 1, 1))
 
 
 def s_diag_t_family():
@@ -62,11 +59,11 @@ def test_double_scalar_pole_and_profiles(annihilation_residual):
     assert p == 2
     assert rank == 0  # the first Laurent coefficient vanishes
     assert root_entry(fam, 0.5)["projector_rank"] == 2
-    profiles = residue_range_profiles(fam, 0.5)
-    powers = sorted(k for k, _, _ in profiles)
+    elements = kernel_elements(fam, 0.5)
+    powers = sorted(el.k for el in elements)
     assert powers == [0, 1]
-    for profile in profiles:
-        assert annihilation_residual(fam, 0.5, *profile) <= 1e-8
+    for el in elements:
+        assert annihilation_residual(fam, 0.5, el.k, el.coefficient_vector, el.tail) <= 1e-8
 
 
 def test_jordan_block_pole_versus_contour_oracle():
@@ -106,19 +103,28 @@ def test_derivative_residue_via_left_inverse(d):
     fam = indicial_family(sym_derivative_spec(d))
     rank, p = residue_rank(fam, -1.0)
     assert (rank, p) == (d, 1)
-    profiles = residue_range_profiles(fam, -1.0)
-    assert len(profiles) == d
-    for k, vec, tail in profiles:
-        assert k == 0
-        assert not tail
+    elements = kernel_elements(fam, -1.0)
+    assert len(elements) == d
+    for el in elements:
+        assert el.k == 0
+        assert not el.tail
         # the range lives in the slice components of the 1-form
-        assert abs(vec[0]) < 1e-8
+        assert abs(el.coefficient_vector[0]) < 1e-8
 
 
 def test_residue_rank_rejects_non_root():
     fam = indicial_family(sym_laplacian_spec(1))
     with pytest.raises(InvalidInputError):
         residue_rank(fam, 0.3)
+
+
+def test_crossed_roots_lie_strictly_between_the_lines():
+    fam = indicial_family(sym_laplacian_spec(1))
+    sign, roots = crossed_roots(fam, 2.5, -1.0)
+    assert sign == -1 and type(sign) is int
+    # the root at -1 sits on the line moved to: not crossed
+    assert [r.lam.real for r in roots] == pytest.approx([LAM_MINUS_1, LAM_PLUS_1, 2.0])
+    assert crossed_roots(fam, 0.0, 0.0) == (1, [])
 
 
 def test_index_jump_empty_window_is_zero():
@@ -198,12 +204,13 @@ def test_contour_pole_order_rank_and_projector_rank(
     assert (entry["pole_order"], entry["residue_rank"], entry["projector_rank"]) == (p, rank, prank)
     # the same data through the caller's point, which names the root
     assert residue_rank(fam, lam0) == (rank, p)
-    profiles = residue_range_profiles(fam, lam0)
-    assert len(profiles) == prank
-    for profile in profiles:
-        assert annihilation_residual(fam, lam0, *profile) <= 1e-8
+    elements = kernel_elements(fam, lam0)
+    assert len(elements) == prank
+    for el in elements:
+        vec = el.coefficient_vector
+        assert annihilation_residual(fam, lam0, el.k, vec, el.tail) <= 1e-8
         # canonical phase: the largest top-power component is real, positive
-        lead = profile[1][np.argmax(np.abs(profile[1]))]
+        lead = vec[np.argmax(np.abs(vec))]
         assert lead.imag == 0.0 and lead.real > 0.0
 
 
@@ -236,7 +243,7 @@ def test_pole_order_does_not_hang_on_the_roots_last_bits(monkeypatch, make, rank
         for _ in range(12):
             lam = np.nextafter(lam, toward)
             off = replace(root, lam=complex(lam, 0.0))
-            monkeypatch.setattr(residues, "indicial_roots", lambda fam, window=None: [off])
+            monkeypatch.setattr(residues, "indicial_roots", lambda fam: [off])
             assert residue_rank(fam, off.lam) == (rank, 1), off.lam
 
 
