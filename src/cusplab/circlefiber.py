@@ -15,11 +15,11 @@ sphere integrals.
 """
 
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericFailureError
 
 # ---------------------------------------------------------------------------
 # circle fiber (surface case)
@@ -135,66 +135,63 @@ def gradient_indicial_roots(d):
     Fiber functions are decomposed over homogeneous polynomial blocks of
     degree 0..6 in the d+1 direction variables.  On each block the
     derivative part of the family (spherical gradient plus slice rotations)
-    is assembled exactly; its kernel consists of the constants, and the
-    family restricted there reduces to the linear polynomial lam, whose root
-    is 0.  Blocks with a trivial kernel contribute no roots for any
-    parameter value.
+    is assembled exactly from the rotation generators; its kernel consists
+    of the constants, and the family restricted there reduces to the linear
+    polynomial lam, whose root is 0.  Blocks with a trivial kernel
+    contribute no roots for any parameter value.
 
     Returns (roots, certificate): the certificate holds the per-block
     smallest derivative eigenvalue (strictly positive off the constants).
+    Raises NumericFailureError if a Gram block is not positive definite.
     """
     if d < 1:
         raise InvalidInputError("slice dimension must be >= 1")
     nvars = d + 1
     eye = np.eye(nvars, dtype=int)
-    roots = set()
     certificate = []
     for degree in range(7):
         monos = _monomials(nvars, degree)
-        n = len(monos)
-        # one integral table: the Gram pairs m_i + m_j, then for each
-        # variable v the pairs lowered by 2 e_v, which pair the v-th partial
-        # derivatives (clipped where m_i[v] m_j[v] = 0 drops the term)
-        pairs = monos[:, None, :] + monos[None, :, :]
-        lowered = np.maximum(pairs[None] - 2 * eye[:, None, None, :], 0)
-        ints = _sphere_integrals(np.concatenate([pairs[None], lowered]))
-        gram = ints[0]
-        # Gram of the spherical gradient: the ambient-gradient pairing minus
-        # the radial part degree^2 <P, Q>
-        ambient = sum(np.outer(monos[:, v], monos[:, v]) * ints[1 + v] for v in range(nvars))
-        a = ambient - degree**2 * gram
-        # the slice rotation v_0 d/dv_ell - v_ell d/dv_0 sends column j's
-        # monomial m to m[ell] (m + e_0 - e_ell) - m[0] (m - e_0 + e_ell)
+        gram = _sphere_integrals(monos[:, None] + monos[None])
         index = np.zeros((degree + 1,) * nvars, dtype=int)
-        index[tuple(monos.T)] = np.arange(n)
-        for ell in range(1, nvars):
-            rot = np.zeros((n, n))
-            for var, step, sign in ((ell, eye[0] - eye[ell], 1), (0, eye[ell] - eye[0], -1)):
-                has = np.nonzero(monos[:, var])[0]
-                rot[index[tuple((monos[has] + step).T)], has] = sign * monos[has, var]
-            a += rot.T @ gram @ rot
-        # compare the quadratic forms in a Gram-orthonormal basis; the
-        # monomials of one degree stay independent on the sphere (a
-        # homogeneous polynomial vanishing there vanishes everywhere), so
-        # the keep threshold only guards against roundoff
-        gvals, gvecs = np.linalg.eigh(gram)
-        keep = gvals > 1e-10 * max(gvals.max(), 1.0)
-        basis = gvecs[:, keep] / np.sqrt(gvals[keep])
-        a_red = basis.T @ ((a + a.T) / 2.0) @ basis
-        eigvals = np.linalg.eigvalsh(a_red)
+        index[tuple(monos.T)] = np.arange(len(monos))
+        # the rotation generators L_ij = v_i d/dv_j - v_j d/dv_i: on the unit
+        # sphere |grad_S f|^2 = sum_{i<j} (L_ij f)^2 (Lagrange's identity with
+        # Euler's v . grad f = degree f), and the slice rotations L_0l count
+        # once more
+        form = np.zeros_like(gram)
+        for i, j in combinations(range(nvars), 2):
+            # L_ij sends v^m to m_j v^(m + e_i - e_j) - m_i v^(m - e_i + e_j);
+            # an exponent leaving 0..degree has the coefficient 0 and is clipped
+            moved = monos.T[:, None] + (eye[i] - eye[j])[:, None, None] * [[1], [-1]]
+            image = index[tuple(np.clip(moved, 0, degree))]
+            coef = np.array([monos[:, j], -monos[:, i]])
+            pairing = gram[image[:, :, None, None], image[None, None]]
+            form += (2 if i == 0 else 1) * np.einsum("sa,satb,tb->ab", coef, pairing, coef)
+        eigvals = []
+        # a sphere integral vanishes unless every exponent is even, so both
+        # forms are block diagonal over the exponents' parity classes
+        for parity in np.unique(monos % 2, axis=0):
+            block = np.ix_(*[np.all(monos % 2 == parity, axis=1)] * 2)
+            try:
+                chol = np.linalg.cholesky(gram[block])
+            except np.linalg.LinAlgError:
+                msg = f"Gram block of degree {degree}, parity class {parity.tolist()}"
+                raise NumericFailureError(msg + " is not positive definite") from None
+            # the form in the block's Gram-orthonormal basis chol^-1 (monomials)
+            basis = np.linalg.inv(chol)
+            eigvals.append(np.linalg.eigvalsh(basis @ form[block] @ basis.T))
+        eigvals = np.concatenate(eigvals)
         scale = max(np.max(np.abs(eigvals)), 1.0)
         kernel_dim = int(np.sum(np.abs(eigvals) < 1e-8 * scale))
-        if kernel_dim > 0:
-            # on the kernel block the family is lam * (injection), whose
-            # only zero is lam = 0
-            roots.add(0.0)
         positive = eigvals[np.abs(eigvals) >= 1e-8 * scale]
         certificate.append(
             {
                 "degree": degree,
-                "dim": int(basis.shape[1]),
+                "dim": len(monos),
                 "kernel_dim": kernel_dim,
                 "min_positive_eig": float(np.min(positive)) if positive.size else None,
             }
         )
-    return sorted(roots), certificate
+    # on a kernel block the family is lam * (injection), whose only zero is 0
+    roots = [0.0] if any(row["kernel_dim"] for row in certificate) else []
+    return roots, certificate

@@ -40,7 +40,8 @@ class ModeZeroField:
 
     ``samples[k, i]`` holds component i of the *weighted representative*
     e^{-weight r} u(r) at the k-th node, which stays bounded when u grows
-    like e^{weight r}.  A non-finite sample raises InvalidInputError.
+    like e^{weight r}.  A non-finite sample, a non-finite ``r0`` or a
+    spacing ``dr`` that is not positive and finite raises InvalidInputError.
     """
 
     r0: float
@@ -54,6 +55,9 @@ class ModeZeroField:
             s = s[:, None]
         if s.shape[0] < 64:
             raise InvalidInputError("mode-zero grid needs at least 64 samples")
+        if not (math.isfinite(self.r0) and math.isfinite(self.dr) and self.dr > 0):
+            msg = f"mode-zero grid needs a finite r0 and a positive finite dr: {self.r0}, {self.dr}"
+            raise InvalidInputError(msg)
         bad = int(np.count_nonzero(~np.isfinite(s)))
         if bad:
             msg = f"mode-zero field at weight {self.weight}: {bad} non-finite samples"
@@ -78,6 +82,8 @@ class ModeZeroField:
         return replace(self, samples=samples, weight=rho)
 
     def __sub__(self, other):
+        if (self.r0, self.dr, self.samples.shape) != (other.r0, other.dr, other.samples.shape):
+            raise InvalidInputError("mode-zero fields live on different grids or components")
         o = other.with_weight(self.weight)
         return replace(self, samples=self.samples - o.samples)
 
@@ -253,10 +259,10 @@ def invert_on_line(fam, f, rho):
 
 def evaluate_elements(elements, fld_like):
     """Sum asymptotic elements on the grid of a reference field, stored at
-    that field's weight."""
+    that field's weight (the zero field when there are none)."""
     rho = fld_like.weight
     r = fld_like.grid
-    total = np.zeros((r.size, elements[0].coefficient_vector.size), dtype=complex)
+    total = np.zeros_like(fld_like.samples)
     for el in elements:
         total += el.evaluate(r)
     return ModeZeroField(fld_like.r0, fld_like.dr, _times_exp(total, r, -rho), weight=rho)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cusplab import circlefiber
 from cusplab.circlefiber import (
     circle_grid,
     default_fiber_tests,
@@ -10,7 +11,7 @@ from cusplab.circlefiber import (
     left_inverse_apply,
     sphere_fibered_inverse_check,
 )
-from cusplab.errors import InvalidInputError
+from cusplab.errors import InvalidInputError, NumericFailureError
 
 
 def test_constant_function_inverts_exactly():
@@ -103,6 +104,20 @@ def test_gradient_certificate_rows_are_pinned(d):
             assert row["min_positive_eig"] is None
         else:
             assert abs(row["min_positive_eig"] - eig) <= 1e-12
+
+
+def test_singular_gram_block_is_a_numeric_failure(monkeypatch):
+    # the degree-2 monomials all pairing to 1, as if they coincided on the
+    # sphere: at d=1 the first Gram block of two, the even class, is singular
+    integrals = circlefiber._sphere_integrals
+
+    def coinciding(alpha):
+        out = integrals(alpha)
+        return np.ones_like(out) if alpha.sum(axis=-1).max() == 4 else out
+
+    monkeypatch.setattr(circlefiber, "_sphere_integrals", coinciding)
+    with pytest.raises(NumericFailureError, match=r"degree 2, parity class \[0, 0\] is not"):
+        gradient_indicial_roots(1)
 
 
 def test_circle_blocks_match_fourier_eigenvalues():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cusplab
+from cusplab.acceptance import criterion_1_indicial_roots
 from cusplab.cli import main
 from cusplab.runio import (
     _KEYS,
@@ -155,6 +156,40 @@ def test_mode0_solve_far_off_zero_weight_warns_nothing(tmp_path, weight):
     report = json.loads((out / "mode0_report.json").read_text(), parse_constant=reject)
     assert report["weight"] == float(weight)
     assert report["roundtrip_residual"] <= 1e-10
+
+
+# the dense np.linalg factorizations and solves; a norm factors only for
+# the matrix 2-norms and the nuclear norm
+_FACTORING = (
+    "cholesky", "cond", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
+    "matrix_rank", "pinv", "qr", "slogdet", "solve", "svd", "svdvals",
+)
+
+
+def test_no_dense_linalg_call_reaches_order_32_on_the_indicial_paths(tmp_path, monkeypatch):
+    # OpenBLAS's threaded path can stall dense calls of order 32 and up on a
+    # contended two-core host; criterion 1's gradient forms were of order 35,
+    # 56 and 84 at d=3 before they were split into parity blocks
+    orders = []
+
+    def recording(fn, name):
+        def call(a, *args, **kwargs):
+            if name != "norm" or kwargs.get("ord", args[0] if args else None) in (2, -2, "nuc"):
+                orders.append((max(np.shape(a)[-2:]), name))
+            return fn(a, *args, **kwargs)
+
+        return call
+
+    for name in (*_FACTORING, "norm"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name), name))
+    assert criterion_1_indicial_roots()[0]
+    cfg = tmp_path / "d3.ini"
+    cfg.write_text(BASE_CONFIG.replace("d = 1", "d = 3"))
+    for cmd in ("roots", "index-jump", "mode0-solve", "mode0-kernel"):
+        assert run(cmd, cfg, tmp_path)[0] == 0, cmd
+    assert {name for _, name in orders} >= {"eigvalsh", "solve", "svd"}
+    largest = max(orders)
+    assert largest[0] < 32, largest
 
 
 def test_identity_operator_runs_every_indicial_subcommand(tmp_path):

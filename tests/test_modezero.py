@@ -360,6 +360,17 @@ def test_cross_root_laplacian_across_upper_root():
     assert err <= 1e-8 * np.max(np.abs(correction.samples[interior]))
 
 
+def test_crossing_no_root_corrects_by_the_zero_field():
+    # no Laplacian root lies strictly between the weights 0 and 0.4: the
+    # correction is the zero field on the difference's grid and weight
+    diff, contribs = cross_root_correction(FAM_LAP1, bump_rhs(), 0.0, 0.4)
+    assert contribs == []
+    correction = evaluate_elements(contribs, diff)
+    assert (correction.r0, correction.dr, correction.weight) == (diff.r0, diff.dr, diff.weight)
+    assert correction.samples.shape == diff.samples.shape
+    assert not np.any(correction.samples)
+
+
 def test_field_weight_round_trip():
     f = bump_rhs()
     g = f.with_weight(0.7).with_weight(0.0)
@@ -379,6 +390,27 @@ def test_field_weight_round_trip_where_the_exponential_overflows(rho):
 def test_small_grid_rejected():
     with pytest.raises(InvalidInputError):
         ModeZeroField(0.0, 0.1, np.zeros((8, 1)))
+
+
+@pytest.mark.parametrize(
+    "r0, dr",
+    [(0.0, 0.0), (0.0, -0.1), (0.0, np.nan), (0.0, np.inf), (np.nan, 0.1), (-np.inf, 0.1)],
+)
+def test_grid_needs_a_finite_origin_and_a_positive_finite_spacing(r0, dr):
+    # a zero spacing used to construct and die in invert_on_line's fftfreq
+    with pytest.raises(InvalidInputError, match="positive finite dr"):
+        ModeZeroField(r0, dr, np.ones((64, 1)))
+
+
+@pytest.mark.parametrize("half_width, ncomp", [(24.0, 2), (48.0, 1)])
+def test_fields_on_different_grids_or_components_do_not_subtract(half_width, ncomp):
+    # the samples broadcast, so the difference used to pair node k of one
+    # grid with node k of the other, or one component with both
+    f = bump_rhs()
+    other = bump_rhs(r_half=half_width)
+    other = replace(other, samples=other.samples[:, :ncomp])
+    with pytest.raises(InvalidInputError, match="different grids"):
+        f - other
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
