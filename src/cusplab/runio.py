@@ -81,7 +81,7 @@ _KEYS = {
         "weight_from": (float, None),
         "weight_to": (float, None),
         "root": (_finite, None),
-        "s": (float, 0.5),
+        "s": (_checked(float, lambda v: 0 < v < 1, "strictly between 0 and 1"), 0.5),
         "window_lo": (float, -10.0),
         "window_hi": (float, 10.0),
     },

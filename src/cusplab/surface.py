@@ -15,22 +15,18 @@ import numpy as np
 from .errors import InvalidInputError, ReductionError
 from .halfplane import BoundaryGeodesic, MobiusMap
 
-def _invert_letter(ch):
-    return ch.lower() if ch.isupper() else ch.upper()
-
-
 def invert_word(word):
-    return "".join(_invert_letter(ch) for ch in reversed(word))
+    return word[::-1].swapcase()
 
 
 def is_reduced(word):
-    return all(word[i] != _invert_letter(word[i + 1]) for i in range(len(word) - 1))
+    return all(map(str.__ne__, word, word[1:].swapcase()))
 
 
 def is_cyclically_reduced(word):
     if not is_reduced(word):
         return False
-    return len(word) < 2 or word[0] != _invert_letter(word[-1])
+    return len(word) < 2 or word[0] != word[-1].swapcase()
 
 
 # letters to code points 0, 1, 2, 3, ... in the order a < A < b < B < ...,
@@ -48,10 +44,12 @@ def canonical_class_word(word):
     reverse), ordering letters a < A < b < B < ..."""
     if not is_cyclically_reduced(word):
         raise InvalidInputError(f"word {word!r} is not cyclically reduced")
-    candidates = []
-    for w in (word, invert_word(word)):
-        candidates.extend(w[i:] + w[:i] for i in range(len(w)))
-    return min(candidates, key=lambda w: w.translate(_LETTER_ORDER))
+    pair = (word, invert_word(word))
+    codes = [w.translate(_LETTER_ORDER) for w in pair]
+    # keys[k * len(word) + i] is rotation i of pair[k]
+    keys = [c[i:] + c[:i] for c in codes for i in range(len(c))]
+    k, i = divmod(keys.index(min(keys)), len(word))
+    return pair[k][i:] + pair[k][:i]
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ class FuchsianSurface:
             if len(prefix) >= max_len:
                 return
             for ch in self.alphabet:
-                if prefix and prefix[-1] == _invert_letter(ch):
+                if prefix and prefix[-1] == ch.swapcase():
                     continue
                 w = prefix + ch
                 out.append(w)
@@ -196,12 +194,21 @@ def enumerate_hyperbolic_classes(surface, max_word_len):
     and inversion, sorted by (length, word)."""
     if max_word_len < 1:
         raise InvalidInputError("max_word_len must be >= 1")
+    letters = {ch: surface.letter_matrix(ch) for ch in surface.alphabet}
+    # each word's matrix from its prefix's, in word_matrix's product order
+    matrices = {"": MobiusMap.identity()}
+
+    def matrix(word):
+        if word not in matrices:
+            matrices[word] = matrix(word[:-1]) @ letters[word[-1]]
+        return matrices[word]
+
     geodesics = []
     for word in surface.words(max_word_len):
         # each class is kept once, at the word that is its own canonical form
         if not is_cyclically_reduced(word) or canonical_class_word(word) != word:
             continue
-        m = surface.word_matrix(word)
+        m = matrix(word)
         if m.classify() == "hyperbolic":
             geodesics.append(ClosedGeodesic(word, m))
     geodesics.sort(key=lambda g: (g.length, g.word))

@@ -615,6 +615,10 @@ def test_malformed_number_is_invalid_input_naming_its_key(tmp_path, capsys, sect
         ("operator", "n_in", "-1", "roots"),
         ("tolerances", "root", "nan", "mode0-kernel"),
         ("tolerances", "root", "-inf", "mode0-kernel"),
+        ("tolerances", "s", "1.5", "lp-norm"),
+        ("tolerances", "s", "1", "lp-norm"),
+        ("tolerances", "s", "0", "lp-norm"),
+        ("tolerances", "s", "nan", "lp-norm"),
     ],
 )
 def test_out_of_range_value_is_invalid_input_naming_its_key(
@@ -622,7 +626,8 @@ def test_out_of_range_value_is_invalid_input_naming_its_key(
 ):
     # each once reached the numerics: a ZeroDivisionError, a report on a
     # reversed or empty line grid, a negative array dimension, an IndexError
-    # on a 0 x 0 custom family, a bare NaN token in kernel_report.json
+    # on a 0 x 0 custom family, a bare NaN token in kernel_report.json, an
+    # lp-norm run that built its whole family before holder_norm refused s
     path = _config_with(tmp_path, section, key, value)
     assert main([cmd, str(path), "--out", str(tmp_path / "o")]) == 2
     assert f"[{section}] {key}:" in capsys.readouterr().err

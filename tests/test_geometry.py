@@ -12,6 +12,8 @@ from cusplab.surface import (
     canonical_class_word,
     enumerate_hyperbolic_classes,
     invert_word,
+    is_cyclically_reduced,
+    is_reduced,
     punctured_torus,
     reduce_points,
 )
@@ -240,6 +242,72 @@ def test_enumeration_counts_hyperbolic_classes_by_word_length():
     assert want == [2, 4, 6, 12, 26, 66, 158, 417]
     lengths = Counter(len(g.word) for g in enumerate_hyperbolic_classes(TORUS, 8))
     assert [lengths[n] for n in range(1, 9)] == want
+
+
+# the word helpers and the class list as first written: letter by letter,
+# every rotation compared under a sort key, each class's matrix by word_matrix
+def _invert_letter_oracle(ch):
+    return ch.lower() if ch.isupper() else ch.upper()
+
+
+def _invert_word_oracle(word):
+    return "".join(_invert_letter_oracle(ch) for ch in reversed(word))
+
+
+def _is_reduced_oracle(word):
+    return all(word[i] != _invert_letter_oracle(word[i + 1]) for i in range(len(word) - 1))
+
+
+def _is_cyclically_reduced_oracle(word):
+    if not _is_reduced_oracle(word):
+        return False
+    return len(word) < 2 or word[0] != _invert_letter_oracle(word[-1])
+
+
+def _canonical_oracle(word):
+    order = {ch: 2 * i + ch.isupper() for i, ch in enumerate("aAbBcC")}
+    candidates = []
+    for w in (word, _invert_word_oracle(word)):
+        candidates.extend(w[i:] + w[:i] for i in range(len(w)))
+    return min(candidates, key=lambda w: [order[ch] for ch in w])
+
+
+def _classes_oracle(surface, max_word_len):
+    geodesics = []
+    for word in surface.words(max_word_len):
+        if not _is_cyclically_reduced_oracle(word) or _canonical_oracle(word) != word:
+            continue
+        m = surface.word_matrix(word)
+        if m.classify() == "hyperbolic":
+            geodesics.append(ClosedGeodesic(word, m))
+    geodesics.sort(key=lambda g: (g.length, g.word))
+    return geodesics
+
+
+@pytest.mark.parametrize("max_word_len", range(1, 7))
+def test_class_list_is_bit_identical_to_word_matrix_oracle(max_word_len):
+    got = enumerate_hyperbolic_classes(TORUS, max_word_len)
+    want = _classes_oracle(TORUS, max_word_len)
+    assert [g.word for g in got] == [g.word for g in want]
+    for g, w in zip(got, want):
+        assert g.matrix.mat.tobytes() == w.matrix.mat.tobytes()
+        assert g.length == w.length and g.axis_endpoints == w.axis_endpoints
+
+
+NON_REDUCED = ["aA", "Aa", "bB", "abBa", "abAaB", "aaAA", "baABba", "abcC"]
+
+
+def test_word_helpers_agree_with_letter_by_letter_oracles():
+    words = TORUS.words(6) + NON_REDUCED + ["abA", "BaaB", "c", "cAbC"]
+    for w in words:
+        assert invert_word(w) == _invert_word_oracle(w)
+        assert is_reduced(w) == _is_reduced_oracle(w)
+        assert is_cyclically_reduced(w) == _is_cyclically_reduced_oracle(w)
+        if _is_cyclically_reduced_oracle(w):
+            assert canonical_class_word(w) == _canonical_oracle(w)
+        else:
+            with pytest.raises(InvalidInputError, match="not cyclically reduced"):
+                canonical_class_word(w)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 ``surface.reduce_points`` and ``SymTensorField.interpolate`` must agree bit
 for bit with the scalar loops below, which step one point at a time in the
 same operation order; the Hoelder seminorm inside ``paley.holder_norm`` is
-checked against a brute-force pair supremum.
+checked against a brute-force pair supremum, and bit for bit against the
+offset loop that scans every offset.
 """
 
 import tracemalloc
@@ -11,11 +12,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cusplab import surface, tensorfield
+from cusplab import paley, surface, tensorfield
 from cusplab.chart import ChartGrid
 from cusplab.errors import InvalidInputError, ReductionError
-from cusplab.modezero import ModeZeroField
-from cusplab.paley import holder_norm
+from cusplab.modezero import ModeZeroField, line_grid, window_profile
+from cusplab.paley import holder_norm, random_band_limited_family
 from cusplab.tensorfield import SymTensorField
 
 RNG = np.random.default_rng(99)
@@ -299,3 +300,58 @@ def test_holder_matches_bruteforce():
         for i in range(len(u) - k)
     )
     assert abs(got - brute) <= 1e-13 * max(1.0, brute)
+
+
+def holder_offset_loop(fld, s):
+    """holder_norm with every offset up to the cap scanned: the offset
+    supremum (pair supremum, offset where it sits) and the norm."""
+    u = fld.samples[:, 0].real
+    n = u.shape[0]
+    max_offset = max(1, min(int(paley._HOLDER_DISTANCE_CAP / fld.dr), n - 1))
+    semi, at = 0.0, 0
+    for k in range(1, max_offset + 1):
+        val = np.max(np.abs(u[k:] - u[: n - k])) / (k * fld.dr) ** s
+        if val > semi:
+            semi, at = val, k
+    return float(np.max(np.abs(u)) + semi), at, max_offset
+
+
+def test_holder_skip_is_bit_identical_on_criterion_12_family():
+    for fld in random_band_limited_family(50, 7, 48.0, 4096):
+        for s in (0.1, 0.5, 0.9):
+            assert holder_norm(fld, s) == holder_offset_loop(fld, s)[0]
+
+
+def _line_field(values, r_half, n):
+    r0, dr = line_grid(r_half, n)
+    return ModeZeroField(r0, dr, values(r0 + dr * np.arange(n))[:, None])
+
+
+@pytest.mark.parametrize(
+    "case, values, r_half, n, where",
+    [
+        (
+            "white noise",
+            lambda r: np.random.default_rng(5).uniform(-1, 1, r.size),
+            8.0,
+            2048,
+            "first",
+        ),
+        ("ramp", lambda r: 0.3 * r, 8.0, 2048, "cap"),
+        ("constant", lambda r: np.full_like(r, -1.25), 8.0, 1024, None),
+        (
+            "half-power cusp",
+            lambda r: np.abs(r) ** 0.5 * np.exp(-(r**2) / 2.0) * window_profile(r),
+            8.0,
+            4096,
+            None,
+        ),
+    ],
+)
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_holder_skip_is_bit_identical_to_offset_loop(case, values, r_half, n, where, s):
+    fld = _line_field(values, r_half, n)
+    want, at, cap = holder_offset_loop(fld, s)
+    assert holder_norm(fld, s) == want
+    # the supremum sits where the case says: the skip is tried at both ends
+    assert {"first": 1, "cap": cap}.get(where, at) == at

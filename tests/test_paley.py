@@ -277,6 +277,45 @@ def test_single_constant_family_ratio_finite():
     assert 0 < rep["ratio_min"] < np.inf
 
 
+def test_zero_field_in_a_family_is_invalid_input_naming_it():
+    # its Hoelder norm is 0, and the ratio once died as a ZeroDivisionError
+    fam = random_band_limited_family(2, 4, 8.0, 1024)
+    zero = grid_field(np.zeros(1024), 8.0, 1024)
+    for fields, index in (([zero], 0), ([fam[0], zero, fam[1]], 1)):
+        with pytest.raises(InvalidInputError, match=f"field {index} ") as err:
+            norm_equivalence_report(fields, 0.5)
+        assert err.value.diagnostics == {"field": index}
+
+
+def _cosine_family(count, seed, r_half, n):
+    # the same draws as random_band_limited_family, each field summed one
+    # cosine per sample and mode
+    rng = np.random.default_rng(seed)
+    r = r_axis(r_half, n)
+    out = []
+    for _ in range(count):
+        freqs = np.exp(rng.uniform(np.log(0.2), np.log(30.0), size=12))
+        amps = rng.normal(size=12) / np.sqrt(12)
+        phases = rng.uniform(0, 2 * np.pi, size=12)
+        u = np.sum(amps[None, :] * np.cos(np.outer(r, freqs) + phases[None, :]), axis=1)
+        out.append(u * window_profile(r))
+    return out
+
+
+@pytest.mark.parametrize(
+    "count, seed, r_half, n",
+    [(50, 7, 48.0, 4096), (16, 3, 48.0, 4096), (3, 2, 20.0, 1000), (4, 5, 8.0, 64), (5, 1, 48.0, 4097)],
+)
+def test_family_matches_cosine_sums_of_the_same_draws(count, seed, r_half, n):
+    fam = random_band_limited_family(count, seed, r_half, n)
+    want = _cosine_family(count, seed, r_half, n)
+    assert len(fam) == count
+    r0, dr = line_grid(r_half, n)
+    for fld, u in zip(fam, want):
+        assert (fld.r0, fld.dr, fld.samples.shape) == (r0, dr, (n, 1))
+        assert np.max(np.abs(fld.samples[:, 0] - u)) <= 1e-12
+
+
 def test_max_block_index_covers_nyquist():
     fld = grid_field(np.zeros(4096))
     j = max_block_index(fld)
