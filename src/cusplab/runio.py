@@ -59,7 +59,7 @@ _finite = _checked(float, math.isfinite, "finite")
 _KEYS = {
     "surface": {
         "generators": (_rows, None),
-        "max_word_len": (int, 6),
+        "max_word_len": (_positive_int, 6),
     },
     "operator": {
         "name": (str, "sym-laplacian"),
@@ -72,8 +72,8 @@ _KEYS = {
         "n": (_positive_int, 4096),
         "r_min": (float, -2.8),
         "r_max": (float, 0.5),
-        "n_r": (int, 529),
-        "n_theta": (int, 256),
+        "n_r": (_checked(int, lambda v: v >= 8, "at least 8"), 529),
+        "n_theta": (_checked(int, lambda v: v >= 4, "at least 4"), 256),
     },
     "tolerances": {
         "xray": (_positive_finite, 1e-9),
@@ -89,7 +89,7 @@ _KEYS = {
         "mode": (str, "metric"),
         "class_cap": (_positive_int, 50),
         "tensor_file": (str, None),
-        "forms": (int, 3),
+        "forms": (_positive_int, 3),
     },
 }
 

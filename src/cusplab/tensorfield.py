@@ -10,11 +10,12 @@ e_2 = e^r d/dtheta, the connection gives
                     dx/dr + e^r dt/dtheta - 2 x)
 
 and the symmetric Laplacian is their composition.  D is written once, in
-``_frame_sym_derivative``: ``sym_derivative`` applies it to grid samples,
-and the solenoidal projection reads its per-theta-mode matrices off it by
-comb probes; scipy serves only that projection's sparse products and
-banded solves.  On theta-independent y^lam profiles, D and the Laplacian
-act by the indicial families of ``operators.sym_derivative_spec`` and
+``_frame_sym_derivative``, which fills one (3, ...) array in place:
+``sym_derivative`` applies it to grid samples, and the solenoidal
+projection reads its per-theta-mode matrices off it by comb probes; scipy
+serves only that projection's sparse products and banded solves.  On
+theta-independent y^lam profiles, D and the Laplacian act by the indicial
+families of ``operators.sym_derivative_spec`` and
 ``sym_laplacian_spec``, the closed forms criterion 7 checks the grid
 operators against.  Differentiation is spectral in theta and, by default
 ("fd"), second-order centered finite differences in r closed at the two
@@ -80,8 +81,9 @@ class SymTensorField:
         if len(funcs) != order + 1:
             raise InvalidInputError("one sampling function per component")
         r, t = grid.r[:, None], grid.theta[None, :]
-        shape = (grid.n_r, grid.n_theta)
-        comps = np.stack([np.broadcast_to(np.asarray(f(r, t), dtype=float), shape) for f in funcs])
+        comps = np.empty((order + 1, grid.n_r, grid.n_theta))
+        for k, f in enumerate(funcs):
+            comps[k] = f(r, t)
         return cls(grid, comps)
 
     @classmethod
@@ -101,12 +103,16 @@ class SymTensorField:
             raise InvalidInputError("tensor fields live on different grids/orders")
 
     def sup_norm(self):
-        return float(np.max(np.abs(self.comps)))
+        """Largest |component|, reduced as max(max c, -min c) so that no
+        copy |c| is made; np.maximum, unlike Python's max, keeps a NaN from
+        either side, and a zero norm may read -0.0."""
+        return float(np.maximum(np.max(self.comps), -np.min(self.comps)))
 
     @cached_property
     def _radial_profile(self):
-        """Largest |component| on each radial row."""
-        return np.max(np.abs(self.comps), axis=(0, 2))
+        """Largest |component| on each radial row, reduced as in ``sup_norm``."""
+        axes = (0, 2)
+        return np.maximum(np.max(self.comps, axis=axes), -np.min(self.comps, axis=axes))
 
     def support_margin(self):
         """Number of radial boundary cells on each side where the field is
@@ -282,15 +288,26 @@ def _dr(arr, grid, method):
 
 
 def _frame_sym_derivative(a, b, d_r, d_t, er):
-    """Components (s, t, x) of the symmetric derivative of the 1-form (a, b)
-    by the module's D formula, with er = e^r shaped to broadcast against
-    them; d_r(i) and d_t(i) give the r- and theta-partials of component i
-    (0: a, 1: b), each taken only when the formula reaches it, so at most
-    two partials are held at once.  The operands are arrays: grid samples,
-    the projection's comb probes or closed-form jet values."""
-    s = d_r(0)
-    t = er * d_t(1) - a
-    return s, t, 0.5 * (d_r(1) + er * d_t(0) + b)
+    """The symmetric derivative of the 1-form (a, b) by the module's D
+    formula: one (3, ...) array holding s, t and x, with er = e^r shaped to
+    broadcast against a and b.  d_r(i) and d_t(i) give the r- and
+    theta-partials of component i (0: a, 1: b), each taken only when the
+    formula reaches it and written into its row at once, so at most one
+    partial is held.  The operands are grid samples, the projection's comb
+    probes or closed-form jet values, and may be 0-d (hence the ``k, ...``
+    row views)."""
+    out = np.empty((3, *np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(er))))
+    s, t, x = out[0, ...], out[1, ...], out[2, ...]
+    s[...] = d_r(0)
+    np.multiply(er, d_t(1), out=t)
+    t -= a
+    # 0.5 * (d_r(1) + er * d_t(0) + b); swapping the first sum's terms
+    # keeps every bit, as IEEE addition commutes
+    np.multiply(er, d_t(0), out=x)
+    x += d_r(1)
+    x += b
+    x *= 0.5
+    return out
 
 
 def sym_derivative(p, method="fd"):
@@ -300,8 +317,7 @@ def sym_derivative(p, method="fd"):
     grid = p.grid
     c = p.comps
     d_r, d_t = (lambda i: _dr(c[i], grid, method)), (lambda i: _dtheta(c[i], grid))
-    comps = _frame_sym_derivative(c[0], c[1], d_r, d_t, grid.exp_r[:, None])
-    return SymTensorField(grid, np.stack(comps))
+    return SymTensorField(grid, _frame_sym_derivative(c[0], c[1], d_r, d_t, grid.exp_r[:, None]))
 
 
 def divergence(f, method="fd"):
@@ -351,11 +367,10 @@ def _mode_derivative(grid):
     probes[c, j, 3 * c + j % 3] = 1.0
     er, zero = grid.exp_r[:, None], np.zeros((n, 6))
     mats = []
-    for image in (
+    for y in (
         _frame_sym_derivative(*probes, lambda i: _dr_fd(probes[i], grid.dr), lambda i: 0.0, er),
         _frame_sym_derivative(zero, zero, lambda i: zero, lambda i: probes[i], er),
     ):
-        y = np.stack(image)
         q, i, p = np.nonzero(y)  # a row no probe node reaches reads exactly 0
         node = i + (p % 3 - i + 1) % 3 - 1  # the one of i - 1, i, i + 1 that is p mod 3
         cols = 2 * node - 2 + p // 3

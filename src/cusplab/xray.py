@@ -153,9 +153,11 @@ def potential_annihilation_suite(surface, one_forms, geodesics, tol, path, grid=
             sampled = p.sample(grid)
             dp = sym_derivative(sampled, method="spectral")
             sup_p = max(sampled.sup_norm(), 1e-300)
+            del sampled  # held through the X-ray loop, it would raise the memory peak
         else:
             raise InvalidInputError("path must be 'symbolic' or 'grid'")
         values = xray_suite(surface, dp, geodesics, tol=tol)
+        del dp  # held through the next form's sampling and D, likewise
         m = max(abs(r.value) for r in values) / sup_p
         results.append(values)
         per_form.append({"max_normalized_value": m, "sup_norm": sup_p, "classes": len(values)})

@@ -619,6 +619,10 @@ def test_malformed_number_is_invalid_input_naming_its_key(tmp_path, capsys, sect
         ("tolerances", "s", "1", "lp-norm"),
         ("tolerances", "s", "0", "lp-norm"),
         ("tolerances", "s", "nan", "lp-norm"),
+        ("grid", "n_r", "7", "roots"),
+        ("grid", "n_theta", "3", "roots"),
+        ("xray", "forms", "0", "roots"),
+        ("surface", "max_word_len", "0", "roots"),
     ],
 )
 def test_out_of_range_value_is_invalid_input_naming_its_key(
@@ -627,7 +631,9 @@ def test_out_of_range_value_is_invalid_input_naming_its_key(
     # each once reached the numerics: a ZeroDivisionError, a report on a
     # reversed or empty line grid, a negative array dimension, an IndexError
     # on a 0 x 0 custom family, a bare NaN token in kernel_report.json, an
-    # lp-norm run that built its whole family before holder_norm refused s
+    # lp-norm run that built its whole family before holder_norm refused s;
+    # the grid sizes, forms and max_word_len were refused deeper down by
+    # messages that did not name their key
     path = _config_with(tmp_path, section, key, value)
     assert main([cmd, str(path), "--out", str(tmp_path / "o")]) == 2
     assert f"[{section}] {key}:" in capsys.readouterr().err

@@ -4,7 +4,10 @@
 for bit with the scalar loops below, which step one point at a time in the
 same operation order; the Hoelder seminorm inside ``paley.holder_norm`` is
 checked against a brute-force pair supremum, and bit for bit against the
-offset loop that scans every offset.
+offset loop that scans every offset.  The grid tensors' sampling and
+symmetric derivative, which fill one array in place, must agree bit for bit
+with the stacked component tuples below, and their sup norms and radial
+profiles, which reduce max and -min, with the reductions of |comps|.
 """
 
 import tracemalloc
@@ -15,9 +18,11 @@ import pytest
 from cusplab import paley, surface, tensorfield
 from cusplab.chart import ChartGrid
 from cusplab.errors import InvalidInputError, ReductionError
+from cusplab.fields import random_bump_one_form
 from cusplab.modezero import ModeZeroField, line_grid, window_profile
 from cusplab.paley import holder_norm, random_band_limited_family
-from cusplab.tensorfield import SymTensorField
+from cusplab.tensorfield import SymTensorField, _mode_derivative, sym_derivative
+from cusplab.xray import ArcSampler
 
 RNG = np.random.default_rng(99)
 TORUS = surface.punctured_torus()
@@ -355,3 +360,189 @@ def test_holder_skip_is_bit_identical_to_offset_loop(case, values, r_half, n, wh
     assert holder_norm(fld, s) == want
     # the supremum sits where the case says: the skip is tried at both ends
     assert {"first": 1, "cap": cap}.get(where, at) == at
+
+
+# ---------------------------------------------------------------------------
+# grid tensors: one array each, against the stacked and |comps| oracles
+# ---------------------------------------------------------------------------
+
+# criterion 9's chart grid and forms
+XRAY_GRID = ChartGrid(-2.8, 0.5, 769, 384)
+
+
+def criterion_9_form(seed):
+    return random_bump_one_form(seed, center=(-0.916, 0.0), r_width=0.45, t_width=0.14)
+
+
+def sample_oracle(grid, funcs):
+    """Each component broadcast to the grid, then stacked."""
+    r, t = grid.r[:, None], grid.theta[None, :]
+    shape = (grid.n_r, grid.n_theta)
+    return np.stack([np.broadcast_to(np.asarray(f(r, t), dtype=float), shape) for f in funcs])
+
+
+def frame_oracle(a, b, d_r, d_t, er):
+    """The D formula as a tuple (s, t, x) of separately allocated arrays."""
+    s = d_r(0)
+    t = er * d_t(1) - a
+    return s, t, 0.5 * (d_r(1) + er * d_t(0) + b)
+
+
+def sym_derivative_oracle(p, method):
+    c, grid = p.comps, p.grid
+    image = frame_oracle(
+        c[0],
+        c[1],
+        lambda i: tensorfield._dr(c[i], grid, method),
+        lambda i: tensorfield._dtheta(c[i], grid),
+        grid.exp_r[:, None],
+    )
+    return np.stack(image)
+
+
+def criterion_7_samplers():
+    """Criterion 7's model 1-forms e^{lam r} (a0, b0) as sampler pairs."""
+    for lam, a0, b0 in [(0.7, 1.0, 0.0), (1.3, 0.0, 1.0), (-0.4, 0.6, -1.1)]:
+        yield (
+            lambda r, t, lam=lam, a0=a0: a0 * np.exp(lam * r),
+            lambda r, t, lam=lam, b0=b0: b0 * np.exp(lam * r),
+        )
+
+
+CRITERION_7_GRIDS = [ChartGrid(0.0, 3.0, 129, 32).refine(k) for k in (1, 2, 4)]
+
+
+def sample_cases():
+    for grid in CRITERION_7_GRIDS:
+        for funcs in criterion_7_samplers():
+            yield grid, funcs
+    for seed in (0, 7):
+        form = criterion_9_form(seed)
+        yield XRAY_GRID, (form.a, form.b)
+    # samplers that return a row, a column, an int scalar or a full grid
+    grid = ChartGrid(0.0, 3.0, 40, 9)
+    yield grid, (lambda r, t: 0.0 * r, lambda r, t: np.sin(t), lambda r, t: 2)
+    yield grid, (lambda r, t: np.cos(r - t),)
+
+
+def test_sample_fills_one_array_bit_identical_to_the_stack():
+    for grid, funcs in sample_cases():
+        got = SymTensorField.sample(grid, len(funcs) - 1, *funcs).comps
+        assert_bitwise([got], [sample_oracle(grid, funcs)])
+
+
+@pytest.mark.parametrize("method", ["fd", "fd4", "spectral"])
+def test_sym_derivative_is_bit_identical_to_the_stacked_formula(method):
+    for grid, funcs in sample_cases():
+        if len(funcs) == 2:
+            p = SymTensorField.sample(grid, 1, *funcs)
+            assert_bitwise([sym_derivative(p, method).comps], [sym_derivative_oracle(p, method)])
+
+
+def test_closed_form_pullback_is_bit_identical_to_the_stacked_formula():
+    # criterion 9's first 20 classes, of which several cross the forms' support
+    classes = surface.enumerate_hyperbolic_classes(TORUS, 6)[:20]
+    nonzero = 0
+    for seed in (0, 3):
+        form = criterion_9_form(seed)
+        tensor = form.sym_derivative()
+        for geo in classes:
+            for level in (0, 2):
+                r, t, p_hat, q_hat = ArcSampler.of(TORUS, geo).quadrature(level)[1]
+                jets = form.a.jet(r, t), form.b.jet(r, t)
+                comps = frame_oracle(
+                    jets[0][0], jets[1][0], lambda i: jets[i][1], lambda i: jets[i][2], np.exp(r)
+                )
+                want = tensorfield._contract(comps, p_hat, q_hat)
+                nonzero += np.count_nonzero(want)
+                assert_bitwise([tensor.pullback(r, t, p_hat, q_hat)], [want])
+    assert nonzero > 100  # the nodes meet the forms' support
+
+
+@pytest.mark.parametrize("shape", [(8, 4), (40, 9), (129, 64)])
+def test_mode_matrices_are_bit_identical_to_the_stacked_formula(shape, monkeypatch):
+    grid = ChartGrid(0.0, 3.0, *shape)
+    got = _mode_derivative(grid)
+    monkeypatch.setattr(tensorfield, "_frame_sym_derivative", lambda *a: np.stack(frame_oracle(*a)))
+    for g, w in zip(got, _mode_derivative(grid)):
+        assert g.shape == w.shape
+        assert_bitwise([g.indptr, g.indices, g.data], [w.indptr, w.indices, w.data])
+
+
+def norm_fields():
+    """2-tensors on a 16 x 8 grid with a NaN cell, +-inf cells, rows of +0
+    and of -0.0, and values below the support floor."""
+    rng = np.random.default_rng(30)
+    grid = ChartGrid(0.0, 1.0, 16, 8)
+    base = rng.normal(size=(3, 16, 8))
+    cases = {}
+    c = base.copy()
+    c[1, 5, 3] = np.nan
+    cases["nan cell"] = c
+    c = base.copy()
+    c[0, 2, 1], c[2, 9, 4] = np.inf, -np.inf
+    cases["inf cells"] = c
+    c = base.copy()
+    c[2, 0, 7] = -np.inf
+    c[:, 1:3] = 0.0
+    cases["-inf in an edge row"] = c
+    c = base.copy()
+    c[:, :3], c[:, -2:] = 0.0, -0.0
+    cases["zero edge rows"] = c
+    c = base.copy()
+    c[:, :7], c[:, 9:] = -0.0, 1e-14
+    c[1, 8, 4] = np.nan
+    cases["-0.0 and sub-floor rows around a NaN"] = c
+    c = -np.abs(base)
+    c[:, 4] = -0.0
+    cases["negative with a -0.0 row"] = c
+    cases["all zero"] = np.zeros((3, 16, 8))
+    cases["all -0.0"] = np.full((3, 16, 8), -0.0)
+    for name, comps in cases.items():
+        yield name, SymTensorField(grid, comps)
+
+
+def assert_equal_up_to_zero_sign(got, want):
+    """Equal values, NaN exactly where want is NaN; a zero's sign may differ."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+
+
+def test_norms_and_margins_equal_the_abs_oracle():
+    for name, fld in norm_fields():
+        # the same field with its profile taken from |comps|
+        oracle = SymTensorField(fld.grid, fld.comps)
+        vars(oracle)["_radial_profile"] = np.max(np.abs(fld.comps), axis=(0, 2))
+        assert_equal_up_to_zero_sign(fld.sup_norm(), float(np.max(np.abs(fld.comps))))
+        assert_equal_up_to_zero_sign(fld._radial_profile, oracle._radial_profile)
+        assert fld.support_margin() == oracle.support_margin(), name
+        assert fld._edge_activity == oracle._edge_activity, name
+
+
+def test_sym_derivative_peaks_below_one_and_three_quarter_outputs():
+    # the stacked formula held its three components and their stack, twice
+    # the output (14.3 MB here); one array filled in place holds the output,
+    # one partial and the spectral transform's temporaries
+    p = criterion_9_form(0).sample(XRAY_GRID)
+    sym_derivative(p, "spectral")  # FFT set-up outside the trace
+    tracemalloc.start()
+    try:
+        d = sym_derivative(p, "spectral")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * d.comps.nbytes
+
+
+def test_sup_norm_and_support_margin_allocate_less_than_a_component():
+    # reducing |comps| made a copy of all three components (7.1 MB here)
+    comps = np.random.default_rng(5).normal(size=(3, XRAY_GRID.n_r, XRAY_GRID.n_theta))
+    fld = SymTensorField(XRAY_GRID, comps)
+    for measure in (fld.sup_norm, fld.support_margin):
+        tracemalloc.start()
+        try:
+            measure()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < comps[0].nbytes
